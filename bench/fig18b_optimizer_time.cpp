@@ -37,7 +37,7 @@ void optimize_on_segment(benchmark::State& state, TraceSegment segment,
     origin = (origin + 1) % series.size();
     const LiveputPlan plan =
         optimizer.optimize(current, series[origin], predicted);
-    benchmark::DoNotOptimize(plan.expected_samples);
+    benchmark::DoNotOptimize(plan.expected_value);
   }
   state.SetLabel("paper: < 0.3 s per optimization (Figure 18b)");
   // How much of the optimizer's work the caches absorbed.
@@ -122,7 +122,7 @@ void optimize_at_scale(benchmark::State& state, int n, int lookahead,
   for (auto _ : state) {
     predicted[at] = predicted[at] == n ? n - 1 : n;
     const LiveputPlan plan = optimizer.optimize(current, n, predicted);
-    benchmark::DoNotOptimize(plan.expected_samples);
+    benchmark::DoNotOptimize(plan.expected_value);
   }
   state.counters["configs"] =
       static_cast<double>(tm.enumerate_configs(n).size());

@@ -24,10 +24,10 @@
 #include <vector>
 
 #include "baselines/ondemand_policy.h"
+#include "core/interval_dp.h"
 #include "model/model_profile.h"
 #include "parallel/throughput_model.h"
 #include "serve/arrival.h"
-#include "serve/goodput_optimizer.h"
 #include "serve/queue_model.h"
 #include "serve/serving_scheduler.h"
 #include "serve/serving_sim.h"
@@ -121,10 +121,16 @@ void BM_ServeSim(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeSim)->Unit(benchmark::kMillisecond);
 
+// The goodput objective on the shared interval DP.
 struct DpFixture {
   ModelProfile model = model_by_name("GPT-2");
-  ThroughputModel tp{model, ThroughputModelOptions{}};
-  ReplicaQueueModel qm{&tp, ServingModelOptions{}};
+  GoodputObjective objective{model, {}, {}, nullptr, 32};
+  IntervalDp dp{&objective, CostEstimator(model), [] {
+                  IntervalDpOptions opt;
+                  opt.mc_trials = 64;
+                  opt.seed = 11;
+                  return opt;
+                }()};
 };
 
 // Cold solve: the value table is invalidated every iteration, so the
@@ -132,16 +138,12 @@ struct DpFixture {
 // training optimizer's cold case in fig18b_optimizer_time.
 void BM_GoodputOptimize_Cold(benchmark::State& state) {
   DpFixture f;
-  GoodputOptimizerOptions opt;
-  opt.mc_trials = 64;
-  opt.seed = 11;
-  GoodputOptimizer dp(&f.qm, CostEstimator(f.model), opt);
   const std::vector<int> n(12, 12);
   const std::vector<double> rps(12, kRps);
   for (auto _ : state) {
-    dp.invalidate();
-    GoodputPlan plan = dp.optimize(kIdleConfig, n[0], n, rps);
-    benchmark::DoNotOptimize(plan.expected_good_requests);
+    f.dp.invalidate();
+    IntervalPlan plan = f.dp.optimize(kIdleConfig, n[0], n, rps);
+    benchmark::DoNotOptimize(plan.expected_value);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -151,19 +153,15 @@ BENCHMARK(BM_GoodputOptimize_Cold)->Unit(benchmark::kMicrosecond);
 // the unchanged prefix. This bounds the per-tick decision latency.
 void BM_GoodputOptimize_Warm(benchmark::State& state) {
   DpFixture f;
-  GoodputOptimizerOptions opt;
-  opt.mc_trials = 64;
-  opt.seed = 11;
-  GoodputOptimizer dp(&f.qm, CostEstimator(f.model), opt);
   std::vector<int> n(12, 12);
   const std::vector<double> rps(12, kRps);
-  GoodputPlan plan = dp.optimize(kIdleConfig, n[0], n, rps);
+  IntervalPlan plan = f.dp.optimize(kIdleConfig, n[0], n, rps);
   ParallelConfig current = plan.next();
   int tick = 0;
   for (auto _ : state) {
     n.back() = 10 + (tick++ % 5);  // churn only the horizon tail
-    plan = dp.optimize(current, n[0], n, rps);
-    benchmark::DoNotOptimize(plan.expected_good_requests);
+    plan = f.dp.optimize(current, n[0], n, rps);
+    benchmark::DoNotOptimize(plan.expected_value);
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -79,6 +79,6 @@ int main() {
                 plan.configs[i].valid() ? plan.configs[i].to_string().c_str()
                                         : "suspend");
   std::printf("expected committed samples over the window: %.0f\n",
-              plan.expected_samples);
+              plan.expected_value);
   return 0;
 }

@@ -39,6 +39,9 @@
 //   metrics_csv=<file>     per-interval time series as CSV
 //   requests_jsonl=<file>  per-request latency audit as JSONL
 //                          (summarize with `trace_tool requests`)
+//   trace_json=<file>      decision spans (step, predict, optimize,
+//                          plan-migration) as a Chrome trace
+//   events_jsonl=<file>    the scheduler's decision audit log as JSONL
 //   export_port=<int>      serve the live registry as Prometheus text
 //                          over TCP RPC (obs.metrics; 0 = ephemeral),
 //                          with a self-scrape before exit
@@ -55,6 +58,7 @@
 #include "common/fault.h"
 #include "common/thread_pool.h"
 #include "core/slo.h"
+#include "obs/profile_span.h"
 #include "obs/timeseries.h"
 #include "rpc/obs_service.h"
 #include "rpc/rpc.h"
@@ -94,6 +98,7 @@ void print_usage() {
       "  faults=<spec>          faults_seed=<int>   (docs/robustness.md)\n"
       "  alerts=<spec>          alerts_jsonl=<file>\n"
       "  metrics_csv=<file>     requests_jsonl=<file>\n"
+      "  trace_json=<file>      events_jsonl=<file>\n"
       "  export_port=<int>      live Prometheus export over TCP RPC\n"
       "\n"
       "example:\n"
@@ -246,7 +251,11 @@ int main(int argc, char** argv) {
 
   obs::MetricsRegistry registry;
   obs::TimeSeriesRecorder series;
+  obs::TraceWriter tracer;
   sopt.metrics = &registry;
+  const std::string trace_json = get(args, "trace_json", "");
+  const std::string events_jsonl = get(args, "events_jsonl", "");
+  if (!trace_json.empty()) sopt.tracer = &tracer;
 
   ServingSimOptions sim;
   sim.metrics = &registry;
@@ -385,6 +394,26 @@ int main(int argc, char** argv) {
     std::printf("wrote %s (summarize: trace_tool requests %s)\n",
                 sim.requests_jsonl_path.c_str(),
                 sim.requests_jsonl_path.c_str());
+  if (!trace_json.empty()) {
+    if (tracer.write_file(trace_json))
+      std::printf("wrote %s (%zu events)\n", trace_json.c_str(),
+                  tracer.size());
+    else
+      std::fprintf(stderr, "cannot write %s\n", trace_json.c_str());
+  }
+  if (!events_jsonl.empty()) {
+    const EventLog& events = scheduler.core().telemetry();
+    FILE* f = std::fopen(events_jsonl.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "cannot write %s\n", events_jsonl.c_str());
+    } else {
+      const std::string jsonl = events.to_jsonl();
+      std::fwrite(jsonl.data(), 1, jsonl.size(), f);
+      std::fclose(f);
+      std::printf("wrote %s (%zu events)\n", events_jsonl.c_str(),
+                  events.size());
+    }
+  }
 
   if (slo != nullptr) {
     const std::string table = slo->render();

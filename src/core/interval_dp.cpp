@@ -1,0 +1,321 @@
+#include "core/interval_dp.h"
+
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+
+#include "common/thread_pool.h"
+#include "obs/metrics.h"
+
+namespace parcae {
+namespace {
+
+constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+double load_at(const std::vector<double>& load, std::size_t i) {
+  return i < load.size() ? load[i] : 0.0;
+}
+
+}  // namespace
+
+IntervalDp::IntervalDp(const SchedulingObjective* objective,
+                       CostEstimator estimator, IntervalDpOptions options)
+    : objective_(objective),
+      options_(std::move(options)),
+      migration_(std::move(estimator), options_.mc_trials, options_.seed,
+                 options_.edge_cache_capacity),
+      threads_(options_.threads == 1 ? 1
+                                     : ThreadPool::resolve(options_.threads)) {
+  const std::string family =
+      options_.metric_prefix + objective_->traits().dp_family;
+  name_runs_ = family + ".runs";
+  name_edge_hits_ = family + ".edge_cache_hits";
+  name_edge_misses_ = family + ".edge_cache_misses";
+  name_edge_bypass_ = family + ".edge_cache_bypass";
+  name_tasks_ = options_.metric_prefix + "threadpool.tasks";
+  name_states_reused_ = family + ".states_reused";
+  name_states_re_expanded_ = family + ".states_re_expanded";
+  name_space_evictions_ = family + ".space_cache_evictions";
+  migration_.sampler().set_metrics(options_.metrics);
+  migration_.sampler().set_metric_prefix(options_.metric_prefix);
+}
+
+IntervalDp::~IntervalDp() = default;
+
+void IntervalDp::invalidate() { warm_ = WarmState{}; }
+
+double IntervalDp::edge_cost(ParallelConfig from, int n_from,
+                             ParallelConfig to, int preemptions,
+                             double load) {
+  double cost = migration_.cost(from, n_from, to, preemptions);
+  if (from.valid() && to.valid() && to != from)
+    cost += objective_->switch_cost(from, load);
+  return cost;
+}
+
+IntervalDp::SpacePtr IntervalDp::resolve_space(int n) {
+  const auto it = space_cache_.find(n);
+  if (it != space_cache_.end()) {
+    space_lru_.splice(space_lru_.begin(), space_lru_, it->second.lru);
+    return it->second.space;
+  }
+  auto space = std::make_shared<ConfigSpace>();
+  space->configs = objective_->candidates(n);
+  space->configs.push_back(kIdleConfig);
+  space_lru_.push_front(n);
+  space_cache_.emplace(n, SpaceEntry{space, space_lru_.begin()});
+  const std::size_t cap =
+      std::max<std::size_t>(1, options_.space_cache_capacity);
+  while (space_cache_.size() > cap) {
+    space_cache_.erase(space_lru_.back());
+    space_lru_.pop_back();
+    ++space_cache_evictions_;
+  }
+  return space;
+}
+
+void IntervalDp::compute_column(std::size_t i, ParallelConfig current,
+                                int n_now, const std::vector<int>& predicted,
+                                const std::vector<double>& load,
+                                const ConfigSpace* prev_space,
+                                const std::vector<double>* best_prev,
+                                ConfigSpace& cur_space,
+                                std::vector<double>& best_out,
+                                std::vector<int>& parent_out) {
+  const double T = options_.interval_s;
+  const int n_prev = i == 0 ? n_now : predicted[i - 1];
+  const int k = std::max(0, n_prev - predicted[i]);
+  const double load_i = load_at(load, i);
+  const std::size_t C = cur_space.size();
+  best_out.assign(C, kNegInf);
+  parent_out.assign(C, -1);
+
+  // Rates are closed-form and RNG-free; a space keeps the row for the
+  // last load it was priced at (a training space is priced once).
+  if (cur_space.rate.empty() || cur_space.rate_load != load_i) {
+    cur_space.rate.resize(C);
+    for (std::size_t j = 0; j < C; ++j)
+      cur_space.rate[j] = objective_->rate(cur_space.configs[j], load_i);
+    cur_space.rate_load = load_i;
+  }
+
+  const bool parallel = threads_ > 1 && C > 1;
+  if (parallel && !pool_) pool_ = std::make_unique<ThreadPool>(threads_);
+
+  // Edge stalls out of `from` into every candidate: the expected
+  // migration plus, when `to` replaces a different running `from`, the
+  // objective's switch stall (which depends only on `from` and this
+  // interval's load).
+  auto fill = [&](ParallelConfig from, int n_from, double* out,
+                  std::size_t stride) {
+    const double sw =
+        from.valid() ? objective_->switch_cost(from, load_i) : 0.0;
+    for (std::size_t j = 0; j < C; ++j) {
+      const ParallelConfig to = cur_space.configs[j];
+      double cost = migration_.cost(from, n_from, to, k);
+      if (sw > 0.0 && to.valid() && to != from) cost += sw;
+      out[j * stride] = cost;
+    }
+  };
+
+  if (i == 0) {
+    // First interval: one transition per candidate, from the live
+    // config. Serial fill keeps MC first-touch order identical to a
+    // serial candidate scan.
+    slab_.resize(C);
+    fill(current, n_now, slab_.data(), 1);
+    auto eval = [&](std::size_t j) {
+      best_out[j] = cur_space.rate[j] * std::max(0.0, T - slab_[j]);
+    };
+    if (parallel)
+      pool_->parallel_for(C, eval);
+    else
+      for (std::size_t j = 0; j < C; ++j) eval(j);
+    return;
+  }
+
+  // Edge-stall slab [candidate j][predecessor jj]. Filled
+  // predecessor-major: the MC sampler's key depends only on the
+  // predecessor (and idle/k), so visiting jj in ascending order first
+  // touches each summary exactly when a serial scan (j = 0, jj
+  // ascending) would — RNG consumption is independent of the thread
+  // count. Invalid predecessors (-inf) are skipped; their slab entries
+  // are never read.
+  const std::size_t P = prev_space->size();
+  slab_.resize(C * P);
+  const double* bp = best_prev->data();
+  for (std::size_t jj = 0; jj < P; ++jj) {
+    if (bp[jj] == kNegInf) continue;
+    fill(prev_space->configs[jj], n_prev, slab_.data() + jj, P);
+  }
+
+  // Hot scan: contiguous doubles only, no hashing, no pointer
+  // chasing; first-wins strict > keeps tie-breaks deterministic.
+  auto eval = [&](std::size_t j) {
+    const double rate = cur_space.rate[j];
+    const double* cost_row = slab_.data() + j * P;
+    double best = kNegInf;
+    int arg = -1;
+    for (std::size_t jj = 0; jj < P; ++jj) {
+      if (bp[jj] == kNegInf) continue;
+      const double value = bp[jj] + rate * std::max(0.0, T - cost_row[jj]);
+      if (value > best) {
+        best = value;
+        arg = static_cast<int>(jj);
+      }
+    }
+    best_out[j] = best;
+    parent_out[j] = arg;
+  };
+  if (parallel)
+    pool_->parallel_for(C, eval);
+  else
+    for (std::size_t j = 0; j < C; ++j) eval(j);
+}
+
+IntervalPlan IntervalDp::backtrack(
+    const std::vector<SpacePtr>& spaces,
+    const std::vector<std::vector<double>>& best,
+    const std::vector<std::vector<int>>& parent) const {
+  IntervalPlan plan;
+  const std::size_t I = spaces.size();
+  std::size_t arg = 0;
+  for (std::size_t j = 1; j < spaces[I - 1]->size(); ++j)
+    if (best[I - 1][j] > best[I - 1][arg]) arg = j;
+  plan.expected_value = std::max(0.0, best[I - 1][arg]);
+  plan.configs.assign(I, kIdleConfig);
+  int cursor = static_cast<int>(arg);
+  for (std::size_t i = I; i-- > 0;) {
+    plan.configs[i] = spaces[i]->configs[static_cast<std::size_t>(cursor)];
+    cursor = i > 0 ? parent[i][static_cast<std::size_t>(cursor)] : -1;
+  }
+  return plan;
+}
+
+IntervalPlan IntervalDp::optimize(ParallelConfig current, int n_now,
+                                  const std::vector<int>& predicted,
+                                  const std::vector<double>& load) {
+  const std::size_t I = predicted.size();
+  if (I == 0 || (!load.empty() && load.size() != I)) return IntervalPlan{};
+  if (options_.metrics) options_.metrics->counter(name_runs_).inc();
+
+  std::vector<SpacePtr> spaces(I);
+  for (std::size_t i = 0; i < I; ++i) spaces[i] = resolve_space(predicted[i]);
+
+  // Warm start: a column is reusable iff its direct inputs are
+  // unchanged since the previous solve AND its predecessor column's
+  // values are unchanged (docs/performance.md §7 for the induction
+  // argument that this is bit-exact).
+  const bool warm_ok =
+      !options_.full_resolve && warm_.valid && warm_.predicted.size() == I;
+  if (!warm_ok) {
+    warm_.best.assign(I, {});
+    warm_.parent.assign(I, {});
+  }
+
+  std::uint64_t reused = 0, re_expanded = 0;
+  std::size_t reused_columns = 0;
+  bool prev_changed = false;  // did column i-1's values change this solve?
+  for (std::size_t i = 0; i < I; ++i) {
+    const bool inputs_same =
+        warm_ok && predicted[i] == warm_.predicted[i] &&
+        load_at(load, i) == load_at(warm_.load, i) &&
+        (i == 0 ? (current == warm_.current && n_now == warm_.n_now)
+                : predicted[i - 1] == warm_.predicted[i - 1]);
+    if (inputs_same && !prev_changed) {
+      reused += spaces[i]->size();
+      ++reused_columns;
+      continue;  // column values carry over verbatim; prev_changed stays false
+    }
+    // Convergence cutoff: if the recomputed column comes out
+    // value-identical to last solve's (same N, often the case a few
+    // steps past a localized forecast change), the suffix can resume
+    // reuse.
+    const bool comparable = warm_ok && predicted[i] == warm_.predicted[i] &&
+                            warm_.best[i].size() == spaces[i]->size();
+    if (comparable) old_column_ = warm_.best[i];
+    compute_column(i, current, n_now, predicted, load,
+                   i == 0 ? nullptr : spaces[i - 1].get(),
+                   i == 0 ? nullptr : &warm_.best[i - 1], *spaces[i],
+                   warm_.best[i], warm_.parent[i]);
+    re_expanded += spaces[i]->size();
+    prev_changed = !comparable || warm_.best[i] != old_column_;
+  }
+
+  warm_.valid = true;
+  warm_.current = current;
+  warm_.n_now = n_now;
+  warm_.predicted = predicted;
+  warm_.load = load;
+  warm_.spaces = spaces;
+
+  IntervalPlan plan = backtrack(spaces, warm_.best, warm_.parent);
+
+  states_reused_ += reused;
+  states_re_expanded_ += re_expanded;
+  last_states_reused_ = reused;
+  last_states_re_expanded_ = re_expanded;
+
+  if (options_.verify_incremental && reused_columns > 0) {
+    // Debug pin: full re-solve from scratch must agree bit-for-bit.
+    // All MC summaries the full pass needs are already cached (reused
+    // columns saw identical inputs before), so this consumes no RNG
+    // and cannot perturb subsequent solves.
+    const std::string& family = objective_->traits().dp_family;
+    std::vector<std::vector<double>> vbest(I);
+    std::vector<std::vector<int>> vparent(I);
+    for (std::size_t i = 0; i < I; ++i)
+      compute_column(i, current, n_now, predicted, load,
+                     i == 0 ? nullptr : spaces[i - 1].get(),
+                     i == 0 ? nullptr : &vbest[i - 1], *spaces[i], vbest[i],
+                     vparent[i]);
+    for (std::size_t i = 0; i < I; ++i) {
+      if (vbest[i] != warm_.best[i] || vparent[i] != warm_.parent[i]) {
+        std::fprintf(stderr,
+                     "%s incremental DP diverged from full re-solve at "
+                     "column %zu/%zu (N=%d)\n",
+                     family.c_str(), i, I, predicted[i]);
+        std::abort();
+      }
+    }
+    const IntervalPlan full = backtrack(spaces, vbest, vparent);
+    if (full.configs != plan.configs ||
+        full.expected_value != plan.expected_value) {
+      std::fprintf(stderr,
+                   "%s incremental DP plan diverged from full re-solve\n",
+                   family.c_str());
+      std::abort();
+    }
+  }
+
+  flush_metrics();
+  return plan;
+}
+
+void IntervalDp::flush_metrics() {
+  if (options_.metrics == nullptr) return;
+  auto flush_delta = [this](const std::string& name, std::uint64_t now,
+                            std::uint64_t& flushed) {
+    if (now != flushed)
+      options_.metrics->counter(name).add(static_cast<double>(now - flushed));
+    flushed = now;
+  };
+  flush_delta(name_edge_hits_, migration_.memo_hits(), flushed_hits_);
+  flush_delta(name_edge_misses_, migration_.memo_misses(), flushed_misses_);
+  flush_delta(name_edge_bypass_, migration_.memo_bypass(), flushed_bypass_);
+  flush_delta(name_states_reused_, states_reused_, flushed_states_reused_);
+  flush_delta(name_states_re_expanded_, states_re_expanded_,
+              flushed_states_re_expanded_);
+  flush_delta(name_space_evictions_, space_cache_evictions_,
+              flushed_space_evictions_);
+  if (pool_) flush_delta(name_tasks_, pool_->tasks_run(), flushed_tasks_);
+}
+
+ParallelConfig IntervalDp::advise(ParallelConfig current, int n_now,
+                                  const std::vector<int>& predicted,
+                                  const std::vector<double>& load) {
+  return optimize(current, n_now, predicted, load).next();
+}
+
+}  // namespace parcae

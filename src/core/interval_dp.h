@@ -1,0 +1,252 @@
+// IntervalDp: the look-ahead dynamic program behind every Parcae
+// decision (§7), generic over the objective (core/objective.h).
+//
+// Given the predicted availability N_1..N_I and, optionally, a
+// per-interval load (the serving objective's forecast request rate),
+// it finds the configuration sequence maximizing (Equations 3-6)
+//
+//   F(i+1, c') = max_{c : c.instances() <= N_i}
+//                  { F(i, c) + RATE(c', load_{i+1})
+//                      * max(0, T - E_v[T_mig(c -> c' | v)] - SWITCH) }
+//
+// RATE and SWITCH come from the objective (training: THROUGHPUT and no
+// switch term; serving: goodput and the outgoing replicas' drain,
+// charged when c' replaces a different running c). The expectation
+// over preemption mappings v is MigrationExpectation's.
+//
+// Performance layer (the paper's < 0.3 s/optimization budget,
+// Figure 18b; docs/performance.md §7 for the scale story):
+//   - per-interval candidate spaces (configs + the idle sentinel) come
+//     from a bounded LRU keyed by N, each carrying its rate row for the
+//     last load it was priced at; transition costs for one DP column
+//     land in a dense [candidate][predecessor] slab, so the hot
+//     predecessor scan is a branch-light walk over contiguous doubles;
+//   - consecutive optimize() calls warm-start from the previous value
+//     table: a column i is recomputed only when its direct inputs
+//     (predicted[i-1], predicted[i], load[i]; for i = 0 the live config
+//     and n_now) changed or its predecessor column's values changed.
+//     Reused columns are bit-identical to what a full re-solve would
+//     produce (options.verify_incremental re-runs the full DP and
+//     aborts on any divergence; options.full_resolve disables reuse);
+//   - with options.threads > 1 the candidate loop over c' runs on a
+//     ThreadPool. The slab is filled serially first (in the exact order
+//     the serial DP would first touch each MC summary, keeping RNG
+//     consumption unchanged), so the parallel phase only reads plain
+//     arrays and every plan is bit-identical at any thread count.
+#pragma once
+
+#include <cstdint>
+#include <list>
+#include <memory>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "core/objective.h"
+#include "migration/cost_model.h"
+#include "migration/migration_expectation.h"
+
+namespace parcae {
+
+class ThreadPool;
+
+namespace obs {
+class MetricsRegistry;
+}  // namespace obs
+
+struct IntervalDpOptions {
+  double interval_s = 60.0;  // T: prediction/optimization interval
+  int mc_trials = 256;       // Monte-Carlo trials per (D,P,idle,k)
+  std::uint64_t seed = 7;
+  // Optional metrics sink (non-owning): DP run counters here, MC
+  // sampling latency in the PreemptionSampler.
+  obs::MetricsRegistry* metrics = nullptr;
+  // Worker threads for the DP candidate loop. 1 (the default) is the
+  // serial path; 0 resolves to PARCAE_THREADS / hardware concurrency
+  // (ThreadPool::resolve). Results are bit-identical at any thread
+  // count.
+  int threads = 1;
+  // Prepended to every metric name (fleet jobs sharing a registry);
+  // "" keeps the historical names. Applied once at construction.
+  std::string metric_prefix;
+  // Escape hatch: disable warm-started column reuse and re-solve the
+  // full DP every optimize() call.
+  bool full_resolve = false;
+  // Debug pin: after an incremental solve that reused any column, run
+  // the full DP too and abort the process if any value, parent, or
+  // plan entry differs. Expensive; for tests and triage only.
+  bool verify_incremental = false;
+  // LRU bound on the per-N config-space cache (a churning fleet sees
+  // many distinct N over a long run). Minimum 1.
+  std::size_t space_cache_capacity = 64;
+  // Insertion cap on the transition-cost memo. Beyond this the memo
+  // stops growing and further unique edges are computed directly
+  // (counted as <dp_family>.edge_cache_bypass). At N = 1024 the edge
+  // universe is ~10^7 pairs; the cap keeps memory bounded.
+  std::size_t edge_cache_capacity = 1u << 20;
+};
+
+struct IntervalPlan {
+  // Configurations chosen for each predicted interval (size = I).
+  std::vector<ParallelConfig> configs;
+  // Expected value over the look-ahead window: committed samples for
+  // training, requests served within the SLO for serving.
+  double expected_value = 0.0;
+
+  ParallelConfig next() const {
+    return configs.empty() ? kIdleConfig : configs.front();
+  }
+};
+
+class IntervalDp {
+ public:
+  // `objective` must outlive the engine.
+  IntervalDp(const SchedulingObjective* objective, CostEstimator estimator,
+             IntervalDpOptions options = {});
+  ~IntervalDp();
+  IntervalDp(const IntervalDp&) = delete;
+  IntervalDp& operator=(const IntervalDp&) = delete;
+
+  // `current`: configuration running now (may be kIdleConfig when
+  // suspended). `n_now`: instances available now. `predicted`: the
+  // availability forecast N_1..N_I (one entry per future interval).
+  // `load`: the objective's per-interval load, aligned with
+  // `predicted`, or empty for objectives without one.
+  IntervalPlan optimize(ParallelConfig current, int n_now,
+                        const std::vector<int>& predicted,
+                        const std::vector<double>& load = {});
+
+  // Convenience: first step of the optimal plan.
+  ParallelConfig advise(ParallelConfig current, int n_now,
+                        const std::vector<int>& predicted,
+                        const std::vector<double>& load = {});
+
+  // Expected migration stall for transitioning c -> c' while k of the
+  // N_from instances get preempted (exposed for tests and benches).
+  double expected_migration_cost(ParallelConfig from, int n_from,
+                                 ParallelConfig to, int preemptions) {
+    return migration_.cost(from, n_from, to, preemptions);
+  }
+  // The full DP edge stall at `load`: the migration plus the
+  // objective's switch stall when `to` replaces a different running
+  // `from`.
+  double edge_cost(ParallelConfig from, int n_from, ParallelConfig to,
+                   int preemptions, double load = 0.0);
+
+  // DP worker threads after resolution (1 = serial).
+  int threads() const { return threads_; }
+
+  // Drop the warm-started value table; the next optimize() re-solves
+  // every column. Cheap; used on scheduler reset.
+  void invalidate();
+
+  // Transition-cost memo telemetry (also flushed to the metrics
+  // registry as <dp_family>.edge_cache_{hits,misses,bypass} after each
+  // optimize() call).
+  std::uint64_t edge_cache_hits() const { return migration_.memo_hits(); }
+  std::uint64_t edge_cache_misses() const { return migration_.memo_misses(); }
+  std::uint64_t edge_cache_bypass() const { return migration_.memo_bypass(); }
+
+  // Incremental-DP telemetry (<dp_family>.states_reused /
+  // .states_re_expanded): DP states carried over from the previous
+  // solve vs. recomputed, cumulatively and for the most recent
+  // optimize() call.
+  std::uint64_t states_reused() const { return states_reused_; }
+  std::uint64_t states_re_expanded() const { return states_re_expanded_; }
+  std::uint64_t last_states_reused() const { return last_states_reused_; }
+  std::uint64_t last_states_re_expanded() const {
+    return last_states_re_expanded_;
+  }
+
+  // Config-space LRU telemetry (<dp_family>.space_cache_evictions).
+  std::uint64_t space_cache_evictions() const {
+    return space_cache_evictions_;
+  }
+  std::size_t space_cache_size() const { return space_cache_.size(); }
+
+ private:
+  // One interval's candidate space: the feasible configs for N (+ the
+  // idle sentinel, always last) and the objective's rate row for them
+  // at `rate_load` (repriced when a column asks for another load).
+  struct ConfigSpace {
+    std::vector<ParallelConfig> configs;
+    std::vector<double> rate;
+    double rate_load = 0.0;
+    std::size_t size() const { return configs.size(); }
+  };
+  using SpacePtr = std::shared_ptr<ConfigSpace>;
+
+  // Previous solve, persisted for warm starts. `spaces` holds strong
+  // refs so LRU eviction can never invalidate a column we may reuse.
+  struct WarmState {
+    bool valid = false;
+    ParallelConfig current = kIdleConfig;
+    int n_now = 0;
+    std::vector<int> predicted;
+    std::vector<double> load;
+    std::vector<SpacePtr> spaces;
+    std::vector<std::vector<double>> best;
+    std::vector<std::vector<int>> parent;
+  };
+
+  // Config space for N instances through the bounded LRU cache.
+  SpacePtr resolve_space(int n);
+  // Compute DP column i into best_out/parent_out: price the candidates
+  // at load[i], serially fill the edge-stall slab (first-touch order
+  // identical to a serial scan), then run the candidate argmax loop
+  // (parallel when threads > 1). prev_space/best_prev are null for
+  // i == 0.
+  void compute_column(std::size_t i, ParallelConfig current, int n_now,
+                      const std::vector<int>& predicted,
+                      const std::vector<double>& load,
+                      const ConfigSpace* prev_space,
+                      const std::vector<double>* best_prev,
+                      ConfigSpace& cur_space, std::vector<double>& best_out,
+                      std::vector<int>& parent_out);
+  // Backtrack a plan out of per-column value/parent tables.
+  IntervalPlan backtrack(const std::vector<SpacePtr>& spaces,
+                         const std::vector<std::vector<double>>& best,
+                         const std::vector<std::vector<int>>& parent) const;
+  void flush_metrics();
+
+  const SchedulingObjective* objective_;
+  IntervalDpOptions options_;
+  // Prefixed metric names, precomputed (see options_.metric_prefix).
+  std::string name_runs_, name_edge_hits_, name_edge_misses_,
+      name_edge_bypass_, name_tasks_, name_states_reused_,
+      name_states_re_expanded_, name_space_evictions_;
+  MigrationExpectation migration_;
+  int threads_ = 1;
+  std::unique_ptr<ThreadPool> pool_;  // created on first threaded run
+
+  // Config-space LRU: N -> space. front() of the list is the most
+  // recently used N.
+  struct SpaceEntry {
+    SpacePtr space;
+    std::list<int>::iterator lru;
+  };
+  std::unordered_map<int, SpaceEntry> space_cache_;
+  std::list<int> space_lru_;
+  std::uint64_t space_cache_evictions_ = 0;
+
+  WarmState warm_;
+  // Scratch reused across optimize() calls (allocation-free in steady
+  // state): the per-column edge-stall slab and the copy of a
+  // recomputed column's previous values (for the convergence cutoff).
+  std::vector<double> slab_;
+  std::vector<double> old_column_;
+  std::uint64_t states_reused_ = 0;
+  std::uint64_t states_re_expanded_ = 0;
+  std::uint64_t last_states_reused_ = 0;
+  std::uint64_t last_states_re_expanded_ = 0;
+
+  std::uint64_t flushed_hits_ = 0;
+  std::uint64_t flushed_misses_ = 0;
+  std::uint64_t flushed_bypass_ = 0;
+  std::uint64_t flushed_tasks_ = 0;
+  std::uint64_t flushed_states_reused_ = 0;
+  std::uint64_t flushed_states_re_expanded_ = 0;
+  std::uint64_t flushed_space_evictions_ = 0;
+};
+
+}  // namespace parcae

@@ -1,268 +1,40 @@
-// Liveput optimizer (§7): dynamic program over look-ahead intervals.
-//
-// Given the predicted availability sequence N_1..N_I, finds the
-// sequence of parallel configurations maximizing the expected number
-// of committed training samples (Equations 3-6):
+// Liveput optimizer (§7): the look-ahead interval DP (core/interval_dp.h)
+// with the training objective. Given the predicted availability
+// sequence N_1..N_I, it finds the sequence of parallel configurations
+// maximizing the expected number of committed training samples
+// (Equations 3-6):
 //
 //   F(i+1, c') = max_{c : c.instances() <= N_i}
 //                  { F(i, c) + phi(c, N_i -> c', N_{i+1}) }
 //   phi = THROUGHPUT(c') * E_v[ T - T_mig(c -> c' | v) ]
 //
 // The expectation over preemption mappings v comes from the cached
-// Monte-Carlo summaries (PreemptionSampler); migration strategy and
+// Monte-Carlo summaries (MigrationExpectation); migration strategy and
 // cost follow §7.2 (depth change -> pipeline migration; otherwise the
 // cheaper of intra-/inter-stage, with the wipe-out probability charged
 // as a ParcaePS rollback).
-//
-// Performance layer (the paper's < 0.3 s/optimization budget,
-// Figure 18b; docs/performance.md §7 for the scale story):
-//   - every evaluated DP edge (from, idle, to, k) is memoized (bounded
-//     by options.edge_cache_capacity), so repeated interval pairs —
-//     ubiquitous under flat forecasts and across the scheduler's
-//     re-optimizations — cost a hash lookup instead of re-running the
-//     mixture arithmetic;
-//   - per-interval candidate spaces are stored as SoA slabs
-//     (ConfigSpaceSoA): configs plus a contiguous throughput array,
-//     and transition costs for one DP column land in a dense
-//     [candidate][predecessor] slab, so the hot predecessor scan is a
-//     branch-light walk over contiguous doubles instead of
-//     pointer-chasing + hash lookups;
-//   - consecutive optimize() calls warm-start from the previous value
-//     table: a column i is recomputed only when its direct inputs
-//     (predicted[i-1], predicted[i]; for i = 0 the live config and
-//     n_now) changed or its predecessor column's values changed.
-//     Reused columns are bit-identical to what a full re-solve would
-//     produce (options.verify_incremental re-runs the full DP and
-//     aborts on any divergence; options.full_resolve disables reuse);
-//   - with options.threads > 1 the candidate loop over c' runs on a
-//     ThreadPool. Transition costs and MC summaries are materialized
-//     serially into the slab first (in the exact order the serial DP
-//     would first touch each key, keeping RNG consumption unchanged),
-//     so the parallel phase only reads plain arrays and every plan is
-//     bit-identical at any thread count.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <list>
-#include <memory>
-#include <shared_mutex>
-#include <string>
-#include <unordered_map>
-#include <vector>
-
-#include "migration/cost_model.h"
-#include "migration/preemption.h"
+#include "core/interval_dp.h"
+#include "core/objective.h"
 #include "parallel/throughput_model.h"
 
 namespace parcae {
 
-class ThreadPool;
+using LiveputOptimizerOptions = IntervalDpOptions;
+// plan.expected_value: expected committed samples over the window.
+using LiveputPlan = IntervalPlan;
 
-namespace obs {
-class MetricsRegistry;
-}  // namespace obs
-
-struct LiveputOptimizerOptions {
-  double interval_s = 60.0;  // T: prediction/optimization interval
-  int mc_trials = 256;       // Monte-Carlo trials per (D,P,idle,k)
-  std::uint64_t seed = 7;
-  // Optional metrics sink (non-owning): DP run counters here, MC
-  // sampling latency in the PreemptionSampler.
-  obs::MetricsRegistry* metrics = nullptr;
-  // Worker threads for the DP candidate loop. 1 (the default) is the
-  // serial legacy path; 0 resolves to PARCAE_THREADS / hardware
-  // concurrency (ThreadPool::resolve). Results are bit-identical at
-  // any thread count.
-  int threads = 1;
-  // Prepended to every metric name (fleet jobs sharing a registry);
-  // "" keeps the historical names. Applied once at construction.
-  std::string metric_prefix;
-  // Escape hatch: disable warm-started column reuse and re-solve the
-  // full DP every optimize() call.
-  bool full_resolve = false;
-  // Debug pin: after an incremental solve that reused any column, run
-  // the full DP too and abort the process if any value, parent, or
-  // plan entry differs. Expensive; for tests and triage only.
-  bool verify_incremental = false;
-  // LRU bound on the per-N config-space cache (a churning fleet sees
-  // many distinct N over a long run). Minimum 1.
-  std::size_t space_cache_capacity = 64;
-  // Insertion cap on the transition-cost memo. Beyond this the memo
-  // stops growing and further unique edges are computed directly
-  // (counted as liveput_dp.edge_cache_bypass). At N = 1024 the edge
-  // universe is ~10^7 pairs; the cap keeps memory bounded.
-  std::size_t edge_cache_capacity = 1u << 20;
-};
-
-struct LiveputPlan {
-  // Configurations chosen for each predicted interval (size = I).
-  std::vector<ParallelConfig> configs;
-  // Expected committed samples over the look-ahead window.
-  double expected_samples = 0.0;
-
-  ParallelConfig next() const {
-    return configs.empty() ? kIdleConfig : configs.front();
-  }
-};
-
-// SoA view of one interval's candidate space: the feasible configs
-// for N instances (+ the idle sentinel, always last) next to a
-// contiguous throughput slab, so the DP scans plain arrays.
-struct ConfigSpaceSoA {
-  std::vector<ParallelConfig> configs;
-  std::vector<double> throughput;  // throughput(configs[j])
-  std::size_t size() const { return configs.size(); }
-};
-
-class LiveputOptimizer {
+// The objective is a base (not a member) so it is constructed before
+// the IntervalDp base that keeps a pointer to it.
+class LiveputOptimizer : private LiveputObjective, public IntervalDp {
  public:
+  // `throughput` must outlive the optimizer.
   LiveputOptimizer(const ThroughputModel* throughput,
                    CostEstimator estimator,
-                   LiveputOptimizerOptions options = {});
-  ~LiveputOptimizer();
-  LiveputOptimizer(const LiveputOptimizer&) = delete;
-  LiveputOptimizer& operator=(const LiveputOptimizer&) = delete;
-
-  // `current`: configuration running now (may be kIdleConfig when
-  // suspended). `n_now`: instances available now. `predicted`: the
-  // availability forecast N_1..N_I (one entry per future interval).
-  LiveputPlan optimize(ParallelConfig current, int n_now,
-                       const std::vector<int>& predicted);
-
-  // Convenience: first step of the optimal plan.
-  ParallelConfig advise(ParallelConfig current, int n_now,
-                        const std::vector<int>& predicted);
-
-  // Expected migration stall for transitioning c -> c' while k of the
-  // N_from instances get preempted (exposed for tests and benches).
-  // Memoized on (from, idle, to, clamped k).
-  double expected_migration_cost(ParallelConfig from, int n_from,
-                                 ParallelConfig to, int preemptions);
-
-  const ThroughputModel& throughput_model() const { return *throughput_; }
-
-  // DP worker threads after resolution (1 = serial).
-  int threads() const { return threads_; }
-
-  // Drop the warm-started value table; the next optimize() re-solves
-  // every column. Cheap; used on scheduler reset.
-  void invalidate();
-
-  // Transition-cost memo telemetry (also flushed to the metrics
-  // registry as liveput_dp.edge_cache_{hits,misses,bypass} after each
-  // optimize() call).
-  std::uint64_t edge_cache_hits() const {
-    return memo_hits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t edge_cache_misses() const {
-    return memo_misses_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t edge_cache_bypass() const {
-    return memo_bypass_.load(std::memory_order_relaxed);
-  }
-
-  // Incremental-DP telemetry (liveput_dp.states_reused /
-  // liveput_dp.states_re_expanded): DP states carried over from the
-  // previous solve vs. recomputed, cumulatively and for the most
-  // recent optimize() call.
-  std::uint64_t states_reused() const { return states_reused_; }
-  std::uint64_t states_re_expanded() const { return states_re_expanded_; }
-  std::uint64_t last_states_reused() const { return last_states_reused_; }
-  std::uint64_t last_states_re_expanded() const {
-    return last_states_re_expanded_;
-  }
-
-  // Config-space LRU telemetry (liveput_dp.space_cache_evictions).
-  std::uint64_t space_cache_evictions() const {
-    return space_cache_evictions_;
-  }
-  std::size_t space_cache_size() const { return space_cache_.size(); }
-
- private:
-  // Previous solve, persisted for warm starts. `spaces` holds strong
-  // refs so LRU eviction can never invalidate a column we may reuse.
-  struct WarmState {
-    bool valid = false;
-    ParallelConfig current = kIdleConfig;
-    int n_now = 0;
-    std::vector<int> predicted;
-    std::vector<std::shared_ptr<const ConfigSpaceSoA>> spaces;
-    std::vector<std::vector<double>> best;
-    std::vector<std::vector<int>> parent;
-  };
-
-  // The mixture arithmetic behind expected_migration_cost, after the
-  // trivial cases are peeled off; `idle`/`k` are already normalized.
-  double transition_cost(ParallelConfig from, int idle, ParallelConfig to,
-                         int k);
-  // Config space for N instances through the bounded LRU cache.
-  std::shared_ptr<const ConfigSpaceSoA> resolve_space(int n);
-  // Compute DP column i into best_out/parent_out: serially fill the
-  // transition-cost slab (first-touch order identical to the legacy
-  // serial scan), then run the candidate argmax loop (parallel when
-  // threads > 1). prev_space/best_prev are null for i == 0.
-  void compute_column(std::size_t i, ParallelConfig current, int n_now,
-                      const std::vector<int>& predicted,
-                      const ConfigSpaceSoA* prev_space,
-                      const std::vector<double>* best_prev,
-                      const ConfigSpaceSoA& cur_space,
-                      std::vector<double>& best_out,
-                      std::vector<int>& parent_out);
-  // Backtrack a plan out of per-column value/parent tables.
-  LiveputPlan backtrack(
-      const std::vector<std::shared_ptr<const ConfigSpaceSoA>>& spaces,
-      const std::vector<std::vector<double>>& best,
-      const std::vector<std::vector<int>>& parent) const;
-  void flush_metrics();
-
-  const ThroughputModel* throughput_;
-  CostEstimator estimator_;
-  LiveputOptimizerOptions options_;
-  // Prefixed metric names, precomputed (see options_.metric_prefix).
-  std::string name_runs_, name_edge_hits_, name_edge_misses_,
-      name_edge_bypass_, name_tasks_, name_states_reused_,
-      name_states_re_expanded_, name_space_evictions_;
-  PreemptionSampler sampler_;
-  int threads_ = 1;
-  std::unique_ptr<ThreadPool> pool_;  // created on first threaded run
-
-  // Transition-cost memo: packed (from, idle, to, k) -> expected
-  // stall seconds. Guarded for concurrent public callers when
-  // threads > 1; the DP itself only touches it serially (slab fill).
-  std::shared_mutex memo_mu_;
-  std::unordered_map<std::uint64_t, double> memo_;
-  // Config-space LRU: N -> SoA space. front() of the list is the most
-  // recently used N. Only touched serially.
-  struct SpaceEntry {
-    std::shared_ptr<const ConfigSpaceSoA> space;
-    std::list<int>::iterator lru;
-  };
-  std::unordered_map<int, SpaceEntry> space_cache_;
-  std::list<int> space_lru_;
-  std::uint64_t space_cache_evictions_ = 0;
-
-  WarmState warm_;
-  // Scratch reused across optimize() calls (allocation-free in steady
-  // state): the per-column transition-cost slab and the copy of a
-  // recomputed column's previous values (for the convergence cutoff).
-  std::vector<double> slab_;
-  std::vector<double> old_column_;
-  std::uint64_t states_reused_ = 0;
-  std::uint64_t states_re_expanded_ = 0;
-  std::uint64_t last_states_reused_ = 0;
-  std::uint64_t last_states_re_expanded_ = 0;
-
-  std::atomic<std::uint64_t> memo_hits_{0};
-  std::atomic<std::uint64_t> memo_misses_{0};
-  std::atomic<std::uint64_t> memo_bypass_{0};
-  std::uint64_t flushed_hits_ = 0;
-  std::uint64_t flushed_misses_ = 0;
-  std::uint64_t flushed_bypass_ = 0;
-  std::uint64_t flushed_tasks_ = 0;
-  std::uint64_t flushed_states_reused_ = 0;
-  std::uint64_t flushed_states_re_expanded_ = 0;
-  std::uint64_t flushed_space_evictions_ = 0;
+                   LiveputOptimizerOptions options = {})
+      : LiveputObjective(throughput),
+        IntervalDp(this, std::move(estimator), std::move(options)) {}
 };
 
 }  // namespace parcae

@@ -17,16 +17,18 @@ SchedulerCore::SchedulerCore(ModelProfile model, SchedulerCoreOptions options,
       options_(options),
       oracle_(oracle),
       metrics_(options.metrics != nullptr ? options.metrics : &own_metrics_),
-      names_(make_names(options.metric_prefix)),
       throughput_(model_, options.throughput),
+      liveput_(&throughput_),
+      objective_(options.objective != nullptr ? options.objective
+                                              : &liveput_),
+      names_(make_names(options.metric_prefix, objective_->traits())),
       planner_(CostEstimator(model_), metrics_, options.metric_prefix),
-      optimizer_(&throughput_, CostEstimator(model_),
-                 LiveputOptimizerOptions{options.interval_s,
-                                         options.mc_trials, options.seed,
-                                         metrics_, options.threads,
-                                         options.metric_prefix,
-                                         options.optimizer_full_resolve,
-                                         options.optimizer_verify_incremental}),
+      optimizer_(objective_, CostEstimator(model_),
+                 IntervalDpOptions{options.interval_s, options.mc_trials,
+                                   options.seed, metrics_, options.threads,
+                                   options.metric_prefix,
+                                   options.optimizer_full_resolve,
+                                   options.optimizer_verify_incremental}),
       predictor_(options.adaptive_predictor
                      ? std::unique_ptr<AvailabilityPredictor>(
                            AdaptivePredictor::standard_pool(
@@ -53,29 +55,38 @@ SchedulerCore::SchedulerCore(ModelProfile model, SchedulerCoreOptions options,
 }
 
 SchedulerCore::MetricNames SchedulerCore::make_names(
-    const std::string& prefix) {
-  return {prefix + "scheduler.intervals",
-          prefix + "scheduler.available",
-          prefix + "scheduler.preemptions_seen",
-          prefix + "scheduler.allocations_seen",
-          prefix + "scheduler.hysteresis_suppressions",
-          prefix + "scheduler.config_changes",
-          prefix + "scheduler.migrations_planned",
-          prefix + "scheduler.migration_stall_s",
-          prefix + "scheduler.reoptimizations",
-          prefix + "scheduler.liveput_expected_samples",
-          prefix + "scheduler.step",
+    const std::string& prefix, const ObjectiveTraits& traits) {
+  const std::string family = prefix + traits.scheduler_family + ".";
+  // One allocation per name (family + leaf would copy, then grow).
+  const auto s = [&family](std::string_view leaf) {
+    std::string name;
+    name.reserve(family.size() + leaf.size());
+    name.append(family).append(leaf);
+    return name;
+  };
+  return {s("intervals"),
+          s("available"),
+          s("preemptions_seen"),
+          s("allocations_seen"),
+          s("hysteresis_suppressions"),
+          s("config_changes"),
+          s("migrations_planned"),
+          s("migration_stall_s"),
+          s("drain_s"),
+          s("reoptimizations"),
+          s(traits.plan_value),
+          s("step"),
           prefix + "plan-migration",
           prefix + "predict",
           prefix + "optimize",
-          prefix + "scheduler.events_enqueued",
-          prefix + "scheduler.events_coalesced",
-          prefix + "scheduler.event_reoptimizations",
-          prefix + "scheduler.event_latency"};
+          s("events_enqueued"),
+          s("events_coalesced"),
+          s("event_reoptimizations"),
+          s("event_latency")};
 }
 
 void SchedulerCore::reset() {
-  rng_ = Rng(options_.seed ^ 0xabcdef12345ull);
+  rng_ = Rng(options_.seed ^ objective_->traits().rng_salt);
   history_.clear();
   current_ = kIdleConfig;
   planned_next_ = kIdleConfig;
@@ -100,6 +111,17 @@ int SchedulerCore::min_depth() const {
 int SchedulerCore::max_depth() const {
   if (options_.max_depth_override > 0) return options_.max_depth_override;
   return model_.partition_units;
+}
+
+ParallelConfig SchedulerCore::adapt(ParallelConfig target,
+                                    int available) const {
+  const ObjectiveTraits& traits = objective_->traits();
+  ParallelConfig adapted = adapt_configuration(
+      target, available, min_depth(), max_depth(), traits.max_pipelines);
+  if (traits.cap_width && adapted.valid() && target.valid() &&
+      adapted.pp == target.pp && adapted.dp > target.dp)
+    adapted.dp = target.dp;
+  return adapted;
 }
 
 std::vector<int> SchedulerCore::predict(int interval_index) const {
@@ -202,6 +224,7 @@ SchedulerDecision SchedulerCore::step(int interval_index,
   SchedulerDecision decision;
   const int available = observed.available;
   const double now = interval_index * interval_s;
+  const double load = objective_->load(interval_index);
   metrics_->counter(names_.intervals).inc();
   metrics_->gauge(names_.available).set(available);
   if (observed.preempted > 0 || observed.allocated > 0) {
@@ -222,27 +245,30 @@ SchedulerDecision SchedulerCore::step(int interval_index,
 
   // -- 1. Choose the target for this interval.
   ParallelConfig desired;
-  if (options_.mode == PredictionMode::kReactive) {
-    desired = throughput_.best_config(available);
-  } else {
-    desired = planned_next_.valid() ? planned_next_
-                                    : throughput_.best_config(available);
+  switch (options_.mode) {
+    case PredictionMode::kReactive:
+      desired = objective_->best_config(available, load);
+      break;
+    case PredictionMode::kStatic:
+      desired = options_.static_config;
+      break;
+    default:
+      desired = planned_next_.valid()
+                    ? planned_next_
+                    : objective_->best_config(available, load);
+      break;
   }
-  const int max_pipelines =
-      std::max(1, model_.mini_batch / model_.micro_batch);
-  ParallelConfig adapted = adapt_configuration(
-      desired, available, min_depth(), max_depth(), max_pipelines);
+  ParallelConfig adapted = adapt(desired, available);
 
   // Depth-change hysteresis: a *voluntary* re-partition must clearly
   // beat staying at the current depth (adding/dropping pipelines only).
   if (options_.mode != PredictionMode::kReactive && current_.valid() &&
       adapted.valid() && adapted.pp != current_.pp &&
       observed.preempted == 0) {
-    const ParallelConfig keep = adapt_configuration(
-        current_, available, min_depth(), max_depth(), max_pipelines);
+    const ParallelConfig keep = adapt(current_, available);
     if (keep.valid() && keep.pp == current_.pp &&
-        throughput_.throughput(adapted) <
-            throughput_.throughput(keep) *
+        objective_->rate(adapted, load) <
+            objective_->rate(keep, load) *
                 (1.0 + options_.depth_change_hysteresis)) {
       telemetry_.record(now, EventCategory::kDecision,
                         "hysteresis held depth",
@@ -270,9 +296,17 @@ SchedulerDecision SchedulerCore::step(int interval_index,
                                options_.tracer, "scheduler");
     plan = planner_.plan(snapshot, adapted);
   }
+  // Replacing a running configuration also pays the objective's switch
+  // stall (serving: draining the outgoing replicas' requests).
+  const double drain = current_.valid() && adapted.valid() &&
+                               adapted != current_
+                           ? objective_->switch_cost(current_, load)
+                           : 0.0;
+  if (drain > 0.0) plan.cost.drain_s = drain;
   if (plan.kind != MigrationKind::kNone) {
     metrics_->counter(names_.migrations_planned).inc();
     metrics_->histogram(names_.migration_stall_s).observe(plan.stall_s());
+    if (drain > 0.0) metrics_->histogram(names_.drain_s).observe(drain);
   }
   double stall = plan.stall_s();
   if (options_.cost_noise_stddev > 0.0 && stall > 0.0) {
@@ -298,7 +332,8 @@ SchedulerDecision SchedulerCore::step(int interval_index,
   history_.push_back(static_cast<double>(available));
   current_ = adapted;
   prev_available_ = available;
-  if (options_.mode != PredictionMode::kReactive) {
+  if (options_.mode == PredictionMode::kArima ||
+      options_.mode == PredictionMode::kOracle) {
     bool reoptimize;
     if (options_.event_driven) {
       // Backends with an out-of-band notice channel (the spot driver)
@@ -326,18 +361,20 @@ SchedulerDecision SchedulerCore::step(int interval_index,
       if (event_reaction)
         event_latency.emplace(names_.span_event_latency, metrics_,
                               options_.tracer, "scheduler");
+      std::vector<double> load_forecast;
       {
         obs::ProfileSpan predict_span(names_.span_predict, metrics_,
                                       options_.tracer, "scheduler");
         decision.forecast = predict(interval_index);
+        load_forecast =
+            objective_->forecast_load(interval_index, options_.lookahead);
       }
       obs::ProfileSpan optimize_span(names_.span_optimize, metrics_,
                                      options_.tracer, "scheduler");
-      const LiveputPlan liveput = optimizer_.optimize(
-          current_, available, decision.forecast);
-      planned_next_ = liveput.next();
-      metrics_->gauge(names_.liveput_expected_samples)
-          .set(liveput.expected_samples);
+      const IntervalPlan next = optimizer_.optimize(
+          current_, available, decision.forecast, load_forecast);
+      planned_next_ = next.next();
+      metrics_->gauge(names_.plan_value).set(next.expected_value);
       pending_events_ = 0;
     }
     // Otherwise keep the previously planned target (Figure 11's lower

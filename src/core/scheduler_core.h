@@ -1,5 +1,5 @@
 // SchedulerCore: the single implementation of Parcae's decision loop
-// (Algorithm 1), shared by every executor backend.
+// (Algorithm 1), shared by every executor backend and every workload.
 //
 // Each interval it
 //   1. adapts the previously planned configuration to the actual
@@ -7,8 +7,11 @@
 //      current pipeline depth through noisy forecasts (hysteresis),
 //   2. plans the live migration from the (possibly damaged) current
 //      configuration (§6) and estimates its stall,
-//   3. forecasts availability (§5) and runs the liveput optimizer
-//      (§7) to pick the next interval's configuration.
+//   3. forecasts availability (§5) and the objective's load, and runs
+//      the interval DP (§7) to pick the next interval's configuration.
+//
+// What it maximizes is the objective's (core/objective.h): training
+// liveput by default, serving goodput for serve::ServingScheduler.
 //
 // The core is pure decision-making: it never touches a ledger and
 // never trains. Backends drive it and act on its advice:
@@ -17,13 +20,18 @@
 //   - SpotTrainingDriver (src/runtime/spot_driver.*) executes the
 //     advised configuration as real migrations on the in-process
 //     agent cluster,
+//   - simulate_serving (src/serve/serving_sim.*) replays requests
+//     through the advised serving replicas,
 //   - future backends (sharded or RPC executors) are one adapter each.
 //
-// Three prediction modes cover the paper's variants:
+// Four modes cover the paper's variants and the serving baselines:
 //   kArima    — Parcae        (guarded ARIMA forecasts)
 //   kOracle   — Parcae(Ideal) (true future availability)
 //   kReactive — Parcae-Reactive (§10.4: liveput optimization disabled,
-//               throughput-optimal target + adaptation only)
+//               the objective's best config for what is available now
+//               + adaptation only)
+//   kStatic   — fixed provisioning (options.static_config), only
+//               damage-adapted
 #pragma once
 
 #include <cstdint>
@@ -31,7 +39,8 @@
 #include <string_view>
 #include <vector>
 
-#include "core/liveput_optimizer.h"
+#include "core/interval_dp.h"
+#include "core/objective.h"
 #include "core/telemetry.h"
 #include "fleet/instance_pool.h"
 #include "migration/planner.h"
@@ -47,7 +56,7 @@ namespace obs {
 class TraceWriter;
 }  // namespace obs
 
-enum class PredictionMode { kArima, kOracle, kReactive };
+enum class PredictionMode { kArima, kOracle, kReactive, kStatic };
 
 struct SchedulerCoreOptions {
   PredictionMode mode = PredictionMode::kArima;
@@ -68,7 +77,7 @@ struct SchedulerCoreOptions {
   // are counted as scheduler.events_coalesced and folded into the
   // same re-solve.
   double debounce_ms = 250.0;
-  // Passthroughs to LiveputOptimizerOptions (triage knobs): disable
+  // Passthroughs to IntervalDpOptions (triage knobs): disable
   // the warm-started incremental DP, or run both paths and abort on
   // any divergence (tests, chaos runs).
   bool optimizer_full_resolve = false;
@@ -79,7 +88,7 @@ struct SchedulerCoreOptions {
   int mc_trials = 256;
   std::uint64_t seed = 123;
   double interval_s = 60.0;
-  // Worker threads for the liveput DP's candidate loop. Defaults to 1
+  // Worker threads for the interval DP's candidate loop. Defaults to 1
   // (serial legacy path; metrics counters unchanged); 0 resolves to
   // PARCAE_THREADS / hardware concurrency. Plans are bit-identical at
   // any thread count (see docs/performance.md).
@@ -90,11 +99,11 @@ struct SchedulerCoreOptions {
   // GPUs preempted together (Figure 10 multi-GPU instances).
   int preemption_chunk = 1;
   // Voluntary pipeline-depth changes (no preemption forcing them) must
-  // improve throughput by at least this fraction over keeping the
-  // current depth; re-planning every interval under noisy forecasts
-  // would otherwise thrash between depths (the paper's case study
-  // shows Parcae holding depth 7 for 8 intervals despite some unused
-  // instances, §10.4).
+  // improve the objective's rate (training: throughput) by at least
+  // this fraction over keeping the current depth; re-planning every
+  // interval under noisy forecasts would otherwise thrash between
+  // depths (the paper's case study shows Parcae holding depth 7 for 8
+  // intervals despite some unused instances, §10.4).
   double depth_change_hysteresis = 0.15;
   // Cluster capacity: bounds the predictor's guard rails and the
   // forecast clamp (32 for the paper's cluster; the in-process driver
@@ -121,6 +130,11 @@ struct SchedulerCoreOptions {
   // precomputed at construction; a non-empty prefix adds no per-step
   // allocation.
   std::string metric_prefix;
+  // kStatic: the fixed provisioning.
+  ParallelConfig static_config = kIdleConfig;
+  // What the core maximizes (non-owning; must outlive the core). Null
+  // selects training liveput over this core's ThroughputModel.
+  const SchedulingObjective* objective = nullptr;
 };
 
 // Availability change observed at an interval boundary (the cloud-side
@@ -213,20 +227,24 @@ class SchedulerCore {
   std::vector<int> predict(int interval_index) const;
   ClusterSnapshot observe_damage(const AvailabilityObservation& observed,
                                  int prev_available);
+  // §8 adaptation of `target` to `available` instances, releasing
+  // width beyond the target when the objective caps it.
+  ParallelConfig adapt(ParallelConfig target, int available) const;
   int min_depth() const;
   int max_depth() const;
 
-  // Metric/span names with options_.metric_prefix applied, built once
-  // at construction so the hot path never concatenates.
+  // Metric/span names with options_.metric_prefix and the objective's
+  // families applied, built once at construction so the hot path never
+  // concatenates.
   struct MetricNames {
     std::string intervals, available, preemptions_seen, allocations_seen,
         hysteresis_suppressions, config_changes, migrations_planned,
-        migration_stall_s, reoptimizations, liveput_expected_samples,
-        span_step, span_plan_migration, span_predict, span_optimize,
-        events_enqueued, events_coalesced, event_reoptimizations,
-        span_event_latency;
+        migration_stall_s, drain_s, reoptimizations, plan_value, span_step,
+        span_plan_migration, span_predict, span_optimize, events_enqueued,
+        events_coalesced, event_reoptimizations, span_event_latency;
   };
-  static MetricNames make_names(const std::string& prefix);
+  static MetricNames make_names(const std::string& prefix,
+                                const ObjectiveTraits& traits);
 
   ModelProfile model_;
   SchedulerCoreOptions options_;
@@ -238,10 +256,12 @@ class SchedulerCore {
   // when they capture it.
   obs::MetricsRegistry own_metrics_;
   obs::MetricsRegistry* metrics_;
-  MetricNames names_;
   ThroughputModel throughput_;
+  LiveputObjective liveput_;
+  const SchedulingObjective* objective_;  // options.objective or &liveput_
+  MetricNames names_;
   MigrationPlanner planner_;
-  LiveputOptimizer optimizer_;
+  IntervalDp optimizer_;
   std::unique_ptr<AvailabilityPredictor> predictor_;
 
   // Mutable run state.

@@ -29,6 +29,8 @@ std::string ParcaePolicy::name() const {
       return "Parcae(Ideal)";
     case PredictionMode::kReactive:
       return "Parcae-Reactive";
+    case PredictionMode::kStatic:
+      return "Parcae-Static";
   }
   return "Parcae";
 }

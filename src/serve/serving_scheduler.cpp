@@ -1,12 +1,56 @@
 #include "serve/serving_scheduler.h"
 
 #include <algorithm>
-#include <cmath>
-#include <span>
-
-#include "predict/guards.h"
 
 namespace parcae::serve {
+namespace {
+
+PredictionMode prediction_mode(ServingMode mode) {
+  switch (mode) {
+    case ServingMode::kOracle:
+      return PredictionMode::kOracle;
+    case ServingMode::kReactive:
+      return PredictionMode::kReactive;
+    case ServingMode::kStatic:
+      return PredictionMode::kStatic;
+    case ServingMode::kProactive:
+      break;
+  }
+  return PredictionMode::kArima;
+}
+
+SchedulerCoreOptions core_options(const ServingSchedulerOptions& o,
+                                  const GoodputObjective& objective,
+                                  const ArrivalGenerator* arrivals) {
+  SchedulerCoreOptions c;
+  c.mode = prediction_mode(o.mode);
+  c.lookahead = o.lookahead;
+  c.history = o.history;
+  c.reoptimize_every = o.reoptimize_every;
+  c.event_driven = o.event_driven;
+  c.debounce_ms = o.debounce_ms;
+  c.optimizer_full_resolve = o.optimizer_full_resolve;
+  c.optimizer_verify_incremental = o.optimizer_verify_incremental;
+  c.mc_trials = o.mc_trials;
+  c.seed = o.seed;
+  c.interval_s = o.interval_s;
+  c.threads = o.threads;
+  c.preemption_chunk = o.preemption_chunk;
+  c.depth_change_hysteresis = o.depth_change_hysteresis;
+  c.max_instances = o.max_instances;
+  c.throughput = o.throughput;
+  c.metrics = o.metrics;
+  c.tracer = o.tracer;
+  c.metric_prefix = o.metric_prefix;
+  c.static_config = o.static_config;
+  if (o.mode == ServingMode::kStatic && !c.static_config.valid())
+    c.static_config = objective.best_config(
+        o.max_instances, arrivals != nullptr ? arrivals->expected_rps(0) : 0.0);
+  c.objective = &objective;
+  return c;
+}
+
+}  // namespace
 
 const char* serving_mode_name(ServingMode mode) {
   switch (mode) {
@@ -22,301 +66,62 @@ const char* serving_mode_name(ServingMode mode) {
   return "?";
 }
 
-ServingScheduler::MetricNames ServingScheduler::make_names(
-    const std::string& prefix) {
-  return {prefix + "serve.scheduler.intervals",
-          prefix + "serve.scheduler.available",
-          prefix + "serve.scheduler.preemptions_seen",
-          prefix + "serve.scheduler.allocations_seen",
-          prefix + "serve.scheduler.hysteresis_suppressions",
-          prefix + "serve.scheduler.config_changes",
-          prefix + "serve.scheduler.migrations_planned",
-          prefix + "serve.scheduler.migration_stall_s",
-          prefix + "serve.scheduler.drain_s",
-          prefix + "serve.scheduler.reoptimizations",
-          prefix + "serve.scheduler.event_reoptimizations",
-          prefix + "serve.scheduler.events_enqueued",
-          prefix + "serve.scheduler.events_coalesced",
-          prefix + "serve.scheduler.expected_good_requests"};
-}
-
-ServingScheduler::ServingScheduler(ModelProfile model,
-                                   ServingSchedulerOptions options,
+GoodputObjective::GoodputObjective(const ModelProfile& model,
+                                   ThroughputModelOptions throughput,
+                                   ServingModelOptions serving,
                                    const ArrivalGenerator* arrivals,
-                                   const SpotTrace* oracle)
-    : model_(std::move(model)),
-      options_(options),
-      arrivals_(arrivals),
-      metrics_(options.metrics != nullptr ? options.metrics : &own_metrics_),
-      names_(make_names(options.metric_prefix)),
-      throughput_(model_, options.throughput),
-      queue_(&throughput_, options.serving),
-      planner_(CostEstimator(model_), metrics_, options.metric_prefix),
-      optimizer_(&queue_, CostEstimator(model_),
-                 GoodputOptimizerOptions{
-                     options.interval_s, options.mc_trials, options.seed,
-                     metrics_, options.threads, options.metric_prefix,
-                     options.optimizer_full_resolve,
-                     options.optimizer_verify_incremental}),
-      predictor_(make_parcae_predictor(
-          static_cast<double>(options.max_instances))) {
-  if (options_.mode == ServingMode::kOracle && oracle != nullptr)
-    oracle_series_ = oracle->availability_series(options_.interval_s);
-  reset();
+                                   int max_instances)
+    : SchedulingObjective({.scheduler_family = "serve.scheduler",
+                           .dp_family = "serve_dp",
+                           .plan_value = "expected_good_requests",
+                           .rng_salt = 0x5e57eull,
+                           .max_pipelines = std::max(1, max_instances),
+                           .cap_width = true}),
+      throughput_(model, std::move(throughput)),
+      queue_(&throughput_, serving),
+      arrivals_(arrivals) {}
+
+double GoodputObjective::load(int interval) const {
+  if (arrivals_ == nullptr) return 0.0;
+  return arrivals_->prepared_intervals() > interval
+             ? arrivals_->realized_rps(interval)
+             : arrivals_->expected_rps(interval);
 }
 
-void ServingScheduler::reset() {
-  rng_ = Rng(options_.seed ^ 0x5e57eull);
-  history_.clear();
-  current_ = kIdleConfig;
-  planned_next_ = kIdleConfig;
-  prev_available_ = 0;
-  pending_events_ = 0;
-  last_event_s_ = -1.0e18;
-  optimizer_.invalidate();
-  if (metrics_ == &own_metrics_) own_metrics_.clear();
-  static_choice_ = options_.static_config;
-  if (options_.mode == ServingMode::kStatic && !static_choice_.valid()) {
-    const double rps = arrivals_ != nullptr ? arrivals_->expected_rps(0) : 0.0;
-    static_choice_ = queue_.best_serving_config(options_.max_instances, rps);
-  }
-}
-
-int ServingScheduler::min_depth() const {
-  return std::max(1, throughput_.min_pipeline_depth());
-}
-
-int ServingScheduler::max_depth() const { return model_.partition_units; }
-
-std::vector<int> ServingScheduler::predict_instances(
-    int interval_index) const {
-  const int I = options_.lookahead;
-  std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(I));
-  if (options_.mode == ServingMode::kOracle && !oracle_series_.empty()) {
-    for (int h = 1; h <= I; ++h) {
-      const std::size_t idx =
-          std::min(oracle_series_.size() - 1,
-                   static_cast<std::size_t>(interval_index + h));
-      out.push_back(oracle_series_[idx]);
-    }
-    return out;
-  }
-  const std::size_t h =
-      std::min(history_.size(), static_cast<std::size_t>(options_.history));
-  const std::span<const double> window(history_.data() + history_.size() - h,
-                                       h);
-  const std::vector<double> raw = predictor_->forecast(window, I);
-  for (double v : raw)
-    out.push_back(std::clamp(static_cast<int>(std::lround(v)), 0,
-                             options_.max_instances));
-  while (static_cast<int>(out.size()) < I)
-    out.push_back(out.empty() ? prev_available_ : out.back());
-  return out;
-}
-
-std::vector<double> ServingScheduler::predict_rps(int interval_index) const {
-  // Conditional-mean forecast: the measured deviation from the rate
-  // envelope (the observable burst state) relaxes geometrically to the
-  // stationary mean at the MMPP chain's mixing rate, so the DP sizes
-  // for the burst while it is expected to last and for the mean after.
+std::vector<double> GoodputObjective::forecast_load(int interval,
+                                                    int horizon) const {
   std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(options_.lookahead));
+  out.reserve(static_cast<std::size_t>(horizon));
   double deviation = 0.0;
   double decay = 0.0;
   if (arrivals_ != nullptr) {
     const ArrivalOptions& a = arrivals_->options();
     if (a.kind == ArrivalKind::kMmpp &&
-        arrivals_->prepared_intervals() > interval_index) {
-      const double expected = arrivals_->expected_rps(interval_index);
+        arrivals_->prepared_intervals() > interval) {
+      const double expected = arrivals_->expected_rps(interval);
       if (expected > 0.0)
-        deviation = arrivals_->realized_rps(interval_index) / expected - 1.0;
+        deviation = arrivals_->realized_rps(interval) / expected - 1.0;
       decay = std::clamp(1.0 - a.p_enter_burst - a.p_exit_burst, 0.0, 1.0);
     }
   }
-  for (int h = 1; h <= options_.lookahead; ++h) {
+  for (int h = 1; h <= horizon; ++h) {
     deviation *= decay;
     out.push_back(arrivals_ != nullptr
-                      ? arrivals_->expected_rps(interval_index + h) *
+                      ? arrivals_->expected_rps(interval + h) *
                             (1.0 + deviation)
                       : 0.0);
   }
   return out;
 }
 
-ClusterSnapshot ServingScheduler::observe_damage(
-    const AvailabilityObservation& observed, int prev_available) {
-  // Identical uniform preemption mapping to SchedulerCore (§6.1): the
-  // serving replicas are the pipelines; a preempted instance damages
-  // one stage of one replica.
-  ClusterSnapshot snapshot;
-  snapshot.config = current_;
-  snapshot.newly_allocated = observed.allocated;
-  if (!current_.valid()) {
-    snapshot.idle_alive = std::max(0, observed.available - observed.allocated);
-    return snapshot;
-  }
-  snapshot.alive_per_stage.assign(static_cast<std::size_t>(current_.pp),
-                                  current_.dp);
-  snapshot.idle_alive = std::max(0, prev_available - current_.instances());
-
-  int remaining = observed.preempted;
-  const int chunk = std::max(1, options_.preemption_chunk);
-  while (remaining > 0) {
-    const int kill = std::min(chunk, remaining);
-    remaining -= kill;
-    const int total = current_.instances() + snapshot.idle_alive;
-    if (total <= 0) break;
-    const auto pick =
-        static_cast<int>(rng_.uniform_int(static_cast<std::uint64_t>(total)));
-    if (pick < current_.instances()) {
-      auto stage = static_cast<std::size_t>(pick % current_.pp);
-      int left = kill;
-      while (left > 0) {
-        if (snapshot.alive_per_stage[stage] > 0) {
-          --snapshot.alive_per_stage[stage];
-          --left;
-        } else {
-          stage = (stage + 1) % snapshot.alive_per_stage.size();
-          bool any = false;
-          for (int a : snapshot.alive_per_stage) any = any || a > 0;
-          if (!any) break;
-        }
-      }
-    } else {
-      snapshot.idle_alive = std::max(0, snapshot.idle_alive - kill);
-    }
-  }
-  return snapshot;
-}
-
-ServingDecision ServingScheduler::step(int interval_index,
-                                       const AvailabilityObservation& observed,
-                                       double interval_s) {
-  ServingDecision decision;
-  const int available = observed.available;
-  const double now = interval_index * interval_s;
-  // The measured request rate for this interval (the realized MMPP
-  // rate when prepared; the envelope otherwise) — what an autoscaler
-  // observes.
-  const double rps_now =
-      arrivals_ == nullptr ? 0.0
-      : arrivals_->prepared_intervals() > interval_index
-          ? arrivals_->realized_rps(interval_index)
-          : arrivals_->expected_rps(interval_index);
-  metrics_->counter(names_.intervals).inc();
-  metrics_->gauge(names_.available).set(available);
-  if (observed.preempted > 0)
-    metrics_->counter(names_.preemptions_seen).add(observed.preempted);
-  if (observed.allocated > 0)
-    metrics_->counter(names_.allocations_seen).add(observed.allocated);
-
-  // -- 1. Target for this interval.
-  ParallelConfig desired;
-  switch (options_.mode) {
-    case ServingMode::kReactive:
-      desired = queue_.best_serving_config(available, rps_now);
-      break;
-    case ServingMode::kStatic:
-      desired = static_choice_;
-      break;
-    default:
-      desired = planned_next_.valid()
-                    ? planned_next_
-                    : queue_.best_serving_config(available, rps_now);
-      break;
-  }
-  // Serving replicas are not bounded by the training micro-batch
-  // split; D is limited only by the instance count.
-  const int max_pipelines = std::max(1, options_.max_instances);
-  ParallelConfig adapted = adapt_configuration(
-      desired, available, min_depth(), max_depth(), max_pipelines);
-  // §8 adaptation grows the data-parallel width to every available
-  // instance — right for training throughput, wrong for serving:
-  // goodput saturates at the offered load, so instances beyond the
-  // policy's target are released, not occupied.
-  if (adapted.valid() && desired.valid() && adapted.pp == desired.pp &&
-      adapted.dp > desired.dp)
-    adapted.dp = desired.dp;
-
-  // Goodput hysteresis on voluntary depth changes.
-  if (options_.mode != ServingMode::kReactive && current_.valid() &&
-      adapted.valid() && adapted.pp != current_.pp &&
-      observed.preempted == 0) {
-    ParallelConfig keep = adapt_configuration(
-        current_, available, min_depth(), max_depth(), max_pipelines);
-    if (keep.valid() && keep.pp == current_.pp && keep.dp > current_.dp)
-      keep.dp = current_.dp;
-    if (keep.valid() && keep.pp == current_.pp &&
-        queue_.goodput(adapted, rps_now) <
-            queue_.goodput(keep, rps_now) *
-                (1.0 + options_.depth_change_hysteresis)) {
-      metrics_->counter(names_.hysteresis_suppressions).inc();
-      adapted = keep;
-    }
-  }
-  if (adapted != current_) metrics_->counter(names_.config_changes).inc();
-
-  // -- 2. Plan the reconfiguration, charging the request drain.
-  const ClusterSnapshot snapshot = observe_damage(observed, prev_available_);
-  MigrationPlan plan = planner_.plan(snapshot, adapted);
-  double drain = 0.0;
-  if (current_.valid() && adapted.valid() && adapted != current_) {
-    drain = queue_.drain_cost_s(current_, rps_now);
-    plan.cost.drain_s = drain;
-  }
-  if (plan.kind != MigrationKind::kNone) {
-    metrics_->counter(names_.migrations_planned).inc();
-    metrics_->histogram(names_.migration_stall_s).observe(plan.stall_s());
-    if (drain > 0.0) metrics_->histogram(names_.drain_s).observe(drain);
-  }
-  decision.config = adapted;
-  decision.plan = plan;
-  decision.stall_s = plan.stall_s();
-  decision.drain_s = drain;
-
-  // -- 3. Plan the next interval.
-  history_.push_back(static_cast<double>(available));
-  current_ = adapted;
-  prev_available_ = available;
-  if (options_.mode == ServingMode::kProactive ||
-      options_.mode == ServingMode::kOracle) {
-    bool reoptimize;
-    if (options_.event_driven) {
-      if (pending_events_ == 0 &&
-          (observed.preempted > 0 || observed.allocated > 0))
-        notify_event(now);
-      reoptimize = interval_index == 0 || pending_events_ > 0;
-    } else {
-      reoptimize =
-          interval_index % std::max(1, options_.reoptimize_every) == 0;
-    }
-    if (reoptimize) {
-      metrics_->counter(names_.reoptimizations).inc();
-      if (options_.event_driven && pending_events_ > 0)
-        metrics_->counter(names_.event_reoptimizations).inc();
-      decision.forecast = predict_instances(interval_index);
-      decision.rps_forecast = predict_rps(interval_index);
-      const GoodputPlan plan_next = optimizer_.optimize(
-          current_, available, decision.forecast, decision.rps_forecast);
-      planned_next_ = plan_next.next();
-      metrics_->gauge(names_.expected_good_requests)
-          .set(plan_next.expected_good_requests);
-      pending_events_ = 0;
-    }
-  }
-  decision.planned_next = planned_next_;
-  return decision;
-}
-
-void ServingScheduler::notify_event(double now_s) {
-  if (!options_.event_driven) return;
-  metrics_->counter(names_.events_enqueued).inc();
-  if (pending_events_ > 0 &&
-      now_s - last_event_s_ <= options_.debounce_ms / 1000.0)
-    metrics_->counter(names_.events_coalesced).inc();
-  ++pending_events_;
-  last_event_s_ = now_s;
-}
+ServingScheduler::ServingScheduler(ModelProfile model,
+                                   ServingSchedulerOptions options,
+                                   const ArrivalGenerator* arrivals,
+                                   const SpotTrace* oracle)
+    : options_(std::move(options)),
+      objective_(model, options_.throughput, options_.serving, arrivals,
+                 options_.max_instances),
+      core_(std::move(model), core_options(options_, objective_, arrivals),
+            options_.mode == ServingMode::kOracle ? oracle : nullptr) {}
 
 }  // namespace parcae::serve

@@ -1,17 +1,25 @@
-// ServingScheduler: the Algorithm-1 decision loop with the serving
-// objective (SpotServe direction; docs/serving.md).
+// ServingScheduler: Parcae's decision loop (SchedulerCore) with the
+// serving objective (SpotServe direction; docs/serving.md).
 //
-// Each interval it
-//   1. adapts the previously planned serving configuration to the
-//      actual availability (§8 adaptation, unchanged), holding the
-//      pipeline depth through noisy forecasts unless the goodput gain
-//      clearly beats the hysteresis margin,
-//   2. plans the live replica reconfiguration with the training
-//      MigrationPlanner (§6) and adds the in-flight request drain to
-//      the stall,
-//   3. forecasts availability (§5) and the request rate (from the
-//      arrival generator's envelope) and runs the goodput DP to pick
-//      the next interval's configuration.
+// Serving is the training decision problem — pick a parallel
+// configuration per look-ahead interval under predicted availability —
+// with a different objective, GoodputObjective:
+//   - a configuration {D, P} runs D serving replicas of a P-stage
+//     pipeline and earns its expected *goodput* (requests served within
+//     the latency SLO, from the M/G/1 estimator in queue_model.h) at the
+//     interval's offered request rate,
+//   - replacing a running configuration additionally pays the drain of
+//     the outgoing replicas' in-flight requests,
+//   - the load is the request rate: measured from the arrival
+//     generator, forecast from its envelope and the observed burst
+//     state,
+//   - the §8 adaptation releases instances beyond the planned replica
+//     count (goodput saturates at the offered load), the replica count
+//     is bounded by the instances rather than the training micro-batch
+//     split, and the depth hysteresis compares goodput.
+// Everything else — damage mapping, migration planning, availability
+// forecasts, the warm-started DP, events, spans and metrics — is the
+// shared engine's.
 //
 // Four modes span the bench baselines:
 //   kProactive — goodput DP over guarded-ARIMA availability forecasts
@@ -23,17 +31,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/objective.h"
 #include "core/scheduler_core.h"
-#include "migration/planner.h"
 #include "model/model_profile.h"
-#include "obs/metrics.h"
-#include "predict/predictor.h"
 #include "serve/arrival.h"
-#include "serve/goodput_optimizer.h"
 #include "serve/queue_model.h"
 #include "trace/spot_trace.h"
 
@@ -66,89 +70,84 @@ struct ServingSchedulerOptions {
   double depth_change_hysteresis = 0.15;
   int max_instances = 32;
   // kStatic: the fixed provisioning. Invalid = choose the goodput-best
-  // config for max_instances at the interval-0 expected rate once at
-  // reset.
+  // config for max_instances at the interval-0 expected rate.
   ParallelConfig static_config = kIdleConfig;
   ServingModelOptions serving;
   ThroughputModelOptions throughput;
+  // Observability sinks (non-owning, optional), as in
+  // SchedulerCoreOptions: the tracer receives the step, predict,
+  // optimize and plan-migration spans.
   obs::MetricsRegistry* metrics = nullptr;
+  obs::TraceWriter* tracer = nullptr;
   std::string metric_prefix;
 };
 
-struct ServingDecision {
-  ParallelConfig config;     // serving configuration for this interval
-  MigrationPlan plan;        // reconfiguration realizing it
-  double stall_s = 0.0;      // migration + drain stall
-  double drain_s = 0.0;      // the drain component of stall_s
-  ParallelConfig planned_next;
-  std::vector<int> forecast;       // availability forecast (when re-solved)
-  std::vector<double> rps_forecast;  // request-rate forecast (aligned)
+// The serving objective (see the file comment).
+class GoodputObjective : public SchedulingObjective {
+ public:
+  // `arrivals` supplies the measured and forecast request rate (null:
+  // no load) and must outlive the objective.
+  GoodputObjective(const ModelProfile& model, ThroughputModelOptions throughput,
+                   ServingModelOptions serving,
+                   const ArrivalGenerator* arrivals, int max_instances);
+
+  std::vector<ParallelConfig> candidates(int n) const override {
+    return queue_.enumerate_serving_configs(n);
+  }
+  double rate(ParallelConfig config, double rps) const override {
+    return queue_.goodput(config, rps);
+  }
+  double switch_cost(ParallelConfig from, double rps) const override {
+    return queue_.drain_cost_s(from, rps);
+  }
+  ParallelConfig best_config(int n, double rps) const override {
+    return queue_.best_serving_config(n, rps);
+  }
+  // The measured request rate: the realized MMPP rate once prepared,
+  // the envelope otherwise — what an autoscaler observes.
+  double load(int interval) const override;
+  // Conditional-mean forecast: the measured deviation from the rate
+  // envelope (the observable burst state) relaxes geometrically to the
+  // stationary mean at the MMPP chain's mixing rate, so the DP sizes
+  // for the burst while it is expected to last and for the mean after.
+  std::vector<double> forecast_load(int interval, int horizon) const override;
+
+  const ReplicaQueueModel& queue_model() const { return queue_; }
+
+ private:
+  ThroughputModel throughput_;
+  ReplicaQueueModel queue_;  // over throughput_
+  const ArrivalGenerator* arrivals_;
 };
 
 class ServingScheduler {
  public:
-  // `arrivals` supplies the rate envelope forecasts and must outlive
-  // the scheduler; `oracle` is required for kOracle.
+  // `arrivals` supplies the rate forecasts and must outlive the
+  // scheduler; `oracle` is required for kOracle.
   ServingScheduler(ModelProfile model, ServingSchedulerOptions options,
                    const ArrivalGenerator* arrivals,
                    const SpotTrace* oracle = nullptr);
 
-  void reset();
-
-  ServingDecision step(int interval_index,
-                       const AvailabilityObservation& observed,
-                       double interval_s);
-
-  // Event-driven mode: enqueue a re-optimization event (same contract
-  // as SchedulerCore::notify_event).
-  void notify_event(double now_s);
-  int pending_events() const { return pending_events_; }
+  // The shared loop's advice; plan.cost.drain_s is the drain component
+  // of stall_s.
+  SchedulerDecision step(int interval_index,
+                         const AvailabilityObservation& observed,
+                         double interval_s) {
+    return core_.step(interval_index, observed, interval_s);
+  }
 
   const ServingSchedulerOptions& options() const { return options_; }
-  const ModelProfile& model() const { return model_; }
-  const ReplicaQueueModel& queue_model() const { return queue_; }
-  GoodputOptimizer& optimizer() { return optimizer_; }
-  ParallelConfig current() const { return current_; }
-  obs::MetricsRegistry& metrics() { return *metrics_; }
+  const ReplicaQueueModel& queue_model() const {
+    return objective_.queue_model();
+  }
+  // The decision loop itself: metrics, the event log (events.jsonl),
+  // notify_event() for event-driven mode.
+  SchedulerCore& core() { return core_; }
 
  private:
-  std::vector<int> predict_instances(int interval_index) const;
-  std::vector<double> predict_rps(int interval_index) const;
-  ClusterSnapshot observe_damage(const AvailabilityObservation& observed,
-                                 int prev_available);
-  int min_depth() const;
-  int max_depth() const;
-
-  struct MetricNames {
-    std::string intervals, available, preemptions_seen, allocations_seen,
-        hysteresis_suppressions, config_changes, migrations_planned,
-        migration_stall_s, drain_s, reoptimizations, event_reoptimizations,
-        events_enqueued, events_coalesced, expected_good_requests;
-  };
-  static MetricNames make_names(const std::string& prefix);
-
-  ModelProfile model_;
   ServingSchedulerOptions options_;
-  const ArrivalGenerator* arrivals_;
-  obs::MetricsRegistry own_metrics_;
-  obs::MetricsRegistry* metrics_;
-  MetricNames names_;
-  ThroughputModel throughput_;
-  ReplicaQueueModel queue_;
-  MigrationPlanner planner_;
-  GoodputOptimizer optimizer_;
-  std::unique_ptr<AvailabilityPredictor> predictor_;
-  // Oracle availability series (empty unless kOracle with a trace).
-  std::vector<int> oracle_series_;
-
-  Rng rng_{0};
-  std::vector<double> history_;
-  ParallelConfig current_ = kIdleConfig;
-  ParallelConfig planned_next_ = kIdleConfig;
-  ParallelConfig static_choice_ = kIdleConfig;
-  int prev_available_ = 0;
-  int pending_events_ = 0;
-  double last_event_s_ = -1.0e18;
+  GoodputObjective objective_;
+  SchedulerCore core_;
 };
 
 }  // namespace parcae::serve

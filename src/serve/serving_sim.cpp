@@ -107,7 +107,7 @@ ServingSimResult simulate_serving(ServingScheduler& scheduler,
     observed.allocated = std::max(0, avail - prev_avail);
     prev_avail = avail;
 
-    const ServingDecision decision = scheduler.step(i, observed, T);
+    const SchedulerDecision decision = scheduler.step(i, observed, T);
     const ParallelConfig config = decision.config;
     result.advised.push_back(config);
     if (i > 0 && config != running) ++result.config_changes;

@@ -118,7 +118,7 @@ TEST(LiveputOptimizer, PlanCoversAllIntervalsAndRespectsResources) {
     if (plan.configs[i].valid())
       EXPECT_LE(plan.configs[i].instances(), predicted[i]) << "interval " << i;
   }
-  EXPECT_GT(plan.expected_samples, 0.0);
+  EXPECT_GT(plan.expected_value, 0.0);
 }
 
 TEST(LiveputOptimizer, EmptyPredictionGivesEmptyPlan) {
@@ -193,7 +193,7 @@ TEST(LiveputOptimizer, MatchesBruteForceOnSmallInstance) {
   recurse(0, start, n_now, 0.0);
 
   const LiveputPlan plan = opt.optimize(start, n_now, predicted);
-  EXPECT_NEAR(plan.expected_samples, best_value,
+  EXPECT_NEAR(plan.expected_value, best_value,
               1e-6 * std::max(1.0, best_value));
 }
 

@@ -57,7 +57,7 @@ TEST(Determinism, OptimizePlansBitIdenticalAcrossThreadCounts) {
       for (std::size_t i = 0; i < a.configs.size(); ++i)
         EXPECT_EQ(a.configs[i], b.configs[i]) << "interval " << i;
       // Bit-identical, not approximately equal.
-      EXPECT_EQ(a.expected_samples, b.expected_samples);
+      EXPECT_EQ(a.expected_value, b.expected_value);
       // Chain the walk so later forecasts start from evolved state.
       current = a.next();
       n_now = predicted.front();

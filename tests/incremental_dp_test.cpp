@@ -33,7 +33,7 @@ void expect_plans_equal(const LiveputPlan& a, const LiveputPlan& b,
   for (std::size_t i = 0; i < a.configs.size(); ++i)
     EXPECT_EQ(a.configs[i], b.configs[i]) << what << " interval " << i;
   // Bit-identical, not approximately equal.
-  EXPECT_EQ(a.expected_samples, b.expected_samples) << what;
+  EXPECT_EQ(a.expected_value, b.expected_value) << what;
 }
 
 // A seeded churn schedule: each step perturbs the forecast the way a

@@ -31,7 +31,7 @@ TEST(OptimizerPaths, PlansThroughACapacityGap) {
   EXPECT_FALSE(plan.configs[2].valid());
   EXPECT_TRUE(plan.configs[0].valid());
   EXPECT_TRUE(plan.configs[3].valid());   // resumed
-  EXPECT_GT(plan.expected_samples, 0.0);
+  EXPECT_GT(plan.expected_value, 0.0);
 }
 
 TEST(OptimizerPaths, AllInfeasibleMeansFullySuspendedPlan) {
@@ -40,7 +40,7 @@ TEST(OptimizerPaths, AllInfeasibleMeansFullySuspendedPlan) {
   const std::vector<int> predicted{4, 5, 6};
   const LiveputPlan plan = opt.optimize(kIdleConfig, 4, predicted);
   for (const auto& c : plan.configs) EXPECT_FALSE(c.valid());
-  EXPECT_DOUBLE_EQ(plan.expected_samples, 0.0);
+  EXPECT_DOUBLE_EQ(plan.expected_value, 0.0);
 }
 
 TEST(OptimizerPaths, DeterministicAcrossIdenticalCalls) {
@@ -51,7 +51,7 @@ TEST(OptimizerPaths, DeterministicAcrossIdenticalCalls) {
   const LiveputPlan pa = a.optimize({3, 9}, 27, predicted);
   const LiveputPlan pb = b.optimize({3, 9}, 27, predicted);
   EXPECT_EQ(pa.configs, pb.configs);
-  EXPECT_DOUBLE_EQ(pa.expected_samples, pb.expected_samples);
+  EXPECT_DOUBLE_EQ(pa.expected_value, pb.expected_value);
   // Re-running on the same instance hits the sampler cache and must
   // not drift.
   const LiveputPlan pc = a.optimize({3, 9}, 27, predicted);
@@ -100,8 +100,8 @@ TEST(OptimizerPaths, LongerHorizonNeverReducesExpectedSamples) {
   for (int i = 0; i < 8; ++i) {
     predicted.push_back(24 + (i % 3));
     const LiveputPlan plan = opt.optimize({3, 8}, 24, predicted);
-    EXPECT_GE(plan.expected_samples, prev - 1e-6);
-    prev = plan.expected_samples;
+    EXPECT_GE(plan.expected_value, prev - 1e-6);
+    prev = plan.expected_value;
   }
 }
 
@@ -125,7 +125,7 @@ TEST(OptimizerPaths, MismatchedCurrentConfigStillPlans) {
   const LiveputPlan plan = opt.optimize({4, 8}, 20, {20, 20});
   for (const auto& c : plan.configs)
     if (c.valid()) EXPECT_LE(c.instances(), 20);
-  EXPECT_GT(plan.expected_samples, 0.0);
+  EXPECT_GT(plan.expected_value, 0.0);
 }
 
 }  // namespace

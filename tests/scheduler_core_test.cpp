@@ -105,6 +105,26 @@ TEST(SchedulerCore, ReactiveModeNeverForecasts) {
   }
 }
 
+TEST(SchedulerCore, StaticModeHoldsItsTargetWithoutForecasting) {
+  // Fixed provisioning: the target never moves and is only adapted to
+  // what survives; nothing is forecast and the DP never runs.
+  SchedulerCoreOptions options = small_options();
+  options.mode = PredictionMode::kStatic;
+  options.static_config = {1, 8};
+  SchedulerCore core(gpt2_profile(), options);
+  const std::vector<AvailabilityObservation> observations = {
+      {8, 0, 8}, {8, 0, 0}, {6, 2, 0}, {8, 0, 2}};
+  for (std::size_t i = 0; i < observations.size(); ++i) {
+    const SchedulerDecision d =
+        core.step(static_cast<int>(i), observations[i], 60.0);
+    if (i < 2) EXPECT_EQ(d.config, (ParallelConfig{1, 8})) << "interval " << i;
+    EXPECT_LE(d.config.instances(), observations[i].available);
+    EXPECT_TRUE(d.forecast.empty()) << "interval " << i;
+    EXPECT_FALSE(d.planned_next.valid()) << "interval " << i;
+  }
+  EXPECT_EQ(core.metrics().counter_value("scheduler.reoptimizations"), 0.0);
+}
+
 TEST(SchedulerCore, ReoptimizeEveryThrottlesTheOptimizer) {
   SchedulerCoreOptions options = small_options();
   options.reoptimize_every = 4;  // Figure 11's lower prediction rates

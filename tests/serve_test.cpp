@@ -2,10 +2,12 @@
 // function of (seed, interval) — bit-identical across threads and
 // replays; the closed-form M/G/1 estimator agrees with the event-level
 // simulator at moderate load; request accounting balances exactly,
-// including under injected preemptions mid-burst; the goodput DP's
-// warm-started incremental re-solve is bit-identical to a full one at
-// any thread count; and the serving metrics roll up through the fleet
-// aggregator and Prometheus exporter like any other job's.
+// including under injected preemptions mid-burst; the goodput
+// objective's warm-started incremental re-solve on the shared interval
+// DP is bit-identical to a full one at any thread count; a serving run
+// records the shared decision loop's spans, counters and events; and
+// the serving metrics roll up through the fleet aggregator and
+// Prometheus exporter like any other job's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,15 +19,17 @@
 #include "baselines/ondemand_policy.h"
 #include "common/fault.h"
 #include "common/rng.h"
+#include "core/interval_dp.h"
 #include "core/slo.h"
+#include "core/telemetry.h"
 #include "migration/cost_model.h"
 #include "model/model_profile.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
+#include "obs/profile_span.h"
 #include "obs/timeseries.h"
 #include "parallel/throughput_model.h"
 #include "serve/arrival.h"
-#include "serve/goodput_optimizer.h"
 #include "serve/queue_model.h"
 #include "serve/serving_scheduler.h"
 #include "serve/serving_sim.h"
@@ -239,32 +243,36 @@ TEST(QueueModelTest, DrainCostBoundedAndMonotoneInLoad) {
 }
 
 // ---------------------------------------------------------------------
-// Goodput DP
+// Goodput objective on the shared interval DP
 
 std::vector<double> flat_rps(int n, double rps) {
   return std::vector<double>(static_cast<std::size_t>(n), rps);
 }
 
-TEST(GoodputOptimizerTest, IncrementalMatchesFullAcrossChurnAndThreads) {
+IntervalDpOptions goodput_dp_options(int mc_trials) {
+  IntervalDpOptions opt;
+  opt.mc_trials = mc_trials;
+  opt.seed = 11;
+  return opt;
+}
+
+TEST(GoodputDpTest, IncrementalMatchesFullAcrossChurnAndThreads) {
   const ModelProfile model = model_by_name("GPT-2");
-  ThroughputModel tp(model, ThroughputModelOptions{});
-  ReplicaQueueModel qm(&tp, ServingModelOptions{});
+  const GoodputObjective objective(model, {}, {}, nullptr, 32);
 
   const auto run = [&](int threads) {
-    GoodputOptimizerOptions opt;
-    opt.mc_trials = 64;
-    opt.seed = 11;
+    IntervalDpOptions opt = goodput_dp_options(64);
     opt.threads = threads;
     // verify_incremental aborts the process if a warm-started column
     // ever diverges from the full re-solve.
     opt.verify_incremental = true;
-    GoodputOptimizer dp(&qm, CostEstimator(model), opt);
+    IntervalDp dp(&objective, CostEstimator(model), opt);
 
     Rng rng(404);
     std::vector<int> n(8, 12);
     std::vector<double> rps = flat_rps(8, 25.0);
     ParallelConfig current = kIdleConfig;
-    std::vector<GoodputPlan> plans;
+    std::vector<IntervalPlan> plans;
     for (int step = 0; step < 24; ++step) {
       switch (rng.uniform_int(4)) {
         case 0:  // quiet
@@ -282,7 +290,7 @@ TEST(GoodputOptimizerTest, IncrementalMatchesFullAcrossChurnAndThreads) {
             rps[i] = 25.0 * (1.0 + 2.0 * ((step + static_cast<int>(i)) % 3 == 0));
           break;
       }
-      GoodputPlan plan = dp.optimize(current, n[0], n, rps);
+      IntervalPlan plan = dp.optimize(current, n[0], n, rps);
       current = plan.next();
       plans.push_back(std::move(plan));
     }
@@ -290,32 +298,30 @@ TEST(GoodputOptimizerTest, IncrementalMatchesFullAcrossChurnAndThreads) {
     return plans;
   };
 
-  const std::vector<GoodputPlan> serial = run(1);
+  const std::vector<IntervalPlan> serial = run(1);
   for (int threads : {4, 8}) {
-    const std::vector<GoodputPlan> parallel = run(threads);
+    const std::vector<IntervalPlan> parallel = run(threads);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t s = 0; s < serial.size(); ++s) {
       EXPECT_EQ(serial[s].configs, parallel[s].configs) << s;
       // Bit-identical, not approximately equal.
-      EXPECT_EQ(serial[s].expected_good_requests,
-                parallel[s].expected_good_requests)
-          << s;
+      EXPECT_EQ(serial[s].expected_value, parallel[s].expected_value) << s;
     }
   }
 }
 
-TEST(GoodputOptimizerTest, ChargesDrainOnConfigChangeOnly) {
+TEST(GoodputDpTest, ChargesDrainOnConfigChangeOnly) {
   const ModelProfile model = model_by_name("GPT-2");
-  ThroughputModel tp(model, ThroughputModelOptions{});
-  ReplicaQueueModel qm(&tp, ServingModelOptions{});
-  GoodputOptimizerOptions opt;
-  opt.mc_trials = 32;
-  GoodputOptimizer dp(&qm, CostEstimator(model), opt);
+  const GoodputObjective objective(model, {}, {}, nullptr, 32);
+  IntervalDp dp(&objective, CostEstimator(model), goodput_dp_options(32));
 
   const ParallelConfig c{4, 1};
   const double stay = dp.edge_cost(c, 8, c, 0, 30.0);
   const double move = dp.edge_cost(c, 8, ParallelConfig{8, 1}, 0, 30.0);
   EXPECT_GT(move, stay);
+  // The drain is the objective's switch stall on top of the migration.
+  EXPECT_EQ(move, dp.expected_migration_cost(c, 8, ParallelConfig{8, 1}, 0) +
+                      objective.queue_model().drain_cost_s(c, 30.0));
 }
 
 // ---------------------------------------------------------------------
@@ -388,6 +394,31 @@ TEST(ServingSimTest, DeterministicAcrossRerunsAndThreads) {
       expect_results_identical(serial, parallel, "threads");
     }
   }
+}
+
+TEST(ServingSimTest, WarmStartedDpMatchesFullResolveInTheLoop) {
+  // The serving loop warm-starts the shared DP across intervals while
+  // its rate forecast moves with the burst state. With the
+  // verify-both-paths pin armed (it aborts on any divergence), an
+  // incremental run must serve exactly what a full-resolve run serves.
+  const ModelProfile model = model_by_name("GPT-2");
+  const SpotTrace trace = canonical_segment(TraceSegment::kLowAvailSparse);
+  obs::MetricsRegistry registry;
+  const auto run = [&](bool full_resolve) {
+    ArrivalGenerator arrivals(mmpp_options(9));
+    ServingSchedulerOptions sopt;
+    sopt.mc_trials = 32;
+    sopt.seed = 9;
+    sopt.optimizer_full_resolve = full_resolve;
+    sopt.optimizer_verify_incremental = !full_resolve;
+    if (!full_resolve) sopt.metrics = &registry;
+    ServingScheduler scheduler(model, sopt, &arrivals);
+    ServingSimOptions sim;
+    sim.record_timeline = false;
+    return simulate_serving(scheduler, arrivals, trace, 60, sim);
+  };
+  expect_results_identical(run(true), run(false), "full vs incremental");
+  EXPECT_GT(registry.counter_value("serve_dp.states_reused"), 0.0);
 }
 
 TEST(ServingSimTest, AccountingBalancesUnderInjectedPreemptionMidBurst) {
@@ -471,6 +502,50 @@ TEST(ServeObsTest, MetricsRollUpThroughFleetAggregatorAndExporter) {
   EXPECT_NE(prom.find("parcae_serve_requests_total{job=\"7\"}"),
             std::string::npos);
   EXPECT_NE(prom.find("parcae_serve_goodput{job=\"7\"}"), std::string::npos);
+}
+
+TEST(ServeObsTest, DecisionLoopEmitsSpansEventsAndCounters) {
+  // Serving runs on the shared decision loop, so a serving run records
+  // what a training run records: the step / predict / optimize /
+  // plan-migration spans, the DP counters and the decision audit log.
+  const ModelProfile model = model_by_name("GPT-2");
+  ArrivalGenerator arrivals(mmpp_options(123 ^ 0xa221ull));
+  obs::MetricsRegistry registry;
+  obs::TraceWriter tracer;
+  ServingSchedulerOptions sopt;
+  sopt.mc_trials = 64;
+  sopt.metrics = &registry;
+  sopt.tracer = &tracer;
+  ServingScheduler scheduler(model, sopt, &arrivals);
+  ServingSimOptions sim;
+  sim.metrics = &registry;
+  const SpotTrace trace = canonical_segment(TraceSegment::kLowAvailSparse);
+  const ServingSimResult r =
+      simulate_serving(scheduler, arrivals, trace, 60, sim);
+
+  const obs::MetricsSnapshot& m = r.metrics;
+  ASSERT_TRUE(m.histograms.count("serve.scheduler.step.ms"));
+  EXPECT_EQ(m.histograms.at("serve.scheduler.step.ms").count, 60u);
+  for (const char* span : {"predict.ms", "optimize.ms", "plan-migration.ms"}) {
+    ASSERT_TRUE(m.histograms.count(span)) << span;
+    EXPECT_GT(m.histograms.at(span).count, 0u) << span;
+  }
+  EXPECT_EQ(m.counters.at("serve.scheduler.intervals"), 60.0);
+  EXPECT_EQ(m.counters.at("serve_dp.runs"),
+            m.counters.at("serve.scheduler.reoptimizations"));
+  EXPECT_GT(m.counters.at("serve_dp.states_reused"), 0.0);
+  ASSERT_TRUE(m.gauges.count("serve.scheduler.expected_good_requests"));
+  EXPECT_GT(tracer.size(), 0u);
+
+  const EventLog& events = scheduler.core().telemetry();
+  EXPECT_FALSE(events.by_category(EventCategory::kCloud).empty());
+  EXPECT_FALSE(events.by_category(EventCategory::kDecision).empty());
+  EXPECT_NE(events.to_jsonl().find("configuration change"),
+            std::string::npos);
+
+  // Observing never changes a decision.
+  const ServingSimResult bare = run_sim(ServingMode::kProactive, 1, 123);
+  expect_results_identical(r, bare, "observed vs bare");
 }
 
 TEST(ServeObsTest, ServingSloRulesFireOnLatencyBreach) {
