@@ -46,8 +46,6 @@ void optimize_on_segment(benchmark::State& state, TraceSegment segment,
       registry.counter_value("mc_sampler.samples");
   state.counters["mc_cache_hits"] =
       registry.counter_value("mc_sampler.cache_hits");
-  state.counters["edge_cache_hits"] =
-      registry.counter_value("liveput_dp.edge_cache_hits");
 }
 
 void BM_LiveputOptimize_HA_DP(benchmark::State& state) {
@@ -130,8 +128,10 @@ void optimize_at_scale(benchmark::State& state, int n, int lookahead,
       registry.counter_value("liveput_dp.states_reused");
   state.counters["states_re_expanded"] =
       registry.counter_value("liveput_dp.states_re_expanded");
-  state.counters["edge_cache_bypass"] =
-      registry.counter_value("liveput_dp.edge_cache_bypass");
+  state.counters["mc_samples"] =
+      registry.counter_value("mc_sampler.samples");
+  state.counters["mc_cache_hits"] =
+      registry.counter_value("mc_sampler.cache_hits");
 }
 
 void BM_LiveputOptimize_N256_Full(benchmark::State& state) {

@@ -23,16 +23,12 @@ IntervalDp::IntervalDp(const SchedulingObjective* objective,
                        CostEstimator estimator, IntervalDpOptions options)
     : objective_(objective),
       options_(std::move(options)),
-      migration_(std::move(estimator), options_.mc_trials, options_.seed,
-                 options_.edge_cache_capacity),
+      migration_(std::move(estimator), options_.mc_trials, options_.seed),
       threads_(options_.threads == 1 ? 1
                                      : ThreadPool::resolve(options_.threads)) {
   const std::string family =
       options_.metric_prefix + objective_->traits().dp_family;
   name_runs_ = family + ".runs";
-  name_edge_hits_ = family + ".edge_cache_hits";
-  name_edge_misses_ = family + ".edge_cache_misses";
-  name_edge_bypass_ = family + ".edge_cache_bypass";
   name_tasks_ = options_.metric_prefix + "threadpool.tasks";
   name_states_reused_ = family + ".states_reused";
   name_states_re_expanded_ = family + ".states_re_expanded";
@@ -62,7 +58,10 @@ IntervalDp::SpacePtr IntervalDp::resolve_space(int n) {
   }
   auto space = std::make_shared<ConfigSpace>();
   space->configs = objective_->candidates(n);
+  for (const ParallelConfig to : space->configs)
+    space->dest.push_back(migration_.destination(to));
   space->configs.push_back(kIdleConfig);
+  space->dest.emplace_back();
   space_lru_.push_front(n);
   space_cache_.emplace(n, SpaceEntry{space, space_lru_.begin()});
   const std::size_t cap =
@@ -103,66 +102,65 @@ void IntervalDp::compute_column(std::size_t i, ParallelConfig current,
   const bool parallel = threads_ > 1 && C > 1;
   if (parallel && !pool_) pool_ = std::make_unique<ThreadPool>(threads_);
 
-  // Edge stalls out of `from` into every candidate: the expected
-  // migration plus, when `to` replaces a different running `from`, the
-  // objective's switch stall (which depends only on `from` and this
-  // interval's load).
-  auto fill = [&](ParallelConfig from, int n_from, double* out,
-                  std::size_t stride) {
-    const double sw =
-        from.valid() ? objective_->switch_cost(from, load_i) : 0.0;
-    for (std::size_t j = 0; j < C; ++j) {
-      const ParallelConfig to = cur_space.configs[j];
-      double cost = migration_.cost(from, n_from, to, k);
-      if (sw > 0.0 && to.valid() && to != from) cost += sw;
-      out[j * stride] = cost;
+  // Live predecessors, jj ascending (for i == 0 the live config alone),
+  // each with what every edge out of it reads: the objective's switch
+  // stall and, when some valid candidate's edge needs it, its MC
+  // summary. A summary's key never depends on the candidate, so this
+  // serial pass touches each one exactly where a serial candidate scan
+  // would first touch it — RNG consumption is independent of the
+  // thread count.
+  const std::size_t valid = C - 1;  // the idle sentinel is last
+  preds_.clear();
+  auto add = [&](ParallelConfig from, double value, int index) {
+    Predecessor p{value, from, index};
+    if (from.valid()) {
+      const auto src = MigrationExpectation::source(from, n_prev, k);
+      p.free_stay = src.k == 0;
+      // Every edge into a valid candidate reads the summary, except the
+      // free stay on `from` itself (candidates are distinct).
+      const bool read =
+          p.free_stay
+              ? valid > 1 || (valid == 1 && cur_space.configs[0] != from)
+              : valid > 0;
+      if (read)
+        p.summary = &migration_.sampler().summarize(from, src.idle, src.k);
+      p.switch_stall = objective_->switch_cost(from, load_i);
     }
+    preds_.push_back(p);
   };
-
   if (i == 0) {
-    // First interval: one transition per candidate, from the live
-    // config. Serial fill keeps MC first-touch order identical to a
-    // serial candidate scan.
-    slab_.resize(C);
-    fill(current, n_now, slab_.data(), 1);
-    auto eval = [&](std::size_t j) {
-      best_out[j] = cur_space.rate[j] * std::max(0.0, T - slab_[j]);
-    };
-    if (parallel)
-      pool_->parallel_for(C, eval);
-    else
-      for (std::size_t j = 0; j < C; ++j) eval(j);
-    return;
+    add(current, 0.0, -1);
+  } else {
+    const std::vector<double>& bp = *best_prev;
+    for (std::size_t jj = 0; jj < prev_space->size(); ++jj)
+      if (bp[jj] != kNegInf)
+        add(prev_space->configs[jj], bp[jj], static_cast<int>(jj));
   }
 
-  // Edge-stall slab [candidate j][predecessor jj]. Filled
-  // predecessor-major: the MC sampler's key depends only on the
-  // predecessor (and idle/k), so visiting jj in ascending order first
-  // touches each summary exactly when a serial scan (j = 0, jj
-  // ascending) would — RNG consumption is independent of the thread
-  // count. Invalid predecessors (-inf) are skipped; their slab entries
-  // are never read.
-  const std::size_t P = prev_space->size();
-  slab_.resize(C * P);
-  const double* bp = best_prev->data();
-  for (std::size_t jj = 0; jj < P; ++jj) {
-    if (bp[jj] == kNegInf) continue;
-    fill(prev_space->configs[jj], n_prev, slab_.data() + jj, P);
-  }
-
-  // Hot scan: contiguous doubles only, no hashing, no pointer
-  // chasing; first-wins strict > keeps tie-breaks deterministic.
+  // Hot scan: every edge is plain arithmetic over the predecessor and
+  // the candidate's destination costs; first-wins strict > keeps
+  // tie-breaks deterministic.
   auto eval = [&](std::size_t j) {
+    const ParallelConfig to = cur_space.configs[j];
+    const DestinationCosts& dest = cur_space.dest[j];
     const double rate = cur_space.rate[j];
-    const double* cost_row = slab_.data() + j * P;
     double best = kNegInf;
     int arg = -1;
-    for (std::size_t jj = 0; jj < P; ++jj) {
-      if (bp[jj] == kNegInf) continue;
-      const double value = bp[jj] + rate * std::max(0.0, T - cost_row[jj]);
+    for (const Predecessor& p : preds_) {
+      double stall = 0.0;  // suspending costs nothing by itself
+      if (to.valid()) {
+        if (!p.from.valid()) {
+          stall = dest.rollback;  // resuming: restore from ParcaePS
+        } else {
+          if (!p.free_stay || to != p.from)
+            stall = migration_.transition_cost(p.from, *p.summary, to, dest);
+          if (p.switch_stall > 0.0 && to != p.from) stall += p.switch_stall;
+        }
+      }
+      const double value = p.value + rate * std::max(0.0, T - stall);
       if (value > best) {
         best = value;
-        arg = static_cast<int>(jj);
+        arg = p.index;
       }
     }
     best_out[j] = best;
@@ -301,9 +299,6 @@ void IntervalDp::flush_metrics() {
       options_.metrics->counter(name).add(static_cast<double>(now - flushed));
     flushed = now;
   };
-  flush_delta(name_edge_hits_, migration_.memo_hits(), flushed_hits_);
-  flush_delta(name_edge_misses_, migration_.memo_misses(), flushed_misses_);
-  flush_delta(name_edge_bypass_, migration_.memo_bypass(), flushed_bypass_);
   flush_delta(name_states_reused_, states_reused_, flushed_states_reused_);
   flush_delta(name_states_re_expanded_, states_re_expanded_,
               flushed_states_re_expanded_);

@@ -17,10 +17,11 @@
 // Performance layer (the paper's < 0.3 s/optimization budget,
 // Figure 18b; docs/performance.md §7 for the scale story):
 //   - per-interval candidate spaces (configs + the idle sentinel) come
-//     from a bounded LRU keyed by N, each carrying its rate row for the
-//     last load it was priced at; transition costs for one DP column
-//     land in a dense [candidate][predecessor] slab, so the hot
-//     predecessor scan is a branch-light walk over contiguous doubles;
+//     from a bounded LRU keyed by N, each carrying its RNG-free
+//     destination costs and its rate row for the last load it was
+//     priced at; a column first resolves each live predecessor's MC
+//     summary and switch stall, so the argmax scan prices every edge
+//     as plain arithmetic over those two arrays;
 //   - consecutive optimize() calls warm-start from the previous value
 //     table: a column i is recomputed only when its direct inputs
 //     (predicted[i-1], predicted[i], load[i]; for i = 0 the live config
@@ -29,9 +30,9 @@
 //     produce (options.verify_incremental re-runs the full DP and
 //     aborts on any divergence; options.full_resolve disables reuse);
 //   - with options.threads > 1 the candidate loop over c' runs on a
-//     ThreadPool. The slab is filled serially first (in the exact order
-//     the serial DP would first touch each MC summary, keeping RNG
-//     consumption unchanged), so the parallel phase only reads plain
+//     ThreadPool. Summaries are resolved serially first (predecessors
+//     ascending: the order a serial scan first touches each one, so
+//     RNG consumption is fixed), so the parallel phase only reads plain
 //     arrays and every plan is bit-identical at any thread count.
 #pragma once
 
@@ -79,11 +80,6 @@ struct IntervalDpOptions {
   // LRU bound on the per-N config-space cache (a churning fleet sees
   // many distinct N over a long run). Minimum 1.
   std::size_t space_cache_capacity = 64;
-  // Insertion cap on the transition-cost memo. Beyond this the memo
-  // stops growing and further unique edges are computed directly
-  // (counted as <dp_family>.edge_cache_bypass). At N = 1024 the edge
-  // universe is ~10^7 pairs; the cap keeps memory bounded.
-  std::size_t edge_cache_capacity = 1u << 20;
 };
 
 struct IntervalPlan {
@@ -140,13 +136,6 @@ class IntervalDp {
   // every column. Cheap; used on scheduler reset.
   void invalidate();
 
-  // Transition-cost memo telemetry (also flushed to the metrics
-  // registry as <dp_family>.edge_cache_{hits,misses,bypass} after each
-  // optimize() call).
-  std::uint64_t edge_cache_hits() const { return migration_.memo_hits(); }
-  std::uint64_t edge_cache_misses() const { return migration_.memo_misses(); }
-  std::uint64_t edge_cache_bypass() const { return migration_.memo_bypass(); }
-
   // Incremental-DP telemetry (<dp_family>.states_reused /
   // .states_re_expanded): DP states carried over from the previous
   // solve vs. recomputed, cumulatively and for the most recent
@@ -166,13 +155,25 @@ class IntervalDp {
 
  private:
   // One interval's candidate space: the feasible configs for N (+ the
-  // idle sentinel, always last) and the objective's rate row for them
-  // at `rate_load` (repriced when a column asks for another load).
+  // idle sentinel, always last), their destination costs, and the
+  // objective's rate row for them at `rate_load` (repriced when a
+  // column asks for another load).
   struct ConfigSpace {
     std::vector<ParallelConfig> configs;
+    std::vector<DestinationCosts> dest;
     std::vector<double> rate;
     double rate_load = 0.0;
     std::size_t size() const { return configs.size(); }
+  };
+  // A live predecessor of a column, ready for the argmax scan: its
+  // value, its config, and what every edge out of it reads.
+  struct Predecessor {
+    double value = 0.0;  // F(i-1, jj); 0 for the live config
+    ParallelConfig from = kIdleConfig;
+    int index = -1;  // jj (-1: the live config)
+    bool free_stay = false;  // nothing preempted: staying costs nothing
+    const PreemptionSummary* summary = nullptr;  // null: no edge reads it
+    double switch_stall = 0.0;
   };
   using SpacePtr = std::shared_ptr<ConfigSpace>;
 
@@ -192,9 +193,9 @@ class IntervalDp {
   // Config space for N instances through the bounded LRU cache.
   SpacePtr resolve_space(int n);
   // Compute DP column i into best_out/parent_out: price the candidates
-  // at load[i], serially fill the edge-stall slab (first-touch order
-  // identical to a serial scan), then run the candidate argmax loop
-  // (parallel when threads > 1). prev_space/best_prev are null for
+  // at load[i], serially resolve the live predecessors (first-touch
+  // order identical to a serial scan), then run the candidate argmax
+  // loop (parallel when threads > 1). prev_space/best_prev are null for
   // i == 0.
   void compute_column(std::size_t i, ParallelConfig current, int n_now,
                       const std::vector<int>& predicted,
@@ -212,8 +213,7 @@ class IntervalDp {
   const SchedulingObjective* objective_;
   IntervalDpOptions options_;
   // Prefixed metric names, precomputed (see options_.metric_prefix).
-  std::string name_runs_, name_edge_hits_, name_edge_misses_,
-      name_edge_bypass_, name_tasks_, name_states_reused_,
+  std::string name_runs_, name_tasks_, name_states_reused_,
       name_states_re_expanded_, name_space_evictions_;
   MigrationExpectation migration_;
   int threads_ = 1;
@@ -231,18 +231,15 @@ class IntervalDp {
 
   WarmState warm_;
   // Scratch reused across optimize() calls (allocation-free in steady
-  // state): the per-column edge-stall slab and the copy of a
-  // recomputed column's previous values (for the convergence cutoff).
-  std::vector<double> slab_;
+  // state): a column's live predecessors and the copy of a recomputed
+  // column's previous values (for the convergence cutoff).
+  std::vector<Predecessor> preds_;
   std::vector<double> old_column_;
   std::uint64_t states_reused_ = 0;
   std::uint64_t states_re_expanded_ = 0;
   std::uint64_t last_states_reused_ = 0;
   std::uint64_t last_states_re_expanded_ = 0;
 
-  std::uint64_t flushed_hits_ = 0;
-  std::uint64_t flushed_misses_ = 0;
-  std::uint64_t flushed_bypass_ = 0;
   std::uint64_t flushed_tasks_ = 0;
   std::uint64_t flushed_states_reused_ = 0;
   std::uint64_t flushed_states_re_expanded_ = 0;

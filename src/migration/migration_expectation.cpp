@@ -4,28 +4,10 @@
 #include <cmath>
 
 namespace parcae {
-namespace {
-
-// Packed memo key: 10 bits per config dimension, 12 bits for idle and
-// k — far beyond the 32-64 instance clusters this system models.
-std::uint64_t transition_key(ParallelConfig from, int idle,
-                             ParallelConfig to, int k) {
-  auto field = [](int v) {
-    return static_cast<std::uint64_t>(static_cast<unsigned>(v));
-  };
-  return (field(from.dp) << 54) | (field(from.pp) << 44) |
-         (field(to.dp) << 34) | (field(to.pp) << 24) |
-         (field(idle) << 12) | field(k);
-}
-
-}  // namespace
 
 MigrationExpectation::MigrationExpectation(CostEstimator estimator,
-                                           int mc_trials, std::uint64_t seed,
-                                           std::size_t memo_capacity)
-    : estimator_(std::move(estimator)),
-      sampler_(seed, mc_trials),
-      memo_capacity_(memo_capacity) {}
+                                           int mc_trials, std::uint64_t seed)
+    : estimator_(std::move(estimator)), sampler_(seed, mc_trials) {}
 
 double MigrationExpectation::cost(ParallelConfig from, int n_from,
                                   ParallelConfig to, int preemptions) {
@@ -34,45 +16,57 @@ double MigrationExpectation::cost(ParallelConfig from, int n_from,
     // Resuming from suspension: restore the full state from ParcaePS.
     return estimator_.checkpoint_rollback(to).total();
   }
+  const Source src = source(from, n_from, preemptions);
+  if (src.k == 0 && to == from) return 0.0;
+  return transition_cost(from, sampler_.summarize(from, src.idle, src.k), to,
+                         destination(to));
+}
+
+MigrationExpectation::Source MigrationExpectation::source(ParallelConfig from,
+                                                          int n_from,
+                                                          int preemptions) {
   const int idle = std::max(0, n_from - from.instances());
-  const int k = std::clamp(preemptions, 0, from.instances() + idle);
+  return {idle, std::clamp(preemptions, 0, from.instances() + idle)};
+}
 
-  if (k == 0 && to == from) return 0.0;
+DestinationCosts MigrationExpectation::destination(ParallelConfig to) const {
+  // pipeline_migration prices only the destination's re-shard.
+  return {estimator_.checkpoint_rollback(to).total(),
+          estimator_.pipeline_migration(to, to).total(),
+          estimator_.intra_stage(to).total()};
+}
 
-  const std::uint64_t key = transition_key(from, idle, to, k);
-  const auto it = memo_.find(key);
-  if (it != memo_.end()) {
-    ++hits_;
-    return it->second;
+double MigrationExpectation::same_depth_cost(
+    ParallelConfig from, const PreemptionSummary& s, ParallelConfig to,
+    const DestinationCosts& dest) const {
+  // Same depth: mixture over how many pipelines intra-stage migration
+  // alone can recover, summed in ascending order over the buckets with
+  // mass (a bucket without mass adds nothing).
+  double cost = 0.0;
+  double inter = 0.0;
+  bool inter_priced = false;
+  for (const int d : s.intra_support) {
+    const double p = s.intra_pipelines_prob[static_cast<std::size_t>(d)];
+    if (d == 0) {
+      cost += p * dest.rollback;
+    } else if (d >= to.dp) {
+      cost += p * dest.intra;
+    } else {
+      if (!inter_priced) inter = inter_stage_cost(from, s, to);
+      inter_priced = true;
+      cost += p * inter;
+    }
   }
-  ++misses_;
-  const double cost = transition_cost(from, idle, to, k);
-  if (memo_.size() < memo_capacity_)
-    memo_.emplace(key, cost);
-  else
-    ++bypass_;
   return cost;
 }
 
-double MigrationExpectation::transition_cost(ParallelConfig from, int idle,
-                                             ParallelConfig to, int k) {
-  const PreemptionSummary& s = sampler_.summarize(from, idle, k);
-
-  if (to.pp != from.pp) {
-    // Depth change: pipeline migration; a wiped-out stage forces the
-    // states to come from ParcaePS instead of GPU peers.
-    const double rollback = estimator_.checkpoint_rollback(to).total();
-    const double pipeline = estimator_.pipeline_migration(from, to).total();
-    return s.stage_wipeout_prob * rollback +
-           (1.0 - s.stage_wipeout_prob) * pipeline;
-  }
-
-  // Same depth: mixture over how many pipelines intra-stage migration
-  // alone can recover.
-  const double intra_cost = estimator_.intra_stage(to).total();
-  const double rollback_cost = estimator_.checkpoint_rollback(to).total();
+double MigrationExpectation::inter_stage_cost(ParallelConfig from,
+                                              const PreemptionSummary& s,
+                                              ParallelConfig to) const {
   // Expected inter-stage moves to assemble to.dp pipelines:
-  // E[sum_s max(0, dp' - a_s)] = P * sum_a P(a) * max(0, dp' - a).
+  // E[sum_s max(0, dp' - a_s)] = P * sum_{a < dp'} P(a) * (dp' - a);
+  // the a >= dp' terms are exactly +0.0, so leaving them out keeps the
+  // sum bit-identical.
   //
   // This re-derives the expectation from the per-stage marginal
   // instead of reading PreemptionSummary::expected_inter_moves[to.dp]
@@ -82,28 +76,16 @@ double MigrationExpectation::transition_cost(ParallelConfig from, int idle,
   // orders differ in final ulps, which would nudge DP tie-breaks and
   // shift golden outputs. The linearity identity between the two is
   // pinned by Preemption.InterMovesMatchStageAliveDerivation.
+  const std::size_t n = std::min(s.stage_alive_prob.size(),
+                                 static_cast<std::size_t>(to.dp));
   double expected_moves = 0.0;
-  for (std::size_t a = 0; a < s.stage_alive_prob.size(); ++a)
-    expected_moves += s.stage_alive_prob[a] *
-                      std::max(0.0, static_cast<double>(to.dp) -
-                                        static_cast<double>(a));
+  for (std::size_t a = 0; a < n; ++a)
+    expected_moves += s.stage_alive_prob[a] * (static_cast<double>(to.dp) -
+                                               static_cast<double>(a));
   expected_moves *= static_cast<double>(from.pp);
-
-  double cost = 0.0;
-  for (std::size_t d = 0; d < s.intra_pipelines_prob.size(); ++d) {
-    const double p = s.intra_pipelines_prob[d];
-    if (p <= 0.0) continue;
-    if (d == 0) {
-      cost += p * rollback_cost;
-    } else if (static_cast<int>(d) >= to.dp) {
-      cost += p * intra_cost;
-    } else {
-      const int moves = std::max(
-          1, static_cast<int>(std::lround(expected_moves)));
-      cost += p * estimator_.inter_stage(to, moves).total();
-    }
-  }
-  return cost;
+  const int moves =
+      std::max(1, static_cast<int>(std::lround(expected_moves)));
+  return estimator_.inter_stage(to, moves).total();
 }
 
 }  // namespace parcae

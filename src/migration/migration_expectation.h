@@ -8,19 +8,19 @@
 // per-strategy costs: a depth change is a pipeline migration unless a
 // stage was wiped out (then a ParcaePS rollback); otherwise a mixture
 // of intra-stage migration, inter-stage moves and rollback by how many
-// pipelines survive. Every evaluated edge (from, idle, to, k) is
-// memoized, bounded by `memo_capacity`: repeated interval pairs —
-// ubiquitous under flat forecasts and across re-optimizations — cost a
-// hash lookup instead of the mixture arithmetic.
+// pipelines survive.
 //
-// Not thread-safe: the DP fills its cost slab serially (in the order
-// that keeps the sampler's RNG consumption fixed) and only then fans
-// out over plain arrays.
+// An edge splits into a destination side (DestinationCosts: RNG-free,
+// priced once per candidate) and a source side (the summary of
+// (from, idle, k), resolved once per predecessor), so the DP prices
+// every edge with transition_cost() as plain arithmetic over the two.
+//
+// Not thread-safe to summarize: the sampler draws from one serial RNG
+// stream. The DP resolves summaries serially (in the order that keeps
+// that consumption fixed); transition_cost() is const and only reads.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 
 #include "migration/cost_model.h"
 #include "migration/preemption.h"
@@ -28,37 +28,60 @@
 
 namespace parcae {
 
+// The terms of every edge into `to` that no source or preemption
+// outcome changes.
+struct DestinationCosts {
+  double rollback = 0.0;  // checkpoint_rollback(to)
+  double pipeline = 0.0;  // pipeline_migration(*, to): source-independent
+  double intra = 0.0;     // intra_stage(to)
+};
+
 class MigrationExpectation {
  public:
   MigrationExpectation(CostEstimator estimator, int mc_trials,
-                       std::uint64_t seed, std::size_t memo_capacity);
+                       std::uint64_t seed);
 
   // Expected stall for c -> c' while `preemptions` of the `n_from`
-  // instances are preempted. Memoized on (from, idle, to, clamped k).
+  // instances are preempted.
   double cost(ParallelConfig from, int n_from, ParallelConfig to,
               int preemptions);
 
+  // The summary key of every edge out of a valid `from`: its spare
+  // instances among `n_from`, and `preemptions` clamped to what exists.
+  struct Source {
+    int idle = 0;
+    int k = 0;
+  };
+  static Source source(ParallelConfig from, int n_from, int preemptions);
+
+  DestinationCosts destination(ParallelConfig to) const;
+
+  // The mixture arithmetic behind cost() for valid configs, given the
+  // summary of from's Source and to's DestinationCosts (cost() peels
+  // off the free k == 0 stay first).
+  double transition_cost(ParallelConfig from, const PreemptionSummary& s,
+                         ParallelConfig to,
+                         const DestinationCosts& dest) const {
+    if (to.pp != from.pp) {
+      // Depth change: pipeline migration; a wiped-out stage forces the
+      // states to come from ParcaePS instead of GPU peers.
+      return s.stage_wipeout_prob * dest.rollback +
+             (1.0 - s.stage_wipeout_prob) * dest.pipeline;
+    }
+    return same_depth_cost(from, s, to, dest);
+  }
+
   PreemptionSampler& sampler() { return sampler_; }
 
-  // Memo telemetry: lookups that hit, missed, and missed without being
-  // stored because the memo was full.
-  std::uint64_t memo_hits() const { return hits_; }
-  std::uint64_t memo_misses() const { return misses_; }
-  std::uint64_t memo_bypass() const { return bypass_; }
-
  private:
-  // The mixture arithmetic behind cost(), after the trivial cases are
-  // peeled off; `idle`/`k` are already normalized.
-  double transition_cost(ParallelConfig from, int idle, ParallelConfig to,
-                         int k);
+  double same_depth_cost(ParallelConfig from, const PreemptionSummary& s,
+                         ParallelConfig to,
+                         const DestinationCosts& dest) const;
+  double inter_stage_cost(ParallelConfig from, const PreemptionSummary& s,
+                          ParallelConfig to) const;
 
   CostEstimator estimator_;
   PreemptionSampler sampler_;
-  std::size_t memo_capacity_;
-  std::unordered_map<std::uint64_t, double> memo_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t bypass_ = 0;
 };
 
 }  // namespace parcae

@@ -50,8 +50,6 @@ const PreemptionSummary& PreemptionSampler::summarize(ParallelConfig config,
   const auto key = std::make_tuple(config.dp, config.pp, idle, k);
   auto it = cache_.find(key);
   if (it == cache_.end()) {
-    assert(!frozen_ && "PreemptionSampler: cache miss while frozen for "
-                       "concurrent reads (warm-up missed a key)");
     obs::ProfileSpan span(name_span_, metrics_);
     it = cache_.emplace(key, compute(config, idle, k)).first;
     if (metrics_) metrics_->counter(name_samples_).inc();
@@ -67,15 +65,6 @@ void PreemptionSampler::set_metric_prefix(const std::string& prefix) {
   name_cache_hits_ = prefix + "mc_sampler.cache_hits";
 }
 
-void PreemptionSampler::warm(ParallelConfig config, int idle, int k) {
-  const auto key = std::make_tuple(config.dp, config.pp, idle, k);
-  if (cache_.find(key) != cache_.end()) return;
-  assert(!frozen_);
-  obs::ProfileSpan span(name_span_, metrics_);
-  cache_.emplace(key, compute(config, idle, k));
-  if (metrics_) metrics_->counter(name_samples_).inc();
-}
-
 PreemptionSummary PreemptionSampler::compute(ParallelConfig config, int idle,
                                              int k) {
   PreemptionSummary s;
@@ -86,6 +75,7 @@ PreemptionSummary PreemptionSampler::compute(ParallelConfig config, int idle,
   if (k <= 0) {
     // No preemption: everything survives.
     s.intra_pipelines_prob[static_cast<std::size_t>(config.dp)] = 1.0;
+    s.intra_support.push_back(config.dp);
     s.stage_alive_prob[static_cast<std::size_t>(config.dp)] = 1.0;
     s.expected_intra_pipelines = config.dp;
     s.expected_alive = config.instances() + idle;
@@ -118,6 +108,7 @@ PreemptionSummary PreemptionSampler::compute(ParallelConfig config, int idle,
   for (std::size_t d = 0; d <= D; ++d) {
     const std::int64_t c = batch_.min_alive_hist[d];
     s.intra_pipelines_prob[d] = static_cast<double>(c) / n;
+    if (c > 0) s.intra_support.push_back(static_cast<int>(d));
     min_alive_total += static_cast<std::int64_t>(d) * c;
   }
   s.expected_intra_pipelines = static_cast<double>(min_alive_total) / n;

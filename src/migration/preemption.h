@@ -12,8 +12,9 @@
 //     target number of pipelines,
 //   - the probability that an entire stage is wiped out (the §8
 //     fault-tolerance case that forces a ParcaePS rollback).
-// Summaries are cached so the liveput optimizer's DP inner loop is a
-// table lookup ("this sampling step can be done offline in advance").
+// Summaries are cached and resolved once per DP predecessor, so the
+// DP's inner loop is plain arithmetic over them ("this sampling step
+// can be done offline in advance").
 #pragma once
 
 #include <cstdint>
@@ -73,6 +74,8 @@ struct PreemptionBatchScratch {
 struct PreemptionSummary {
   // P(intra-stage-recoverable pipelines == d), d in [0, D].
   std::vector<double> intra_pipelines_prob;
+  // The d with intra_pipelines_prob[d] > 0, ascending.
+  std::vector<int> intra_support;
   double expected_intra_pipelines = 0.0;
   // E[sum_s max(0, d' - a_s)] for d' in [0, D]: instances that must
   // receive another stage's state to reach d' pipelines (index by d').
@@ -106,25 +109,11 @@ class PreemptionSampler {
   // registry); "" keeps the historical names.
   void set_metric_prefix(const std::string& prefix);
 
-  // Ensure (config, idle, k)'s summary is cached, computing it now if
-  // absent. Unlike summarize(), a hit records no cache-hit metric —
-  // this is the pre-warm step the parallel liveput DP runs serially
-  // (in the same order the serial DP would first touch each key, so
-  // RNG consumption and therefore every summary stays bit-identical)
-  // before freezing the sampler for lock-free concurrent reads.
-  void warm(ParallelConfig config, int idle, int k);
-
-  // While frozen, any cache miss asserts: concurrent summarize()
-  // callers may only read. Guards the parallel DP phase against a
-  // warm-up gap racing on rng_ and cache_.
-  void set_frozen(bool frozen) { frozen_ = frozen; }
-
  private:
   PreemptionSummary compute(ParallelConfig config, int idle, int k);
 
   Rng rng_;
   int trials_;
-  bool frozen_ = false;
   obs::MetricsRegistry* metrics_ = nullptr;
   // Prefixed metric names, precomputed by set_metric_prefix.
   std::string name_span_ = "mc_sampler.sample";

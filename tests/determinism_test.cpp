@@ -1,28 +1,35 @@
-// The performance layer's contract: threading and memoization must
-// never change a decision. optimize() plans, full ParcaePolicy
+// The performance layer's contract: threading and the DP's own
+// structure must never change a decision. optimize() plans match a
+// naive reference DP bit for bit; optimize() plans, full ParcaePolicy
 // simulations, and run_matrix cells are bit-identical at any thread
 // count; scratch-buffer sampling consumes the same RNG draws as the
 // allocating path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "analysis/experiment.h"
 #include "common/rng.h"
 #include "core/liveput_optimizer.h"
+#include "migration/migration_expectation.h"
 #include "migration/preemption.h"
 #include "model/model_profile.h"
 #include "obs/metrics.h"
 #include "parallel/throughput_model.h"
 #include "runtime/parcae_policy.h"
+#include "serve/serving_scheduler.h"
 #include "trace/spot_trace.h"
 
 namespace parcae {
 namespace {
 
-// A forecast battery covering the DP's regimes: flat (memo-heavy),
-// growth (allocations), decay (preemptions), and a volatile segment
-// straight from a canonical trace.
+constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+// A forecast battery covering the DP's regimes: flat (repeated
+// intervals), growth (allocations), decay (preemptions), and a
+// volatile segment straight from a canonical trace.
 std::vector<std::vector<int>> forecast_battery() {
   std::vector<std::vector<int>> battery = {
       std::vector<int>(12, 26),
@@ -126,24 +133,174 @@ TEST(Determinism, RunMatrixCellsIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(Determinism, TransitionMemoReturnsIdenticalValuesAndCountsHits) {
+// The textbook interval DP, to diff IntervalDp against: candidate-major,
+// every edge priced afresh by its own MigrationExpectation::cost() plus
+// the objective's switch stall, the same value formula and first-wins
+// strict >. No warm start, no predecessor pass, no threads.
+class ReferenceDp {
+ public:
+  ReferenceDp(const SchedulingObjective* objective, const ModelProfile& model,
+              const IntervalDpOptions& options, obs::MetricsRegistry* metrics)
+      : objective_(objective),
+        interval_s_(options.interval_s),
+        migration_(CostEstimator(model), options.mc_trials, options.seed) {
+    migration_.sampler().set_metrics(metrics);
+  }
+
+  IntervalPlan optimize(ParallelConfig current, int n_now,
+                        const std::vector<int>& predicted,
+                        const std::vector<double>& load) {
+    const std::size_t I = predicted.size();
+    std::vector<std::vector<ParallelConfig>> space(I);
+    std::vector<std::vector<double>> best(I);
+    std::vector<std::vector<int>> parent(I);
+    for (std::size_t i = 0; i < I; ++i) {
+      space[i] = objective_->candidates(predicted[i]);
+      space[i].push_back(kIdleConfig);
+      const int n_prev = i == 0 ? n_now : predicted[i - 1];
+      const int k = std::max(0, n_prev - predicted[i]);
+      const double load_i = load.empty() ? 0.0 : load[i];
+      const auto value_of = [&](ParallelConfig from, ParallelConfig to) {
+        double stall = migration_.cost(from, n_prev, to, k);
+        const double sw =
+            from.valid() ? objective_->switch_cost(from, load_i) : 0.0;
+        if (sw > 0.0 && to.valid() && to != from) stall += sw;
+        return objective_->rate(to, load_i) *
+               std::max(0.0, interval_s_ - stall);
+      };
+      best[i].assign(space[i].size(), kNegInf);
+      parent[i].assign(space[i].size(), -1);
+      for (std::size_t j = 0; j < space[i].size(); ++j) {
+        if (i == 0) {
+          best[0][j] = value_of(current, space[0][j]);
+          continue;
+        }
+        for (std::size_t jj = 0; jj < space[i - 1].size(); ++jj) {
+          if (best[i - 1][jj] == kNegInf) continue;
+          const double value =
+              best[i - 1][jj] + value_of(space[i - 1][jj], space[i][j]);
+          if (value > best[i][j]) {
+            best[i][j] = value;
+            parent[i][j] = static_cast<int>(jj);
+          }
+        }
+      }
+    }
+    std::size_t arg = 0;
+    for (std::size_t j = 1; j < best[I - 1].size(); ++j)
+      if (best[I - 1][j] > best[I - 1][arg]) arg = j;
+    IntervalPlan plan;
+    plan.expected_value = std::max(0.0, best[I - 1][arg]);
+    plan.configs.assign(I, kIdleConfig);
+    int cursor = static_cast<int>(arg);
+    for (std::size_t i = I; i-- > 0;) {
+      plan.configs[i] = space[i][static_cast<std::size_t>(cursor)];
+      if (i > 0) cursor = parent[i][static_cast<std::size_t>(cursor)];
+    }
+    return plan;
+  }
+
+ private:
+  const SchedulingObjective* objective_;
+  double interval_s_;
+  MigrationExpectation migration_;
+};
+
+struct DpStep {
+  std::vector<int> predicted;
+  std::vector<double> load;  // empty: the objective has no load
+};
+
+// Walks `steps` through IntervalDp (warm-started, threads 1 and 4) and
+// the reference, chaining the advised config: plans must be
+// bit-identical and both engines must draw the same MC summaries.
+void expect_matches_reference(const SchedulingObjective& objective,
+                              const ModelProfile& model,
+                              IntervalDpOptions options, ParallelConfig current,
+                              int n_now, const std::vector<DpStep>& steps) {
+  for (const int threads : {1, 4}) {
+    obs::MetricsRegistry dp_metrics;
+    obs::MetricsRegistry reference_metrics;
+    options.threads = threads;
+    options.metrics = &dp_metrics;
+    IntervalDp dp(&objective, CostEstimator(model), options);
+    ReferenceDp reference(&objective, model, options, &reference_metrics);
+    ParallelConfig live = current;
+    int n = n_now;
+    for (std::size_t s = 0; s < steps.size(); ++s) {
+      const IntervalPlan got =
+          dp.optimize(live, n, steps[s].predicted, steps[s].load);
+      const IntervalPlan want =
+          reference.optimize(live, n, steps[s].predicted, steps[s].load);
+      EXPECT_EQ(got.configs, want.configs)
+          << "threads " << threads << " step " << s;
+      // Bit-identical, not approximately equal.
+      EXPECT_EQ(got.expected_value, want.expected_value)
+          << "threads " << threads << " step " << s;
+      live = got.next();
+      n = steps[s].predicted.front();
+    }
+    EXPECT_GT(dp_metrics.counter_value("mc_sampler.samples"), 0.0);
+    EXPECT_EQ(dp_metrics.counter_value("mc_sampler.samples"),
+              reference_metrics.counter_value("mc_sampler.samples"))
+        << "threads " << threads;
+  }
+}
+
+TEST(Determinism, OptimizeMatchesNaiveReferenceDp) {
   const ModelProfile model = gpt2_profile();
   const ThroughputModel tm(model, {});
-  obs::MetricsRegistry registry;
-  LiveputOptimizer optimizer(&tm, CostEstimator(model),
-                             LiveputOptimizerOptions{60.0, 128, 17,
-                                                     &registry});
-  const ParallelConfig from{3, 9};
-  const ParallelConfig to{2, 13};
-  const double first = optimizer.expected_migration_cost(from, 28, to, 2);
-  const double second = optimizer.expected_migration_cost(from, 28, to, 2);
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(optimizer.edge_cache_misses(), 1u);
-  EXPECT_EQ(optimizer.edge_cache_hits(), 1u);
-  // The hit/miss tallies flush into the registry after an optimize().
-  optimizer.optimize(from, 28, std::vector<int>(4, 26));
-  EXPECT_GT(registry.counter_value("liveput_dp.edge_cache_hits"), 0.0);
-  EXPECT_GT(registry.counter_value("liveput_dp.edge_cache_misses"), 0.0);
+  const LiveputObjective objective(&tm);
+  std::vector<DpStep> steps;
+  for (const auto& predicted : forecast_battery())
+    steps.push_back({predicted, {}});
+  // Idle-only column after live predecessors (N = 0 with k = 28 > 0):
+  // no edge reads a summary, so nothing may be drawn for it; the later
+  // k = 2 column's summaries would shift if anything were.
+  steps.push_back({{28, 28, 0, 28, 26, 26}, {}});
+  ASSERT_FALSE(tm.enumerate_configs(28).empty());  // live predecessors
+  // Width growth at the same depth: every column into N = 32 prices
+  // same-depth edges with to.dp > from.dp (the inter-stage mixture).
+  steps.push_back({{16, 32, 32, 32, 30, 32}, {}});
+  IntervalDpOptions options;
+  options.mc_trials = 128;
+  options.seed = 17;
+  expect_matches_reference(objective, model, options, tm.best_config(28), 28,
+                           steps);
+}
+
+TEST(Determinism, GoodputOptimizeMatchesNaiveReferenceDp) {
+  const ModelProfile model = model_by_name("GPT-2");
+  const serve::GoodputObjective objective(model, {}, {}, nullptr, 32);
+  const ParallelConfig live = objective.best_config(16, 40.0);
+  ASSERT_GT(objective.switch_cost(live, 40.0), 0.0);  // drain is charged
+  const std::vector<DpStep> steps = {
+      {{16, 16, 14, 12, 12, 16, 20, 24}, {40, 40, 80, 80, 40, 20, 20, 40}},
+      {{16, 12, 12, 0, 8, 8, 16, 16}, {40, 60, 60, 60, 30, 30, 30, 30}},
+      {{16, 16, 16, 16, 16, 16, 16, 16}, std::vector<double>(8, 90.0)},
+  };
+  IntervalDpOptions options;
+  options.mc_trials = 64;
+  options.seed = 11;
+  expect_matches_reference(objective, model, options, live, 16, steps);
+}
+
+TEST(Determinism, EdgePriceDoesNotDependOnEarlierQueries) {
+  // The former transition memo packed to.dp into 10 bits, so 1025x1
+  // aliased 1x1 and returned the 1x1 -> 1x1 price. Every edge must
+  // price as it would on a fresh engine.
+  const ModelProfile model = gpt2_profile();
+  const ThroughputModel tm(model, {});
+  LiveputOptimizerOptions options;
+  options.mc_trials = 128;
+  options.seed = 17;
+  LiveputOptimizer engine(&tm, CostEstimator(model), options);
+  LiveputOptimizer fresh(&tm, CostEstimator(model), options);
+  const ParallelConfig from{1, 1};
+  const double stay = engine.expected_migration_cost(from, 8, {1, 1}, 2);
+  const double wide = engine.expected_migration_cost(from, 8, {1025, 1}, 2);
+  EXPECT_NE(wide, stay);
+  EXPECT_EQ(wide, fresh.expected_migration_cost(from, 8, {1025, 1}, 2));
 }
 
 TEST(Determinism, ScratchSamplingMatchesAllocatingPath) {

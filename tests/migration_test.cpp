@@ -3,9 +3,11 @@
 // the §8 parallelization-adaptation step.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 
 #include "migration/cost_model.h"
+#include "migration/migration_expectation.h"
 #include "migration/planner.h"
 #include "migration/preemption.h"
 #include "model/memory_model.h"
@@ -99,23 +101,6 @@ TEST(PreemptionSampler, CachesSummaries) {
   EXPECT_EQ(a, b);  // same object from the cache
 }
 
-TEST(PreemptionSampler, WarmPopulatesCacheWithIdenticalSummaries) {
-  // warm() must consume the RNG exactly like a summarize() miss would,
-  // so a warmed sampler and a cold one agree bit-for-bit.
-  PreemptionSampler cold(11, 128);
-  PreemptionSampler warmed(11, 128);
-  warmed.warm({3, 4}, 2, 5);
-  warmed.set_frozen(true);  // reads only from here on
-  const PreemptionSummary& a = cold.summarize({3, 4}, 2, 5);
-  const PreemptionSummary& b = warmed.summarize({3, 4}, 2, 5);
-  warmed.set_frozen(false);
-  EXPECT_EQ(a.intra_pipelines_prob, b.intra_pipelines_prob);
-  EXPECT_EQ(a.expected_inter_moves, b.expected_inter_moves);
-  EXPECT_EQ(a.stage_alive_prob, b.stage_alive_prob);
-  EXPECT_EQ(a.stage_wipeout_prob, b.stage_wipeout_prob);
-  EXPECT_EQ(a.expected_alive, b.expected_alive);
-}
-
 TEST(Preemption, InterMovesMatchStageAliveDerivation) {
   // The liveput optimizer re-derives E[moves to reach d' pipelines]
   // from the per-stage marginal stage_alive_prob instead of reading
@@ -139,6 +124,63 @@ TEST(Preemption, InterMovesMatchStageAliveDerivation) {
           << config.dp << "x" << config.pp << " d'=" << d;
     }
   }
+}
+
+TEST(MigrationExpectation, EdgeArithmeticMatchesTheFullMixture) {
+  // An edge walks only the intra buckets with mass, sums inter-stage
+  // moves only over a < to.dp, and prices the inter-stage migration at
+  // most once. The full mixture over every bucket, with the destination
+  // terms priced afresh, must agree bit for bit, including width
+  // growth at the same depth (to.dp > from.dp).
+  const ModelProfile model = gpt2_profile();
+  const CostEstimator estimator(model);
+  MigrationExpectation expectation(estimator, 256, 5);
+  int priced = 0;
+  for (const ParallelConfig from : {ParallelConfig{1, 1}, ParallelConfig{3, 4},
+                                    ParallelConfig{4, 7}, ParallelConfig{8, 3}})
+    for (const int idle : {0, 3})
+      for (const int preemptions : {0, 1, 2, 5, 12}) {
+        const int k = std::min(preemptions, from.instances() + idle);
+        for (int dp = 1; dp <= from.dp + 3; ++dp)
+          for (const int pp : {from.pp, from.pp + 1}) {
+            const ParallelConfig to{dp, pp};
+            if (k == 0 && to == from) continue;  // the free stay
+            const double got =
+                expectation.cost(from, from.instances() + idle, to, k);
+            const PreemptionSummary& s =
+                expectation.sampler().summarize(from, idle, k);
+            const double rollback = estimator.checkpoint_rollback(to).total();
+            double want = 0.0;
+            if (to.pp != from.pp) {
+              want = s.stage_wipeout_prob * rollback +
+                     (1.0 - s.stage_wipeout_prob) *
+                         estimator.pipeline_migration(from, to).total();
+            } else {
+              double moves = 0.0;
+              for (std::size_t a = 0; a < s.stage_alive_prob.size(); ++a)
+                moves += s.stage_alive_prob[a] *
+                         std::max(0.0, static_cast<double>(to.dp) -
+                                           static_cast<double>(a));
+              moves *= static_cast<double>(from.pp);
+              const int m = std::max(1, static_cast<int>(std::lround(moves)));
+              for (std::size_t d = 0; d < s.intra_pipelines_prob.size(); ++d) {
+                const double p = s.intra_pipelines_prob[d];
+                if (p <= 0.0) continue;
+                if (d == 0)
+                  want += p * rollback;
+                else if (static_cast<int>(d) >= to.dp)
+                  want += p * estimator.intra_stage(to).total();
+                else
+                  want += p * estimator.inter_stage(to, m).total();
+              }
+            }
+            EXPECT_EQ(got, want) << from.to_string() << " -> "
+                                 << to.to_string() << " idle " << idle
+                                 << " k " << k;
+            ++priced;
+          }
+      }
+  EXPECT_GT(priced, 300);
 }
 
 // ---------------------------------------------------------------------------
