@@ -1,6 +1,9 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <exception>
+#include <memory>
 #include <string>
 
 namespace parcae {

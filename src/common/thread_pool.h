@@ -7,8 +7,8 @@
 //      any thread count. When several bodies throw, the exception
 //      with the lowest index is the one rethrown.
 //   2. No surprises at threads == 1. A pool of size 1 spawns no
-//      worker threads at all: submit() and parallel_for() run inline
-//      on the caller, byte-for-byte the serial code path.
+//      worker threads at all: parallel_for() runs inline on the
+//      caller, byte-for-byte the serial code path.
 //   3. Caller participation. parallel_for's calling thread drains the
 //      same index counter as the workers, so a pool of size T applies
 //      T CPUs (T-1 workers + the caller), and nested/reentrant use
@@ -27,11 +27,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace parcae {
@@ -46,25 +43,10 @@ class ThreadPool {
 
   int threads() const { return threads_; }
 
-  // Tasks executed so far (parallel_for bodies + submitted tasks);
-  // callers mirror this into the "threadpool.tasks" metric.
+  // parallel_for bodies executed so far; callers mirror this into the
+  // "threadpool.tasks" metric.
   std::uint64_t tasks_run() const {
     return tasks_run_.load(std::memory_order_relaxed);
-  }
-
-  // Run `fn` on a worker (inline when the pool has no workers) and
-  // expose its result — or its exception — through the future.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    enqueue([task, this] {
-      (*task)();
-      tasks_run_.fetch_add(1, std::memory_order_relaxed);
-    });
-    return future;
   }
 
   // Invoke body(0) .. body(n-1), returning after all complete. Bodies

@@ -6,7 +6,6 @@
 
 #include "common/table.h"
 #include "obs/profile_span.h"
-#include "predict/adaptive.h"
 #include "predict/guards.h"
 
 namespace parcae {
@@ -29,12 +28,8 @@ SchedulerCore::SchedulerCore(ModelProfile model, SchedulerCoreOptions options,
                                    options.metric_prefix,
                                    options.optimizer_full_resolve,
                                    options.optimizer_verify_incremental}),
-      predictor_(options.adaptive_predictor
-                     ? std::unique_ptr<AvailabilityPredictor>(
-                           AdaptivePredictor::standard_pool(
-                               static_cast<double>(options.max_instances)))
-                     : make_parcae_predictor(
-                           static_cast<double>(options.max_instances))) {
+      predictor_(make_parcae_predictor(
+          static_cast<double>(options.max_instances))) {
   // Distributed tracing: spans from this core get deterministic ids
   // forked from the job seed (first enable wins when fleet cores share
   // one writer — the id stream stays single).

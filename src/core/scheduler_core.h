@@ -82,9 +82,6 @@ struct SchedulerCoreOptions {
   // any divergence (tests, chaos runs).
   bool optimizer_full_resolve = false;
   bool optimizer_verify_incremental = false;
-  // Use the backtest-selecting adaptive predictor pool instead of the
-  // paper's guarded ARIMA (an extension; see src/predict/adaptive.h).
-  bool adaptive_predictor = false;
   int mc_trials = 256;
   std::uint64_t seed = 123;
   double interval_s = 60.0;

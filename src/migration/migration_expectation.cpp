@@ -66,16 +66,11 @@ double MigrationExpectation::inter_stage_cost(ParallelConfig from,
   // Expected inter-stage moves to assemble to.dp pipelines:
   // E[sum_s max(0, dp' - a_s)] = P * sum_{a < dp'} P(a) * (dp' - a);
   // the a >= dp' terms are exactly +0.0, so leaving them out keeps the
-  // sum bit-identical.
-  //
-  // This re-derives the expectation from the per-stage marginal
-  // instead of reading PreemptionSummary::expected_inter_moves[to.dp]
-  // on purpose: expected_inter_moves is indexed only up to the
-  // *source* depth D, while a same-depth transition may grow width
-  // (to.dp > from.dp, e.g. after allocations), and the two summation
-  // orders differ in final ulps, which would nudge DP tie-breaks and
-  // shift golden outputs. The linearity identity between the two is
-  // pinned by Preemption.InterMovesMatchStageAliveDerivation.
+  // sum bit-identical. Deriving it from the per-stage marginal covers
+  // width growth at the same depth (to.dp > from.dp, e.g. after
+  // allocations) as well as shrinkage. The derivation is checked
+  // against the exact hypergeometric closed form by
+  // SamplerAgreementTest.ExpectedMovesWithinTolerance.
   const std::size_t n = std::min(s.stage_alive_prob.size(),
                                  static_cast<std::size_t>(to.dp));
   double expected_moves = 0.0;

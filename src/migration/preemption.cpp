@@ -68,61 +68,37 @@ void PreemptionSampler::set_metric_prefix(const std::string& prefix) {
 PreemptionSummary PreemptionSampler::compute(ParallelConfig config, int idle,
                                              int k) {
   PreemptionSummary s;
-  s.trials = trials_;
   s.intra_pipelines_prob.assign(static_cast<std::size_t>(config.dp) + 1, 0.0);
-  s.expected_inter_moves.assign(static_cast<std::size_t>(config.dp) + 1, 0.0);
   s.stage_alive_prob.assign(static_cast<std::size_t>(config.dp) + 1, 0.0);
   if (k <= 0) {
     // No preemption: everything survives.
     s.intra_pipelines_prob[static_cast<std::size_t>(config.dp)] = 1.0;
     s.intra_support.push_back(config.dp);
     s.stage_alive_prob[static_cast<std::size_t>(config.dp)] = 1.0;
-    s.expected_intra_pipelines = config.dp;
-    s.expected_alive = config.instances() + idle;
     return s;
   }
   // Batched trial evaluation: each draw tallies into integer
   // histograms (scratch reused across compute() calls — no per-trial
   // heap allocation), and the statistics are derived from the
-  // histograms afterwards. Every statistic is an exact integer sum,
-  // so this is bit-identical to the per-trial double accumulation it
-  // replaced, while dropping the O(D * P)-per-trial inter-move scan
-  // to a single O(D^2) pass over the histogram.
+  // histograms afterwards. Every statistic is an exact integer count,
+  // so this is bit-identical to a per-trial double accumulation.
   const auto D = static_cast<std::size_t>(config.dp);
   batch_.min_alive_hist.assign(D + 1, 0);
   batch_.stage_alive_hist.assign(D + 1, 0);
   PreemptionDraw& draw = batch_.draw;
-  std::int64_t alive_total = 0;
   for (int t = 0; t < trials_; ++t) {
     sample_preemption(config, idle, k, rng_, draw, batch_.sample);
     ++batch_.min_alive_hist[static_cast<std::size_t>(draw.min_alive_stage)];
-    std::int64_t alive = draw.idle_alive;
-    for (int a : draw.alive_per_stage) {
-      alive += a;
+    for (int a : draw.alive_per_stage)
       ++batch_.stage_alive_hist[static_cast<std::size_t>(a)];
-    }
-    alive_total += alive;
   }
   const auto n = static_cast<double>(trials_);
-  std::int64_t min_alive_total = 0;
   for (std::size_t d = 0; d <= D; ++d) {
     const std::int64_t c = batch_.min_alive_hist[d];
     s.intra_pipelines_prob[d] = static_cast<double>(c) / n;
     if (c > 0) s.intra_support.push_back(static_cast<int>(d));
-    min_alive_total += static_cast<std::int64_t>(d) * c;
   }
-  s.expected_intra_pipelines = static_cast<double>(min_alive_total) / n;
   s.stage_wipeout_prob = static_cast<double>(batch_.min_alive_hist[0]) / n;
-  s.expected_alive = static_cast<double>(alive_total) / n;
-  // E[sum_s max(0, d - a_s)] summed over trials =
-  // sum_{a < d} stage_alive_hist[a] * (d - a), exactly.
-  for (std::size_t d = 0; d <= D; ++d) {
-    std::int64_t moves = 0;
-    for (std::size_t a = 0; a < d; ++a)
-      moves +=
-          batch_.stage_alive_hist[a] * static_cast<std::int64_t>(d - a);
-    s.expected_inter_moves[d] = static_cast<double>(moves) / n;
-  }
   for (std::size_t a = 0; a <= D; ++a)
     s.stage_alive_prob[a] = static_cast<double>(batch_.stage_alive_hist[a]) /
                             (n * static_cast<double>(config.pp));

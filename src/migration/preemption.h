@@ -8,7 +8,8 @@
 // estimate, for each (D, P, #idle, #preempted):
 //   - the distribution of pipelines recoverable by intra-stage
 //     migration alone (min over stages of surviving replicas),
-//   - the expected number of inter-stage moves needed to reach a
+//   - the distribution of surviving replicas per stage, from which
+//     callers derive the expected inter-stage moves to reach any
 //     target number of pipelines,
 //   - the probability that an entire stage is wiped out (the §8
 //     fault-tolerance case that forces a ParcaePS rollback).
@@ -61,9 +62,8 @@ void sample_preemption(ParallelConfig config, int idle, int k, Rng& rng,
 // counts), and every summary statistic is derived from the
 // histograms after the loop. All the statistics are exact integer
 // sums (each trial contributes small integers), so the histogram
-// derivation is bit-identical to the per-trial accumulation it
-// replaces — at O(trials * P + D^2) tally cost instead of
-// O(trials * D * P).
+// derivation is bit-identical to a per-trial accumulation, at
+// O(trials * P + D) tally cost.
 struct PreemptionBatchScratch {
   PreemptionDraw draw;
   PreemptionScratch sample;
@@ -76,19 +76,13 @@ struct PreemptionSummary {
   std::vector<double> intra_pipelines_prob;
   // The d with intra_pipelines_prob[d] > 0, ascending.
   std::vector<int> intra_support;
-  double expected_intra_pipelines = 0.0;
-  // E[sum_s max(0, d' - a_s)] for d' in [0, D]: instances that must
-  // receive another stage's state to reach d' pipelines (index by d').
-  std::vector<double> expected_inter_moves;
   // P(a random stage has exactly `a` surviving replicas), a in [0, D]
-  // (stages are exchangeable under uniform mapping). Lets callers
-  // compute E[moves] for pipeline counts beyond the current D.
+  // (stages are exchangeable under uniform mapping). By linearity,
+  // the expected inter-stage moves to reach d' pipelines, for any d',
+  // are E[sum_s max(0, d' - a_s)] = P * sum_a P(a) * max(0, d' - a).
   std::vector<double> stage_alive_prob;
   // P(some stage lost all replicas) — requires checkpoint rollback.
   double stage_wipeout_prob = 0.0;
-  // E[total surviving instances] including spares.
-  double expected_alive = 0.0;
-  int trials = 0;
 };
 
 class PreemptionSampler {
@@ -97,8 +91,6 @@ class PreemptionSampler {
 
   // Cached Monte-Carlo summary for (config, idle, k).
   const PreemptionSummary& summarize(ParallelConfig config, int idle, int k);
-
-  int trials() const { return trials_; }
 
   // Optional metrics sink: cache-miss sampling latency lands in the
   // histogram "mc_sampler.sample.ms" (the paper's "offline" sampling

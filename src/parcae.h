@@ -31,7 +31,6 @@
 #include "predict/predictor.h"             // IWYU pragma: export
 
 // Migration and the liveput core.
-#include "core/extended_search.h"          // IWYU pragma: export
 #include "core/liveput.h"                  // IWYU pragma: export
 #include "core/liveput_optimizer.h"        // IWYU pragma: export
 #include "core/scheduler_core.h"           // IWYU pragma: export
@@ -41,8 +40,7 @@
 #include "migration/planner.h"             // IWYU pragma: export
 #include "migration/preemption.h"          // IWYU pragma: export
 
-// Runtime: simulators, policies, the real agent cluster.
-#include "runtime/checkpoint.h"            // IWYU pragma: export
+// Runtime: simulators, policies, the real agent cluster, the WAL.
 #include "runtime/cloud_provider.h"        // IWYU pragma: export
 #include "runtime/cluster_sim.h"           // IWYU pragma: export
 #include "runtime/interval_accountant.h"   // IWYU pragma: export
@@ -52,6 +50,7 @@
 #include "runtime/sample_manager.h"        // IWYU pragma: export
 #include "runtime/spot_driver.h"           // IWYU pragma: export
 #include "runtime/training_cluster.h"      // IWYU pragma: export
+#include "runtime/wal.h"                   // IWYU pragma: export
 
 // Baselines and analysis.
 #include "analysis/experiment.h"           // IWYU pragma: export

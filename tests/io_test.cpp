@@ -1,10 +1,10 @@
-// Tests for trace CSV I/O and the checkpoint codec / store.
+// Tests for trace CSV I/O: round trips, hand-written input, malformed
+// input and file save/load.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 
-#include "runtime/checkpoint.h"
 #include "trace/trace_io.h"
 
 namespace parcae {
@@ -75,101 +75,6 @@ TEST(TraceIo, SaveAndLoadFile) {
   std::string error;
   EXPECT_FALSE(load_trace(path.string(), &error).has_value());
   EXPECT_FALSE(error.empty());
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint codec.
-
-TEST(Crc32, KnownVector) {
-  // CRC-32("123456789") = 0xcbf43926 (IEEE reference value).
-  const char* s = "123456789";
-  EXPECT_EQ(crc32(s, 9), 0xcbf43926u);
-  EXPECT_EQ(crc32("", 0), 0u);
-}
-
-CheckpointBlob sample_blob() {
-  CheckpointBlob blob;
-  blob.step = 1234;
-  for (int i = 0; i < 100; ++i)
-    blob.parameters.push_back(0.5f * static_cast<float>(i));
-  for (int i = 0; i < 201; ++i)
-    blob.optimizer_state.push_back(-0.25f * static_cast<float>(i));
-  return blob;
-}
-
-TEST(CheckpointCodec, RoundTrip) {
-  const CheckpointBlob blob = sample_blob();
-  const auto bytes = encode_checkpoint(blob);
-  const auto decoded = decode_checkpoint(bytes);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->step, blob.step);
-  EXPECT_EQ(decoded->parameters, blob.parameters);
-  EXPECT_EQ(decoded->optimizer_state, blob.optimizer_state);
-}
-
-TEST(CheckpointCodec, EmptyPayloadsRoundTrip) {
-  CheckpointBlob blob;
-  blob.step = 0;
-  const auto decoded = decode_checkpoint(encode_checkpoint(blob));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(decoded->parameters.empty());
-  EXPECT_TRUE(decoded->optimizer_state.empty());
-}
-
-TEST(CheckpointCodec, DetectsCorruption) {
-  auto bytes = encode_checkpoint(sample_blob());
-  std::string error;
-  // Flip a payload byte.
-  auto flipped = bytes;
-  flipped[40] ^= 0x01;
-  EXPECT_FALSE(decode_checkpoint(flipped, &error).has_value());
-  EXPECT_EQ(error, "CRC mismatch");
-  // Truncate.
-  auto truncated = bytes;
-  truncated.resize(truncated.size() / 2);
-  EXPECT_FALSE(decode_checkpoint(truncated, &error).has_value());
-  // Bad magic (re-CRC'd so the CRC passes but the magic does not).
-  auto bad_magic = bytes;
-  bad_magic[0] ^= 0xff;
-  bad_magic.resize(bad_magic.size() - 4);
-  const std::uint32_t crc = crc32(bad_magic.data(), bad_magic.size());
-  for (int i = 0; i < 4; ++i)
-    bad_magic.push_back(static_cast<std::uint8_t>((crc >> (8 * i)) & 0xff));
-  EXPECT_FALSE(decode_checkpoint(bad_magic, &error).has_value());
-  EXPECT_EQ(error, "bad magic");
-}
-
-TEST(CheckpointStore, KeepsBoundedHistoryPerShard) {
-  CheckpointStore store(2);
-  for (long long step = 1; step <= 5; ++step) {
-    CheckpointBlob blob = sample_blob();
-    blob.step = step;
-    store.put("stage-0", blob);
-  }
-  EXPECT_EQ(store.latest_step("stage-0"), 5);
-  // Only 2 records retained.
-  const std::size_t two_records = store.bytes_held();
-  store.put("stage-0", sample_blob());
-  EXPECT_EQ(store.bytes_held(), two_records);  // bounded
-}
-
-TEST(CheckpointStore, FallsBackPastCorruptRecord) {
-  CheckpointStore store(3);
-  CheckpointBlob blob = sample_blob();
-  blob.step = 7;
-  store.put("stage-1", blob);
-  blob.step = 8;
-  store.put("stage-1", blob);
-  store.corrupt_newest("stage-1");
-  const auto recovered = store.latest("stage-1");
-  ASSERT_TRUE(recovered.has_value());
-  EXPECT_EQ(recovered->step, 7);  // newest was corrupt; previous used
-}
-
-TEST(CheckpointStore, UnknownShardIsEmpty) {
-  CheckpointStore store;
-  EXPECT_FALSE(store.latest("nope").has_value());
-  EXPECT_EQ(store.latest_step("nope"), 0);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include "migration/planner.h"
 #include "model/model_profile.h"
 #include "parallel/throughput_model.h"
-#include "runtime/checkpoint.h"
 #include "runtime/kv_store.h"
 #include "trace/trace_io.h"
 
@@ -39,32 +38,6 @@ TEST(Property, RandomTracesSurviveCsvRoundTrip) {
     EXPECT_EQ(loaded->availability_series(30.0),
               trace.availability_series(30.0))
         << "trial " << trial;
-  }
-}
-
-TEST(Property, RandomCheckpointsSurviveCodecAndCorruptionIsCaught) {
-  Rng rng(314159);
-  for (int trial = 0; trial < 40; ++trial) {
-    CheckpointBlob blob;
-    blob.step = static_cast<long long>(rng.uniform_int(1000000ull));
-    const auto n = rng.uniform_int(500ull);
-    const auto k = rng.uniform_int(1000ull);
-    for (std::uint64_t i = 0; i < n; ++i)
-      blob.parameters.push_back(static_cast<float>(rng.normal()));
-    for (std::uint64_t i = 0; i < k; ++i)
-      blob.optimizer_state.push_back(static_cast<float>(rng.normal()));
-    auto bytes = encode_checkpoint(blob);
-    const auto decoded = decode_checkpoint(bytes);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->step, blob.step);
-    EXPECT_EQ(decoded->parameters, blob.parameters);
-    EXPECT_EQ(decoded->optimizer_state, blob.optimizer_state);
-    // Any single-bit flip must be detected.
-    const auto pos = rng.uniform_int(bytes.size());
-    const int bit = static_cast<int>(rng.uniform_int(8ull));
-    bytes[pos] ^= static_cast<std::uint8_t>(1u << bit);
-    EXPECT_FALSE(decode_checkpoint(bytes).has_value())
-        << "flip at byte " << pos << " bit " << bit;
   }
 }
 

@@ -75,14 +75,6 @@ TEST(ThreadPool, SerialPoolRunsInlineAndPropagatesExceptions) {
       std::logic_error);
 }
 
-TEST(ThreadPool, SubmitReturnsValueAndException) {
-  ThreadPool pool(2);
-  auto ok = pool.submit([] { return 41 + 1; });
-  EXPECT_EQ(ok.get(), 42);
-  auto bad = pool.submit([]() -> int { throw std::runtime_error("sad"); });
-  EXPECT_THROW(bad.get(), std::runtime_error);
-}
-
 TEST(ThreadPool, PoolReuseAcrossManyLoops) {
   ThreadPool pool(3);
   std::atomic<long> total{0};

@@ -43,5 +43,13 @@ TEST(Umbrella, RealClusterSmoke) {
   EXPECT_TRUE(cluster.train_iteration().has_value());
 }
 
+TEST(Umbrella, WalCrc32MatchesReferenceVector) {
+  // The umbrella header exports exactly one crc32: the WAL's frame
+  // checksum. A second overload would make this call ambiguous.
+  // CRC-32("123456789") = 0xcbf43926 (IEEE reference value).
+  EXPECT_EQ(crc32("123456789", 9), 0xcbf43926u);
+  EXPECT_EQ(crc32("", 0), 0u);
+}
+
 }  // namespace
 }  // namespace parcae
