@@ -4,6 +4,9 @@
 // to re-optimize every minute.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <optional>
+
 #include "core/liveput_optimizer.h"
 #include "migration/cost_model.h"
 #include "model/model_profile.h"
@@ -14,14 +17,13 @@
 namespace parcae {
 namespace {
 
-void optimize_on_segment(benchmark::State& state, TraceSegment segment,
-                         int threads = 1) {
+void optimize_on_segment(benchmark::State& state, TraceSegment segment) {
   const ModelProfile model = gpt2_profile();
   const ThroughputModel tm(model, {});
   obs::MetricsRegistry registry;
   LiveputOptimizer optimizer(&tm, CostEstimator(model),
                              LiveputOptimizerOptions{60.0, 256, 17,
-                                                     &registry, threads});
+                                                     &registry});
   const SpotTrace trace = canonical_segment(segment);
   const std::vector<int> series = trace.availability_series();
   const ParallelConfig current = tm.best_config(series.front());
@@ -65,18 +67,6 @@ BENCHMARK(BM_LiveputOptimize_HA_DP)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LiveputOptimize_HA_SP)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LiveputOptimize_LA_DP)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LiveputOptimize_LA_SP)->Unit(benchmark::kMillisecond);
-
-// Threaded DP variants: the candidate loop fans out over a ThreadPool
-// (plans stay bit-identical; see docs/performance.md). On a 1-core
-// machine these degrade gracefully to roughly the serial numbers.
-void BM_LiveputOptimize_HA_DP_T8(benchmark::State& state) {
-  optimize_on_segment(state, TraceSegment::kHighAvailDense, 8);
-}
-void BM_LiveputOptimize_LA_SP_T8(benchmark::State& state) {
-  optimize_on_segment(state, TraceSegment::kLowAvailSparse, 8);
-}
-BENCHMARK(BM_LiveputOptimize_HA_DP_T8)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_LiveputOptimize_LA_SP_T8)->Unit(benchmark::kMillisecond);
 
 // Scale cases (256- and 1024-instance pools, the ROADMAP's fleet
 // sizes): full re-solve vs. the warm-started incremental DP. Both
@@ -166,6 +156,43 @@ BENCHMARK(BM_LiveputOptimize_N1024_Full)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LiveputOptimize_N1024_WarmOneChange)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LiveputOptimize_N1024_Incr)->Unit(benchmark::kMillisecond);
+
+// The reaction in which the pruned scan's bound is loosest: the live
+// config (64x16) fills the 1024-instance pool, and the forecast loses
+// 2 instances, so it no longer fits. Every edge out of it is a real
+// migration, and column 0's values collapse into a few distinct
+// values, so each candidate's walk stops late. Each iteration times
+// one solve on a fresh optimizer; its warm solve at N (which caches
+// N's config spaces and summaries) and its teardown are untimed.
+// edges_priced counts the timed solve's edges.
+void BM_LiveputOptimize_N1024_React(benchmark::State& state) {
+  constexpr int kN = 1024;
+  const ModelProfile model = gpt2_profile();
+  const ThroughputModel tm(model, {});
+  const ParallelConfig live = tm.best_config(kN);
+  const std::vector<int> steady(12, kN);
+  const std::vector<int> lost_two(12, kN - 2);
+  LiveputOptimizerOptions options;
+  options.mc_trials = 32;
+  options.seed = 17;
+  std::optional<LiveputOptimizer> optimizer;
+  double edges_priced = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    optimizer.emplace(&tm, CostEstimator(model), options);
+    optimizer->optimize(live, kN, steady);
+    const std::uint64_t warm_edges = optimizer->edges_priced();
+    state.ResumeTiming();
+    const LiveputPlan plan = optimizer->optimize(live, kN, lost_two);
+    benchmark::DoNotOptimize(plan.expected_value);
+    edges_priced +=
+        static_cast<double>(optimizer->edges_priced() - warm_edges);
+  }
+  state.counters["live_instances"] = live.instances();
+  state.counters["edges_priced"] =
+      benchmark::Counter(edges_priced, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_LiveputOptimize_N1024_React)->Unit(benchmark::kMillisecond);
 
 // The whole-policy decision step (predict + optimize + plan) must also
 // stay far below the 60 s interval.

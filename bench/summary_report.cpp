@@ -19,7 +19,7 @@ int main() {
   bench::header("Summary", "full evaluation matrix");
   MatrixOptions options;
   const int threads = ThreadPool::resolve(options.threads);
-  std::printf("decision threads: %d (PARCAE_THREADS overrides; cells are "
+  std::printf("matrix threads: %d (PARCAE_THREADS overrides; cells are "
               "bit-identical at any count)\n\n",
               threads);
   const auto t0 = std::chrono::steady_clock::now();

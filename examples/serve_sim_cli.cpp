@@ -23,9 +23,6 @@
 //                          only on preemptions/allocations with a
 //                          debounce window, warm-started DP)
 //   debounce_ms=<float>    event coalescing window for mode=event
-//   threads=<int>          goodput-DP worker threads (0 = auto:
-//                          PARCAE_THREADS env var; default 1 = serial;
-//                          bit-identical at any count)
 //   timeline=0|1           print intervals where the config changed
 //   metrics=0|1            print the metrics-registry snapshot
 //   faults=<spec>          fault-injection spec (docs/robustness.md),
@@ -56,7 +53,6 @@
 #include <vector>
 
 #include "common/fault.h"
-#include "common/thread_pool.h"
 #include "core/slo.h"
 #include "obs/profile_span.h"
 #include "obs/timeseries.h"
@@ -93,7 +89,6 @@ void print_usage() {
       "  lookahead=<int>        history=<int>      reoptimize=<int>\n"
       "  mc_trials=<int>        hysteresis=<float> seed=<int>\n"
       "  mode=tick|event        debounce_ms=<float>\n"
-      "  threads=<int>          goodput-DP threads (bit-identical)\n"
       "  timeline=0|1           metrics=0|1\n"
       "  faults=<spec>          faults_seed=<int>   (docs/robustness.md)\n"
       "  alerts=<spec>          alerts_jsonl=<file>\n"
@@ -243,11 +238,6 @@ int main(int argc, char** argv) {
   }
   sopt.event_driven = sched_mode == "event";
   sopt.debounce_ms = std::stod(get(args, "debounce_ms", "250"));
-  const std::string threads_arg = get(args, "threads", "");
-  sopt.threads = threads_arg.empty() ? ThreadPool::env_threads(1)
-                                     : std::stoi(threads_arg);
-  const int threads_shown =
-      sopt.threads == 1 ? 1 : ThreadPool::resolve(sopt.threads);
 
   obs::MetricsRegistry registry;
   obs::TimeSeriesRecorder series;
@@ -329,8 +319,6 @@ int main(int argc, char** argv) {
 
   std::printf("system:           %s\n", r.policy.c_str());
   std::printf("model:            %s\n", model.name.c_str());
-  std::printf("decision threads: %d%s\n", threads_shown,
-              threads_shown == 1 ? " (serial)" : "");
   if (sopt.event_driven)
     std::printf("scheduler mode:   event (debounce_ms=%.0f)\n",
                 sopt.debounce_ms);

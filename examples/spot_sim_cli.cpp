@@ -10,10 +10,6 @@
 //          hybrid|elastic|ondemand
 //   lookahead=<int>        history=<int>      reoptimize=<int>
 //   mc_trials=<int>        hysteresis=<float> seed=<int>
-//   threads=<int>          liveput-DP worker threads (also --threads=N;
-//                          0 = auto: PARCAE_THREADS env var, else
-//                          hardware concurrency; default 1 = serial.
-//                          Results are bit-identical at any count.)
 //   timeline=0|1
 //   metrics=0|1            print the metrics-registry snapshot
 //   faults=<spec>          fault-injection spec (docs/robustness.md),
@@ -67,7 +63,6 @@
 #include "baselines/oobleck_policy.h"
 #include "baselines/varuna_policy.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
 #include "nn/dataset.h"
 #include "obs/profile_span.h"
 #include "obs/timeseries.h"
@@ -101,10 +96,6 @@ void print_usage() {
       "                         incremental DP, docs/performance.md)\n"
       "  debounce_ms=<float>    event coalescing window for mode=event\n"
       "                         (default 250)\n"
-      "  threads=<int>          liveput-DP worker threads (0 = auto:\n"
-      "                         PARCAE_THREADS env var, else hardware\n"
-      "                         concurrency; default 1 = serial;\n"
-      "                         bit-identical at any count)\n"
       "  timeline=0|1           print the per-interval event timeline\n"
       "  metrics=0|1            print the metrics-registry snapshot\n"
       "  faults=<spec>          fault-injection spec (docs/robustness.md),\n"
@@ -139,7 +130,7 @@ std::map<std::string, std::string> parse_args(int argc, char** argv) {
   std::map<std::string, std::string> args;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    // Accept GNU-style spellings (--threads=8) for every key.
+    // Accept GNU-style spellings (--seed=8) for every key.
     arg.erase(0, arg.find_first_not_of('-'));
     const auto eq = arg.find('=');
     if (eq == std::string::npos) {
@@ -212,13 +203,6 @@ int main(int argc, char** argv) {
   }
   popt.event_driven = sched_mode == "event";
   popt.debounce_ms = std::stod(get(args, "debounce_ms", "250"));
-  // threads: explicit value wins (0 = auto-resolve); with no flag the
-  // PARCAE_THREADS env var applies, else the serial default of 1.
-  const std::string threads_arg = get(args, "threads", "");
-  popt.threads = threads_arg.empty() ? ThreadPool::env_threads(1)
-                                     : std::stoi(threads_arg);
-  const int threads_shown =
-      popt.threads == 1 ? 1 : ThreadPool::resolve(popt.threads);
 
   const std::string system = get(args, "system", "parcae");
   std::unique_ptr<SpotTrainingPolicy> policy;
@@ -338,8 +322,6 @@ int main(int argc, char** argv) {
   std::printf("system:           %s\n", r.policy.c_str());
   std::printf("model:            %s\n", model.name.c_str());
   if (parcae_policy != nullptr) {
-    std::printf("decision threads: %d%s\n", threads_shown,
-                threads_shown == 1 ? " (serial)" : "");
     if (popt.event_driven)
       std::printf("scheduler mode:   event (debounce_ms=%.0f)\n",
                   popt.debounce_ms);

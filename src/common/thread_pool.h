@@ -1,5 +1,5 @@
-// Fixed-size worker pool for the decision path's embarrassingly
-// parallel loops (liveput DP candidates, experiment-matrix cells).
+// Fixed-size worker pool for embarrassingly parallel loops (the
+// experiment matrix's cells).
 //
 // Design constraints, in order:
 //   1. Determinism. parallel_for(n, body) indexes every task; bodies
@@ -17,9 +17,8 @@
 // Thread-count resolution follows one convention everywhere:
 // `resolve(requested)` returns `requested` when > 0, else the
 // PARCAE_THREADS environment variable when set to a positive integer,
-// else std::thread::hardware_concurrency(). Decision paths *inside* a
-// policy default to 1 (bit-identical legacy behavior unless opted
-// in); the experiment matrix defaults to resolve(0).
+// else std::thread::hardware_concurrency(). The experiment matrix
+// defaults to resolve(0).
 #pragma once
 
 #include <atomic>

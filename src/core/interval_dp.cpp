@@ -1,11 +1,11 @@
 #include "core/interval_dp.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace parcae {
@@ -23,21 +23,16 @@ IntervalDp::IntervalDp(const SchedulingObjective* objective,
                        CostEstimator estimator, IntervalDpOptions options)
     : objective_(objective),
       options_(std::move(options)),
-      migration_(std::move(estimator), options_.mc_trials, options_.seed),
-      threads_(options_.threads == 1 ? 1
-                                     : ThreadPool::resolve(options_.threads)) {
+      migration_(std::move(estimator), options_.mc_trials, options_.seed) {
   const std::string family =
       options_.metric_prefix + objective_->traits().dp_family;
   name_runs_ = family + ".runs";
-  name_tasks_ = options_.metric_prefix + "threadpool.tasks";
   name_states_reused_ = family + ".states_reused";
   name_states_re_expanded_ = family + ".states_re_expanded";
   name_space_evictions_ = family + ".space_cache_evictions";
   migration_.sampler().set_metrics(options_.metrics);
   migration_.sampler().set_metric_prefix(options_.metric_prefix);
 }
-
-IntervalDp::~IntervalDp() = default;
 
 void IntervalDp::invalidate() { warm_ = WarmState{}; }
 
@@ -94,21 +89,20 @@ void IntervalDp::compute_column(std::size_t i, ParallelConfig current,
   // last load it was priced at (a training space is priced once).
   if (cur_space.rate.empty() || cur_space.rate_load != load_i) {
     cur_space.rate.resize(C);
-    for (std::size_t j = 0; j < C; ++j)
+    for (std::size_t j = 0; j < C; ++j) {
       cur_space.rate[j] = objective_->rate(cur_space.configs[j], load_i);
+      assert(cur_space.rate[j] >= 0.0);  // the scan's bound needs it
+    }
     cur_space.rate_load = load_i;
   }
-
-  const bool parallel = threads_ > 1 && C > 1;
-  if (parallel && !pool_) pool_ = std::make_unique<ThreadPool>(threads_);
 
   // Live predecessors, jj ascending (for i == 0 the live config alone),
   // each with what every edge out of it reads: the objective's switch
   // stall and, when some valid candidate's edge needs it, its MC
   // summary. A summary's key never depends on the candidate, so this
-  // serial pass touches each one exactly where a serial candidate scan
-  // would first touch it — RNG consumption is independent of the
-  // thread count.
+  // pass touches each one exactly where a full jj-ascending scan would
+  // first touch it. Resolving them here, not lazily in the pruned scan,
+  // keeps the sampler's draws independent of which edges it skips.
   const std::size_t valid = C - 1;  // the idle sentinel is last
   preds_.clear();
   auto add = [&](ParallelConfig from, double value, int index) {
@@ -122,8 +116,10 @@ void IntervalDp::compute_column(std::size_t i, ParallelConfig current,
           p.free_stay
               ? valid > 1 || (valid == 1 && cur_space.configs[0] != from)
               : valid > 0;
-      if (read)
+      if (read) {
         p.summary = &migration_.sampler().summarize(from, src.idle, src.k);
+        p.wipeout = p.summary->stage_wipeout_prob;
+      }
       p.switch_stall = objective_->switch_cost(from, load_i);
     }
     preds_.push_back(p);
@@ -137,39 +133,52 @@ void IntervalDp::compute_column(std::size_t i, ParallelConfig current,
         add(prev_space->configs[jj], bp[jj], static_cast<int>(jj));
   }
 
-  // Hot scan: every edge is plain arithmetic over the predecessor and
-  // the candidate's destination costs; first-wins strict > keeps
-  // tie-breaks deterministic.
-  auto eval = [&](std::size_t j) {
+  // Pruned scan: an edge is worth F + rate*max(0, T - stall), so
+  // F + rate*T bounds it (rate >= 0, stall >= 0, and rounding is
+  // monotone). Walking the predecessors by F descending, a candidate
+  // stops at the first bound strictly below its best value: no later
+  // edge can reach it. An equal bound may still tie, and a tie goes to
+  // the lower jj, so the argmax is the same max over the same doubles
+  // as a first-wins strict > scan in jj order.
+  std::sort(preds_.begin(), preds_.end(),
+            [](const Predecessor& a, const Predecessor& b) {
+              return a.value != b.value ? a.value > b.value
+                                        : a.index < b.index;
+            });
+  for (std::size_t j = 0; j < C; ++j) {
     const ParallelConfig to = cur_space.configs[j];
     const DestinationCosts& dest = cur_space.dest[j];
     const double rate = cur_space.rate[j];
+    const double max_gain = rate * T;
     double best = kNegInf;
     int arg = -1;
+    std::uint64_t priced = 0;
     for (const Predecessor& p : preds_) {
+      if (p.value + max_gain < best) break;
+      ++priced;
       double stall = 0.0;  // suspending costs nothing by itself
       if (to.valid()) {
         if (!p.from.valid()) {
           stall = dest.rollback;  // resuming: restore from ParcaePS
         } else {
-          if (!p.free_stay || to != p.from)
+          if (to.pp != p.from.pp)
+            stall = MigrationExpectation::depth_change_cost(p.wipeout, dest);
+          else if (!p.free_stay || to != p.from)
             stall = migration_.transition_cost(p.from, *p.summary, to, dest);
           if (p.switch_stall > 0.0 && to != p.from) stall += p.switch_stall;
         }
       }
+      assert(stall >= 0.0);  // the bound needs it
       const double value = p.value + rate * std::max(0.0, T - stall);
-      if (value > best) {
+      if (value > best || (value == best && p.index < arg)) {
         best = value;
         arg = p.index;
       }
     }
     best_out[j] = best;
     parent_out[j] = arg;
-  };
-  if (parallel)
-    pool_->parallel_for(C, eval);
-  else
-    for (std::size_t j = 0; j < C; ++j) eval(j);
+    edges_priced_ += priced;
+  }
 }
 
 IntervalPlan IntervalDp::backtrack(
@@ -304,7 +313,6 @@ void IntervalDp::flush_metrics() {
               flushed_states_re_expanded_);
   flush_delta(name_space_evictions_, space_cache_evictions_,
               flushed_space_evictions_);
-  if (pool_) flush_delta(name_tasks_, pool_->tasks_run(), flushed_tasks_);
 }
 
 ParallelConfig IntervalDp::advise(ParallelConfig current, int n_now,

@@ -20,20 +20,22 @@
 //     from a bounded LRU keyed by N, each carrying its RNG-free
 //     destination costs and its rate row for the last load it was
 //     priced at; a column first resolves each live predecessor's MC
-//     summary and switch stall, so the argmax scan prices every edge
-//     as plain arithmetic over those two arrays;
+//     summary and switch stall (jj ascending), so the argmax scan
+//     prices every edge as plain arithmetic over those two arrays and
+//     the sampler's draws never depend on which edges it skips;
+//   - the argmax scan is exact and pruned: an edge is worth at most
+//     F + rate*T (rate >= 0, stall >= 0), so each candidate walks the
+//     predecessors by F descending and stops once that bound falls
+//     strictly below the best value so far. Equal values go to the
+//     lower jj, so the argmax equals a first-wins scan in jj order
+//     (docs/performance.md §3);
 //   - consecutive optimize() calls warm-start from the previous value
 //     table: a column i is recomputed only when its direct inputs
 //     (predicted[i-1], predicted[i], load[i]; for i = 0 the live config
 //     and n_now) changed or its predecessor column's values changed.
 //     Reused columns are bit-identical to what a full re-solve would
 //     produce (options.verify_incremental re-runs the full DP and
-//     aborts on any divergence; options.full_resolve disables reuse);
-//   - with options.threads > 1 the candidate loop over c' runs on a
-//     ThreadPool. Summaries are resolved serially first (predecessors
-//     ascending: the order a serial scan first touches each one, so
-//     RNG consumption is fixed), so the parallel phase only reads plain
-//     arrays and every plan is bit-identical at any thread count.
+//     aborts on any divergence; options.full_resolve disables reuse).
 #pragma once
 
 #include <cstdint>
@@ -49,8 +51,6 @@
 
 namespace parcae {
 
-class ThreadPool;
-
 namespace obs {
 class MetricsRegistry;
 }  // namespace obs
@@ -62,11 +62,6 @@ struct IntervalDpOptions {
   // Optional metrics sink (non-owning): DP run counters here, MC
   // sampling latency in the PreemptionSampler.
   obs::MetricsRegistry* metrics = nullptr;
-  // Worker threads for the DP candidate loop. 1 (the default) is the
-  // serial path; 0 resolves to PARCAE_THREADS / hardware concurrency
-  // (ThreadPool::resolve). Results are bit-identical at any thread
-  // count.
-  int threads = 1;
   // Prepended to every metric name (fleet jobs sharing a registry);
   // "" keeps the historical names. Applied once at construction.
   std::string metric_prefix;
@@ -99,7 +94,6 @@ class IntervalDp {
   // `objective` must outlive the engine.
   IntervalDp(const SchedulingObjective* objective, CostEstimator estimator,
              IntervalDpOptions options = {});
-  ~IntervalDp();
   IntervalDp(const IntervalDp&) = delete;
   IntervalDp& operator=(const IntervalDp&) = delete;
 
@@ -129,9 +123,6 @@ class IntervalDp {
   double edge_cost(ParallelConfig from, int n_from, ParallelConfig to,
                    int preemptions, double load = 0.0);
 
-  // DP worker threads after resolution (1 = serial).
-  int threads() const { return threads_; }
-
   // Drop the warm-started value table; the next optimize() re-solves
   // every column. Cheap; used on scheduler reset.
   void invalidate();
@@ -146,6 +137,10 @@ class IntervalDp {
   std::uint64_t last_states_re_expanded() const {
     return last_states_re_expanded_;
   }
+
+  // Edges the argmax scan priced, cumulatively; the bound skipped the
+  // rest.
+  std::uint64_t edges_priced() const { return edges_priced_; }
 
   // Config-space LRU telemetry (<dp_family>.space_cache_evictions).
   std::uint64_t space_cache_evictions() const {
@@ -170,9 +165,12 @@ class IntervalDp {
   struct Predecessor {
     double value = 0.0;  // F(i-1, jj); 0 for the live config
     ParallelConfig from = kIdleConfig;
-    int index = -1;  // jj (-1: the live config)
+    int index = -1;  // jj (-1: the live config); breaks ties in value
     bool free_stay = false;  // nothing preempted: staying costs nothing
     const PreemptionSummary* summary = nullptr;  // null: no edge reads it
+    // summary->stage_wipeout_prob, all a depth-change edge reads: the
+    // scan prices the most common edge without chasing `summary`.
+    double wipeout = 0.0;
     double switch_stall = 0.0;
   };
   using SpacePtr = std::shared_ptr<ConfigSpace>;
@@ -193,10 +191,9 @@ class IntervalDp {
   // Config space for N instances through the bounded LRU cache.
   SpacePtr resolve_space(int n);
   // Compute DP column i into best_out/parent_out: price the candidates
-  // at load[i], serially resolve the live predecessors (first-touch
-  // order identical to a serial scan), then run the candidate argmax
-  // loop (parallel when threads > 1). prev_space/best_prev are null for
-  // i == 0.
+  // at load[i], resolve the live predecessors jj ascending, then run
+  // the pruned argmax scan per candidate. prev_space/best_prev are null
+  // for i == 0.
   void compute_column(std::size_t i, ParallelConfig current, int n_now,
                       const std::vector<int>& predicted,
                       const std::vector<double>& load,
@@ -213,11 +210,9 @@ class IntervalDp {
   const SchedulingObjective* objective_;
   IntervalDpOptions options_;
   // Prefixed metric names, precomputed (see options_.metric_prefix).
-  std::string name_runs_, name_tasks_, name_states_reused_,
-      name_states_re_expanded_, name_space_evictions_;
+  std::string name_runs_, name_states_reused_, name_states_re_expanded_,
+      name_space_evictions_;
   MigrationExpectation migration_;
-  int threads_ = 1;
-  std::unique_ptr<ThreadPool> pool_;  // created on first threaded run
 
   // Config-space LRU: N -> space. front() of the list is the most
   // recently used N.
@@ -231,16 +226,17 @@ class IntervalDp {
 
   WarmState warm_;
   // Scratch reused across optimize() calls (allocation-free in steady
-  // state): a column's live predecessors and the copy of a recomputed
-  // column's previous values (for the convergence cutoff).
+  // state): a column's live predecessors (in scan order) and the copy
+  // of a recomputed column's previous values (for the convergence
+  // cutoff).
   std::vector<Predecessor> preds_;
   std::vector<double> old_column_;
   std::uint64_t states_reused_ = 0;
   std::uint64_t states_re_expanded_ = 0;
   std::uint64_t last_states_reused_ = 0;
   std::uint64_t last_states_re_expanded_ = 0;
+  std::uint64_t edges_priced_ = 0;
 
-  std::uint64_t flushed_tasks_ = 0;
   std::uint64_t flushed_states_reused_ = 0;
   std::uint64_t flushed_states_re_expanded_ = 0;
   std::uint64_t flushed_space_evictions_ = 0;

@@ -23,11 +23,15 @@ SchedulerCore::SchedulerCore(ModelProfile model, SchedulerCoreOptions options,
       names_(make_names(options.metric_prefix, objective_->traits())),
       planner_(CostEstimator(model_), metrics_, options.metric_prefix),
       optimizer_(objective_, CostEstimator(model_),
-                 IntervalDpOptions{options.interval_s, options.mc_trials,
-                                   options.seed, metrics_, options.threads,
-                                   options.metric_prefix,
-                                   options.optimizer_full_resolve,
-                                   options.optimizer_verify_incremental}),
+                 IntervalDpOptions{
+                     .interval_s = options.interval_s,
+                     .mc_trials = options.mc_trials,
+                     .seed = options.seed,
+                     .metrics = metrics_,
+                     .metric_prefix = options.metric_prefix,
+                     .full_resolve = options.optimizer_full_resolve,
+                     .verify_incremental =
+                         options.optimizer_verify_incremental}),
       predictor_(make_parcae_predictor(
           static_cast<double>(options.max_instances))) {
   // Distributed tracing: spans from this core get deterministic ids
@@ -165,35 +169,26 @@ ClusterSnapshot SchedulerCore::observe_damage(
   snapshot.idle_alive = std::max(0, prev_available - current_.instances());
 
   // Map this interval's preemptions onto the running topology
-  // uniformly (§6.1). Multi-GPU instances lose `chunk` GPUs at once,
-  // all serving the same stage in different pipelines (§10.2).
-  int remaining = observed.preempted;
-  const int chunk = std::max(1, options_.preemption_chunk);
-  while (remaining > 0) {
-    const int kill = std::min(chunk, remaining);
-    remaining -= kill;
+  // uniformly (§6.1): one draw per preempted instance. A kill landing
+  // on a stage with no survivors left spills to the next stage that
+  // has one.
+  std::vector<int>& alive = snapshot.alive_per_stage;
+  for (int left = observed.preempted; left > 0; --left) {
     const int total = current_.instances() + snapshot.idle_alive;
     if (total <= 0) break;
     const auto pick =
         static_cast<int>(rng_.uniform_int(static_cast<std::uint64_t>(total)));
-    if (pick < current_.instances()) {
-      auto stage = static_cast<std::size_t>(pick % current_.pp);
-      int left = kill;
-      // Chunked kills drain replicas of one stage first (they share
-      // the preempted node), spilling to the next stage if exhausted.
-      while (left > 0) {
-        if (snapshot.alive_per_stage[stage] > 0) {
-          --snapshot.alive_per_stage[stage];
-          --left;
-        } else {
-          stage = (stage + 1) % snapshot.alive_per_stage.size();
-          bool any = false;
-          for (int a : snapshot.alive_per_stage) any = any || a > 0;
-          if (!any) break;
-        }
+    if (pick >= current_.instances()) {
+      --snapshot.idle_alive;  // hit an idle one (pick < total: one exists)
+      continue;
+    }
+    auto stage = static_cast<std::size_t>(pick % current_.pp);
+    for (std::size_t tried = 0; tried < alive.size(); ++tried) {
+      if (alive[stage] > 0) {
+        --alive[stage];
+        break;
       }
-    } else {
-      snapshot.idle_alive = std::max(0, snapshot.idle_alive - kill);
+      stage = (stage + 1) % alive.size();
     }
   }
   return snapshot;

@@ -85,16 +85,9 @@ struct SchedulerCoreOptions {
   int mc_trials = 256;
   std::uint64_t seed = 123;
   double interval_s = 60.0;
-  // Worker threads for the interval DP's candidate loop. Defaults to 1
-  // (serial legacy path; metrics counters unchanged); 0 resolves to
-  // PARCAE_THREADS / hardware concurrency. Plans are bit-identical at
-  // any thread count (see docs/performance.md).
-  int threads = 1;
   // Multiplicative jitter on actual migration stalls vs the
   // estimator's prediction (Figure 18a); 0 = deterministic.
   double cost_noise_stddev = 0.0;
-  // GPUs preempted together (Figure 10 multi-GPU instances).
-  int preemption_chunk = 1;
   // Voluntary pipeline-depth changes (no preemption forcing them) must
   // improve the objective's rate (training: throughput) by at least
   // this fraction over keeping the current depth; re-planning every

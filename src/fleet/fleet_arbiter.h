@@ -14,10 +14,10 @@
 //                is zero);
 //   preemption — when the pool shrinks, revoke from the job whose
 //                *marginal liveput loss per weight* is smallest,
-//                reusing the job's DP value table (the liveput DP's
-//                terminal value row: best achievable throughput per
-//                instance count, normalized so models of different
-//                scales compare);
+//                read off the job's value table (best achievable
+//                throughput per instance count from its throughput
+//                model, normalized so models of different scales
+//                compare);
 //   objective  — maximize Σ_j w_j · liveput_j: after fairness and
 //                arbitration, bounded greedy swaps move instances from
 //                the lowest marginal-loss lease to the highest
@@ -55,10 +55,10 @@ class MetricsRegistry;
 
 namespace fleet {
 
-// The liveput DP's terminal value row for one job: value[n] = best
-// achievable throughput with n instances, normalized to the job's
-// throughput at pool capacity (so a GPT-3 job and a VGG job bid in
-// the same currency). Non-decreasing by construction.
+// One job's value table: value[n] = the best throughput(best_config(m))
+// over m <= n, normalized to the job's value at pool capacity (so a
+// GPT-3 job and a VGG job bid in the same currency). It reads no DP
+// output. Non-decreasing by construction.
 struct JobValueTable {
   std::vector<double> value;  // size = capacity + 1, value[0] == 0
 

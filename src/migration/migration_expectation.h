@@ -15,9 +15,11 @@
 // (from, idle, k), resolved once per predecessor), so the DP prices
 // every edge with transition_cost() as plain arithmetic over the two.
 //
-// Not thread-safe to summarize: the sampler draws from one serial RNG
-// stream. The DP resolves summaries serially (in the order that keeps
-// that consumption fixed); transition_cost() is const and only reads.
+// The sampler draws from one RNG stream, so the order of first
+// summarize() calls fixes every summary. The DP resolves each live
+// predecessor's summary, jj ascending, before its pruned scan, so
+// which edges the scan skips never changes a draw; transition_cost()
+// is const and only reads.
 #pragma once
 
 #include <cstdint>
@@ -62,13 +64,16 @@ class MigrationExpectation {
   double transition_cost(ParallelConfig from, const PreemptionSummary& s,
                          ParallelConfig to,
                          const DestinationCosts& dest) const {
-    if (to.pp != from.pp) {
-      // Depth change: pipeline migration; a wiped-out stage forces the
-      // states to come from ParcaePS instead of GPU peers.
-      return s.stage_wipeout_prob * dest.rollback +
-             (1.0 - s.stage_wipeout_prob) * dest.pipeline;
-    }
+    if (to.pp != from.pp)
+      return depth_change_cost(s.stage_wipeout_prob, dest);
     return same_depth_cost(from, s, to, dest);
+  }
+  // Depth change: pipeline migration; a wiped-out stage (probability
+  // `wipeout`, the summary's stage_wipeout_prob) forces the states to
+  // come from ParcaePS instead of GPU peers.
+  static double depth_change_cost(double wipeout,
+                                  const DestinationCosts& dest) {
+    return wipeout * dest.rollback + (1.0 - wipeout) * dest.pipeline;
   }
 
   PreemptionSampler& sampler() { return sampler_; }

@@ -34,8 +34,6 @@ SchedulerCoreOptions core_options(const ServingSchedulerOptions& o,
   c.mc_trials = o.mc_trials;
   c.seed = o.seed;
   c.interval_s = o.interval_s;
-  c.threads = o.threads;
-  c.preemption_chunk = o.preemption_chunk;
   c.depth_change_hysteresis = o.depth_change_hysteresis;
   c.max_instances = o.max_instances;
   c.throughput = o.throughput;

@@ -63,8 +63,6 @@ struct ServingSchedulerOptions {
   int mc_trials = 256;
   std::uint64_t seed = 123;
   double interval_s = 60.0;
-  int threads = 1;
-  int preemption_chunk = 1;
   // Voluntary depth changes must improve estimated goodput by at
   // least this fraction (same thrash guard as training).
   double depth_change_hysteresis = 0.15;

@@ -21,8 +21,8 @@
 //
 // Determinism: everything downstream of (trace, seeds) is exact —
 // request accounting and the advised-config sequence are bit-identical
-// across reruns and scheduler thread counts, including under injected
-// faults (tests/serve_test.cpp).
+// across reruns, including under injected faults
+// (tests/serve_test.cpp).
 #pragma once
 
 #include <cstdint>

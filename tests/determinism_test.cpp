@@ -1,13 +1,15 @@
-// The performance layer's contract: threading and the DP's own
-// structure must never change a decision. optimize() plans match a
-// naive reference DP bit for bit; optimize() plans, full ParcaePolicy
-// simulations, and run_matrix cells are bit-identical at any thread
-// count; scratch-buffer sampling consumes the same RNG draws as the
-// allocating path.
+// The performance layer's contract: the DP's own structure and the
+// experiment runner's threads must never change a decision. optimize()
+// plans match a naive reference DP bit for bit, including the pruned
+// scan's ties; run_matrix cells are bit-identical at any thread count;
+// scratch-buffer sampling consumes the same RNG draws as the allocating
+// path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiment.h"
@@ -18,7 +20,6 @@
 #include "model/model_profile.h"
 #include "obs/metrics.h"
 #include "parallel/throughput_model.h"
-#include "runtime/parcae_policy.h"
 #include "serve/serving_scheduler.h"
 #include "trace/spot_trace.h"
 
@@ -43,57 +44,6 @@ std::vector<std::vector<int>> forecast_battery() {
                        series.begin() + std::min<std::size_t>(12,
                                                               series.size()));
   return battery;
-}
-
-TEST(Determinism, OptimizePlansBitIdenticalAcrossThreadCounts) {
-  const ModelProfile model = gpt2_profile();
-  const ThroughputModel tm(model, {});
-  for (const int threads : {2, 8}) {
-    LiveputOptimizer serial(&tm, CostEstimator(model),
-                            LiveputOptimizerOptions{60.0, 128, 17, nullptr,
-                                                    1});
-    LiveputOptimizer threaded(&tm, CostEstimator(model),
-                              LiveputOptimizerOptions{60.0, 128, 17, nullptr,
-                                                      threads});
-    ParallelConfig current = tm.best_config(28);
-    int n_now = 28;
-    for (const auto& predicted : forecast_battery()) {
-      const LiveputPlan a = serial.optimize(current, n_now, predicted);
-      const LiveputPlan b = threaded.optimize(current, n_now, predicted);
-      ASSERT_EQ(a.configs.size(), b.configs.size());
-      for (std::size_t i = 0; i < a.configs.size(); ++i)
-        EXPECT_EQ(a.configs[i], b.configs[i]) << "interval " << i;
-      // Bit-identical, not approximately equal.
-      EXPECT_EQ(a.expected_value, b.expected_value);
-      // Chain the walk so later forecasts start from evolved state.
-      current = a.next();
-      n_now = predicted.front();
-    }
-  }
-}
-
-TEST(Determinism, ParcaePolicySimulationIdenticalWithThreadedDP) {
-  const ModelProfile model = gpt2_profile();
-  const SpotTrace trace = canonical_segment(TraceSegment::kHighAvailDense);
-  auto run = [&](int threads) {
-    ParcaePolicyOptions options;
-    options.threads = threads;
-    ParcaePolicy policy(model, options);
-    SimulationOptions sim;
-    sim.units_per_sample = model.tokens_per_sample;
-    return simulate(policy, trace, sim);
-  };
-  const SimulationResult serial = run(1);
-  const SimulationResult threaded = run(8);
-  EXPECT_EQ(serial.committed_units, threaded.committed_units);
-  EXPECT_EQ(serial.committed_samples, threaded.committed_samples);
-  EXPECT_EQ(serial.total_cost_usd, threaded.total_cost_usd);
-  EXPECT_EQ(serial.gpu_hours.effective, threaded.gpu_hours.effective);
-  EXPECT_EQ(serial.gpu_hours.lost, threaded.gpu_hours.lost);
-  ASSERT_EQ(serial.timeline.size(), threaded.timeline.size());
-  for (std::size_t i = 0; i < serial.timeline.size(); ++i)
-    EXPECT_EQ(serial.timeline[i].config, threaded.timeline[i].config)
-        << "interval " << i;
 }
 
 TEST(Determinism, RunMatrixCellsIdenticalAcrossThreadCounts) {
@@ -136,7 +86,8 @@ TEST(Determinism, RunMatrixCellsIdenticalAcrossThreadCounts) {
 // The textbook interval DP, to diff IntervalDp against: candidate-major,
 // every edge priced afresh by its own MigrationExpectation::cost() plus
 // the objective's switch stall, the same value formula and first-wins
-// strict >. No warm start, no predecessor pass, no threads.
+// strict > over predecessors in jj order. No warm start, no predecessor
+// pass, no pruning.
 class ReferenceDp {
  public:
   ReferenceDp(const SchedulingObjective* objective, const ModelProfile& model,
@@ -173,10 +124,12 @@ class ReferenceDp {
       for (std::size_t j = 0; j < space[i].size(); ++j) {
         if (i == 0) {
           best[0][j] = value_of(current, space[0][j]);
+          ++edges_priced_;
           continue;
         }
         for (std::size_t jj = 0; jj < space[i - 1].size(); ++jj) {
           if (best[i - 1][jj] == kNegInf) continue;
+          ++edges_priced_;
           const double value =
               best[i - 1][jj] + value_of(space[i - 1][jj], space[i][j]);
           if (value > best[i][j]) {
@@ -200,10 +153,14 @@ class ReferenceDp {
     return plan;
   }
 
+  // Every edge out of a live predecessor, cumulatively.
+  std::uint64_t edges_priced() const { return edges_priced_; }
+
  private:
   const SchedulingObjective* objective_;
   double interval_s_;
   MigrationExpectation migration_;
+  std::uint64_t edges_priced_ = 0;
 };
 
 struct DpStep {
@@ -211,40 +168,36 @@ struct DpStep {
   std::vector<double> load;  // empty: the objective has no load
 };
 
-// Walks `steps` through IntervalDp (warm-started, threads 1 and 4) and
-// the reference, chaining the advised config: plans must be
-// bit-identical and both engines must draw the same MC summaries.
+// Walks `steps` through IntervalDp (warm-started) and the reference,
+// chaining the advised config: plans must be bit-identical, both
+// engines must draw the same MC summaries, and the bound must have
+// spared IntervalDp some of the edges the reference prices.
 void expect_matches_reference(const SchedulingObjective& objective,
                               const ModelProfile& model,
                               IntervalDpOptions options, ParallelConfig current,
                               int n_now, const std::vector<DpStep>& steps) {
-  for (const int threads : {1, 4}) {
-    obs::MetricsRegistry dp_metrics;
-    obs::MetricsRegistry reference_metrics;
-    options.threads = threads;
-    options.metrics = &dp_metrics;
-    IntervalDp dp(&objective, CostEstimator(model), options);
-    ReferenceDp reference(&objective, model, options, &reference_metrics);
-    ParallelConfig live = current;
-    int n = n_now;
-    for (std::size_t s = 0; s < steps.size(); ++s) {
-      const IntervalPlan got =
-          dp.optimize(live, n, steps[s].predicted, steps[s].load);
-      const IntervalPlan want =
-          reference.optimize(live, n, steps[s].predicted, steps[s].load);
-      EXPECT_EQ(got.configs, want.configs)
-          << "threads " << threads << " step " << s;
-      // Bit-identical, not approximately equal.
-      EXPECT_EQ(got.expected_value, want.expected_value)
-          << "threads " << threads << " step " << s;
-      live = got.next();
-      n = steps[s].predicted.front();
-    }
-    EXPECT_GT(dp_metrics.counter_value("mc_sampler.samples"), 0.0);
-    EXPECT_EQ(dp_metrics.counter_value("mc_sampler.samples"),
-              reference_metrics.counter_value("mc_sampler.samples"))
-        << "threads " << threads;
+  obs::MetricsRegistry dp_metrics;
+  obs::MetricsRegistry reference_metrics;
+  options.metrics = &dp_metrics;
+  IntervalDp dp(&objective, CostEstimator(model), options);
+  ReferenceDp reference(&objective, model, options, &reference_metrics);
+  ParallelConfig live = current;
+  int n = n_now;
+  for (std::size_t s = 0; s < steps.size(); ++s) {
+    const IntervalPlan got =
+        dp.optimize(live, n, steps[s].predicted, steps[s].load);
+    const IntervalPlan want =
+        reference.optimize(live, n, steps[s].predicted, steps[s].load);
+    EXPECT_EQ(got.configs, want.configs) << "step " << s;
+    // Bit-identical, not approximately equal.
+    EXPECT_EQ(got.expected_value, want.expected_value) << "step " << s;
+    live = got.next();
+    n = steps[s].predicted.front();
   }
+  EXPECT_GT(dp_metrics.counter_value("mc_sampler.samples"), 0.0);
+  EXPECT_EQ(dp_metrics.counter_value("mc_sampler.samples"),
+            reference_metrics.counter_value("mc_sampler.samples"));
+  EXPECT_LT(dp.edges_priced(), reference.edges_priced());
 }
 
 TEST(Determinism, OptimizeMatchesNaiveReferenceDp) {
@@ -267,6 +220,75 @@ TEST(Determinism, OptimizeMatchesNaiveReferenceDp) {
   options.seed = 17;
   expect_matches_reference(objective, model, options, tm.best_config(28), 28,
                            steps);
+
+  // The reaction where the pruned scan's bound is loosest: the live
+  // config fills the pool and no longer fits after 2 preemptions, so
+  // every edge out of it is a real migration and column 0's values
+  // collapse into ties. A short look-ahead keeps the reference cheap.
+  const ParallelConfig full = tm.best_config(128);
+  ASSERT_EQ(full.instances(), 128);
+  expect_matches_reference(objective, model, options, full, 128,
+                           {{{126, 126, 126}, {}}});
+}
+
+// Two configs with hand-picked rates per column (the column's load picks
+// the row), over an interval so short that every migration stalls past
+// it: an edge is worth exactly F, or F + rate*T for a free stay, and
+// every value is an exact integer in units of rate*T.
+class RateTableObjective : public SchedulingObjective {
+ public:
+  RateTableObjective(ParallelConfig a, ParallelConfig b,
+                     std::vector<std::pair<double, double>> rates)
+      : SchedulingObjective({}), a_(a), b_(b), rates_(std::move(rates)) {}
+
+  std::vector<ParallelConfig> candidates(int /*n*/) const override {
+    return {a_, b_};
+  }
+  double rate(ParallelConfig config, double load) const override {
+    const auto& row = rates_.at(static_cast<std::size_t>(load));
+    return config == a_ ? row.first : config == b_ ? row.second : 0.0;
+  }
+  ParallelConfig best_config(int /*n*/, double /*load*/) const override {
+    return a_;
+  }
+
+ private:
+  ParallelConfig a_, b_;
+  std::vector<std::pair<double, double>> rates_;
+};
+
+TEST(Determinism, PrunedScanTiesMatchNaiveReferenceDp) {
+  const ModelProfile model = gpt2_profile();
+  const ThroughputModel tm(model, {});
+  const std::vector<ParallelConfig> configs = tm.enumerate_configs(8);
+  ASSERT_GE(configs.size(), 2u);
+  const ParallelConfig a = configs[0];  // jj 0; b is jj 1, idle jj 2
+  const ParallelConfig b = configs[1];
+  IntervalDpOptions options;
+  options.interval_s = 1.0 / 1024.0;
+  options.mc_trials = 16;
+  options.seed = 5;
+  const double u = 1.0 / options.interval_s;  // a rate earning 1 per interval
+  // Rows by load: {rate(a), rate(b)}.
+  const RateTableObjective objective(
+      a, b, {{u, 0}, {u, 3 * u}, {u, 0}, {2 * u, 3 * u}, {0, 0}});
+  // Every migration, resumes included, must stall past the interval.
+  LiveputOptimizer probe(&tm, CostEstimator(model), options);
+  for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a},
+                                 std::pair{kIdleConfig, a},
+                                 std::pair{kIdleConfig, b}})
+    ASSERT_GE(probe.edge_cost(from, 8, to, 0), options.interval_s);
+  // Both steps start on a and end with F = {a: 3, b: 3, idle: 3}, so
+  // the plan ends on a and its last parent decides the rest.
+  //   Step 1: F(1) = {a: 2, b: 3}. Into a, b's edge is worth 3, and a's
+  //   free stay has the lower F but reaches 3 too: its bound equals the
+  //   best, and it must still be priced and win the tie on jj.
+  //   Step 2: F(1) = {a: 3, b: 3}. Into a, a's free stay and b's edge
+  //   are both worth 3: the lower jj (a) wins, not the later one.
+  // Either way the plan is {a, a, a}; a wrong tie rule yields {b, b, a}.
+  const std::vector<DpStep> steps = {{{8, 8, 8}, {0, 1, 2}},
+                                     {{8, 8, 8}, {0, 3, 4}}};
+  expect_matches_reference(objective, model, options, a, 8, steps);
 }
 
 TEST(Determinism, GoodputOptimizeMatchesNaiveReferenceDp) {

@@ -1,10 +1,9 @@
 // The incremental liveput DP's contract: warm-started column reuse
 // must never change a plan. Incremental and full re-solves are
 // bit-identical across seeded availability-churn schedules (including
-// the degenerate all-changed case), at any thread count, and under
-// fault-injection chaos; states_reused accounting, the bounded
-// config-space LRU, the batched MC tally, and the event-driven
-// scheduler mode are pinned alongside.
+// the degenerate all-changed case) and under fault-injection chaos;
+// states_reused accounting, the bounded config-space LRU, the batched
+// MC tally, and the event-driven scheduler mode are pinned alongside.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -82,62 +81,58 @@ std::vector<std::vector<int>> churn_schedule(std::uint64_t seed, int steps,
   return schedule;
 }
 
-LiveputOptimizerOptions optimizer_options(int threads, bool full_resolve,
-                                          bool verify) {
+LiveputOptimizerOptions optimizer_options(bool full_resolve, bool verify) {
   LiveputOptimizerOptions options;
   options.interval_s = 60.0;
   options.mc_trials = 64;
   options.seed = 17;
-  options.threads = threads;
   options.full_resolve = full_resolve;
   options.verify_incremental = verify;
   return options;
 }
 
-TEST(IncrementalDp, BitIdenticalPlansAcrossChurnSchedulesAndThreads) {
+TEST(IncrementalDp, BitIdenticalPlansAcrossChurnSchedules) {
   const ModelProfile model = gpt2_profile();
   const ThroughputModel tm(model, {});
   const auto schedule = churn_schedule(/*seed=*/2024, /*steps=*/30,
                                        /*lookahead=*/8, /*max_n=*/32);
-  for (const int threads : {1, 4, 8}) {
-    LiveputOptimizer full(&tm, CostEstimator(model),
-                          optimizer_options(threads, /*full_resolve=*/true,
-                                            /*verify=*/false));
-    // verify_incremental doubles as an in-process cross-check: any
-    // reused column that diverges from a scratch full re-solve aborts.
-    LiveputOptimizer incremental(
-        &tm, CostEstimator(model),
-        optimizer_options(threads, /*full_resolve=*/false, /*verify=*/true));
-    ParallelConfig current = tm.best_config(26);
-    int n_now = 26;
-    for (const auto& forecast : schedule) {
-      const LiveputPlan a = full.optimize(current, n_now, forecast);
-      const LiveputPlan b = incremental.optimize(current, n_now, forecast);
-      expect_plans_equal(a, b, "incremental vs full");
-      // Every DP state is either reused or re-expanded, never both.
-      std::size_t total_states = 0;
-      for (const int n : forecast)
-        total_states += tm.enumerate_configs(n).size() + 1;
-      EXPECT_EQ(incremental.last_states_reused() +
-                    incremental.last_states_re_expanded(),
-                total_states);
-      // Drive the schedule like a scheduler would: follow the plan.
-      current = a.next();
-      n_now = forecast.front();
-    }
-    // The whole point: quiet/localized steps actually reuse columns.
-    EXPECT_GT(incremental.states_reused(), 0u);
-    EXPECT_EQ(full.states_reused(), 0u);
+  LiveputOptimizer full(&tm, CostEstimator(model),
+                        optimizer_options(/*full_resolve=*/true,
+                                          /*verify=*/false));
+  // verify_incremental doubles as an in-process cross-check: any
+  // reused column that diverges from a scratch full re-solve aborts.
+  LiveputOptimizer incremental(
+      &tm, CostEstimator(model),
+      optimizer_options(/*full_resolve=*/false, /*verify=*/true));
+  ParallelConfig current = tm.best_config(26);
+  int n_now = 26;
+  for (const auto& forecast : schedule) {
+    const LiveputPlan a = full.optimize(current, n_now, forecast);
+    const LiveputPlan b = incremental.optimize(current, n_now, forecast);
+    expect_plans_equal(a, b, "incremental vs full");
+    // Every DP state is either reused or re-expanded, never both.
+    std::size_t total_states = 0;
+    for (const int n : forecast)
+      total_states += tm.enumerate_configs(n).size() + 1;
+    EXPECT_EQ(incremental.last_states_reused() +
+                  incremental.last_states_re_expanded(),
+              total_states);
+    // Drive the schedule like a scheduler would: follow the plan.
+    current = a.next();
+    n_now = forecast.front();
   }
+  // The whole point: quiet/localized steps actually reuse columns.
+  EXPECT_GT(incremental.states_reused(), 0u);
+  EXPECT_EQ(full.states_reused(), 0u);
 }
 
 TEST(IncrementalDp, DegenerateAllChangedScheduleReusesNothing) {
   const ModelProfile model = gpt2_profile();
   const ThroughputModel tm(model, {});
   LiveputOptimizer full(&tm, CostEstimator(model),
-                        optimizer_options(1, true, false));
+                        optimizer_options(true, false));
   LiveputOptimizer incremental(&tm, CostEstimator(model),
-                               optimizer_options(1, false, true));
+                               optimizer_options(false, true));
   const ParallelConfig current = tm.best_config(24);
   // Disjoint N sets per step: every column's direct inputs change.
   const std::vector<std::vector<int>> schedule = {
@@ -155,7 +150,7 @@ TEST(IncrementalDp, StatesReusedAccountingIsPinned) {
   const ModelProfile model = gpt2_profile();
   const ThroughputModel tm(model, {});
   LiveputOptimizer optimizer(&tm, CostEstimator(model),
-                             optimizer_options(1, false, true));
+                             optimizer_options(false, true));
   const ParallelConfig current = tm.best_config(24);
   const std::size_t s24 = tm.enumerate_configs(24).size() + 1;
   const std::size_t s20 = tm.enumerate_configs(20).size() + 1;
@@ -187,7 +182,7 @@ TEST(IncrementalDp, FullResolveEscapeHatchNeverReuses) {
   const ModelProfile model = gpt2_profile();
   const ThroughputModel tm(model, {});
   LiveputOptimizer optimizer(&tm, CostEstimator(model),
-                             optimizer_options(1, true, false));
+                             optimizer_options(true, false));
   const ParallelConfig current = tm.best_config(24);
   for (int i = 0; i < 3; ++i) {
     optimizer.optimize(current, 24, {24, 24, 24, 24});
@@ -198,13 +193,13 @@ TEST(IncrementalDp, FullResolveEscapeHatchNeverReuses) {
 TEST(IncrementalDp, SpaceCacheLruIsBoundedAndPlansUnchanged) {
   const ModelProfile model = gpt2_profile();
   const ThroughputModel tm(model, {});
-  LiveputOptimizerOptions bounded = optimizer_options(1, false, true);
+  LiveputOptimizerOptions bounded = optimizer_options(false, true);
   bounded.space_cache_capacity = 2;
   obs::MetricsRegistry registry;
   bounded.metrics = &registry;
   LiveputOptimizer small(&tm, CostEstimator(model), bounded);
   LiveputOptimizer large(&tm, CostEstimator(model),
-                         optimizer_options(1, false, true));
+                         optimizer_options(false, true));
   const ParallelConfig current = tm.best_config(20);
   // Churn through many distinct N so the 2-entry LRU must evict while
   // solves are in flight (shared_ptr spaces keep reused columns safe).

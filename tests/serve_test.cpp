@@ -4,7 +4,7 @@
 // simulator at moderate load; request accounting balances exactly,
 // including under injected preemptions mid-burst; the goodput
 // objective's warm-started incremental re-solve on the shared interval
-// DP is bit-identical to a full one at any thread count; a serving run
+// DP is bit-identical to a full one; a serving run
 // records the shared decision loop's spans, counters and events; and
 // the serving metrics roll up through the fleet aggregator and
 // Prometheus exporter like any other job's.
@@ -256,58 +256,40 @@ IntervalDpOptions goodput_dp_options(int mc_trials) {
   return opt;
 }
 
-TEST(GoodputDpTest, IncrementalMatchesFullAcrossChurnAndThreads) {
+TEST(GoodputDpTest, IncrementalMatchesFullAcrossChurn) {
   const ModelProfile model = model_by_name("GPT-2");
   const GoodputObjective objective(model, {}, {}, nullptr, 32);
 
-  const auto run = [&](int threads) {
-    IntervalDpOptions opt = goodput_dp_options(64);
-    opt.threads = threads;
-    // verify_incremental aborts the process if a warm-started column
-    // ever diverges from the full re-solve.
-    opt.verify_incremental = true;
-    IntervalDp dp(&objective, CostEstimator(model), opt);
+  IntervalDpOptions opt = goodput_dp_options(64);
+  // verify_incremental aborts the process if a warm-started column
+  // ever diverges from the full re-solve.
+  opt.verify_incremental = true;
+  IntervalDp dp(&objective, CostEstimator(model), opt);
 
-    Rng rng(404);
-    std::vector<int> n(8, 12);
-    std::vector<double> rps = flat_rps(8, 25.0);
-    ParallelConfig current = kIdleConfig;
-    std::vector<IntervalPlan> plans;
-    for (int step = 0; step < 24; ++step) {
-      switch (rng.uniform_int(4)) {
-        case 0:  // quiet
-          break;
-        case 1:  // preemption cliff
-          for (std::size_t i = 4; i < n.size(); ++i)
-            n[i] = std::max(2, n[i] - 3);
-          break;
-        case 2:  // allocation ramp
-          for (std::size_t i = 2; i < n.size(); ++i)
-            n[i] = std::min(16, n[i] + 2);
-          break;
-        default:  // rate swing (burst arriving in the forecast)
-          for (std::size_t i = 0; i < rps.size(); ++i)
-            rps[i] = 25.0 * (1.0 + 2.0 * ((step + static_cast<int>(i)) % 3 == 0));
-          break;
-      }
-      IntervalPlan plan = dp.optimize(current, n[0], n, rps);
-      current = plan.next();
-      plans.push_back(std::move(plan));
+  Rng rng(404);
+  std::vector<int> n(8, 12);
+  std::vector<double> rps = flat_rps(8, 25.0);
+  ParallelConfig current = kIdleConfig;
+  for (int step = 0; step < 24; ++step) {
+    switch (rng.uniform_int(4)) {
+      case 0:  // quiet
+        break;
+      case 1:  // preemption cliff
+        for (std::size_t i = 4; i < n.size(); ++i)
+          n[i] = std::max(2, n[i] - 3);
+        break;
+      case 2:  // allocation ramp
+        for (std::size_t i = 2; i < n.size(); ++i)
+          n[i] = std::min(16, n[i] + 2);
+        break;
+      default:  // rate swing (burst arriving in the forecast)
+        for (std::size_t i = 0; i < rps.size(); ++i)
+          rps[i] = 25.0 * (1.0 + 2.0 * ((step + static_cast<int>(i)) % 3 == 0));
+        break;
     }
-    EXPECT_GT(dp.states_reused(), 0u);
-    return plans;
-  };
-
-  const std::vector<IntervalPlan> serial = run(1);
-  for (int threads : {4, 8}) {
-    const std::vector<IntervalPlan> parallel = run(threads);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t s = 0; s < serial.size(); ++s) {
-      EXPECT_EQ(serial[s].configs, parallel[s].configs) << s;
-      // Bit-identical, not approximately equal.
-      EXPECT_EQ(serial[s].expected_value, parallel[s].expected_value) << s;
-    }
+    current = dp.optimize(current, n[0], n, rps).next();
   }
+  EXPECT_GT(dp.states_reused(), 0u);
 }
 
 TEST(GoodputDpTest, ChargesDrainOnConfigChangeOnly) {
@@ -327,7 +309,7 @@ TEST(GoodputDpTest, ChargesDrainOnConfigChangeOnly) {
 // ---------------------------------------------------------------------
 // End-to-end serving simulation
 
-ServingSimResult run_sim(ServingMode mode, int threads, std::uint64_t seed,
+ServingSimResult run_sim(ServingMode mode, std::uint64_t seed,
                          const std::string& faults = "",
                          obs::MetricsRegistry* metrics = nullptr,
                          const std::string& prefix = "") {
@@ -339,7 +321,6 @@ ServingSimResult run_sim(ServingMode mode, int threads, std::uint64_t seed,
   sopt.mode = mode;
   sopt.seed = seed;
   sopt.mc_trials = 64;
-  sopt.threads = threads;
   sopt.metrics = metrics;
   sopt.metric_prefix = prefix;
   ServingScheduler scheduler(model, sopt, &arrivals);
@@ -371,7 +352,7 @@ void expect_results_identical(const ServingSimResult& a,
 }
 
 TEST(ServingSimTest, AccountingBalances) {
-  const ServingSimResult r = run_sim(ServingMode::kProactive, 1, 123);
+  const ServingSimResult r = run_sim(ServingMode::kProactive, 123);
   EXPECT_GT(r.requests_arrived, 0u);
   EXPECT_GT(r.requests_good, 0u);
   EXPECT_EQ(r.requests_arrived,
@@ -384,16 +365,9 @@ TEST(ServingSimTest, AccountingBalances) {
   EXPECT_GT(r.spot_cost_usd, 0.0);
 }
 
-TEST(ServingSimTest, DeterministicAcrossRerunsAndThreads) {
-  for (ServingMode mode : {ServingMode::kProactive, ServingMode::kReactive}) {
-    const ServingSimResult serial = run_sim(mode, 1, 123);
-    const ServingSimResult rerun = run_sim(mode, 1, 123);
-    expect_results_identical(serial, rerun, "rerun");
-    for (int threads : {4, 8}) {
-      const ServingSimResult parallel = run_sim(mode, threads, 123);
-      expect_results_identical(serial, parallel, "threads");
-    }
-  }
+TEST(ServingSimTest, DeterministicAcrossReruns) {
+  for (ServingMode mode : {ServingMode::kProactive, ServingMode::kReactive})
+    expect_results_identical(run_sim(mode, 123), run_sim(mode, 123), "rerun");
 }
 
 TEST(ServingSimTest, WarmStartedDpMatchesFullResolveInTheLoop) {
@@ -426,14 +400,11 @@ TEST(ServingSimTest, AccountingBalancesUnderInjectedPreemptionMidBurst) {
   // accounting must still balance exactly and replays must be
   // bit-identical, faults included.
   const std::string spec = "sim.unpredicted_preempt:prob=0.2";
-  const ServingSimResult r = run_sim(ServingMode::kProactive, 1, 9, spec);
+  const ServingSimResult r = run_sim(ServingMode::kProactive, 9, spec);
   EXPECT_EQ(r.requests_arrived,
             r.requests_served + r.requests_dropped + r.requests_carried);
-  const ServingSimResult again = run_sim(ServingMode::kProactive, 1, 9, spec);
+  const ServingSimResult again = run_sim(ServingMode::kProactive, 9, spec);
   expect_results_identical(r, again, "fault rerun");
-  const ServingSimResult threaded =
-      run_sim(ServingMode::kProactive, 8, 9, spec);
-  expect_results_identical(r, threaded, "fault threads");
 }
 
 TEST(ServingSimTest, AdmissionFaultDropsExactlyTheNthRequest) {
@@ -470,8 +441,8 @@ TEST(ServingSimTest, AdmissionFaultDropsExactlyTheNthRequest) {
 }
 
 TEST(ServingSimTest, ProactiveBeatsStaticOnChurnyTrace) {
-  const ServingSimResult proactive = run_sim(ServingMode::kProactive, 1, 123);
-  const ServingSimResult fixed = run_sim(ServingMode::kStatic, 1, 123);
+  const ServingSimResult proactive = run_sim(ServingMode::kProactive, 123);
+  const ServingSimResult fixed = run_sim(ServingMode::kStatic, 123);
   EXPECT_GT(proactive.slo_attainment, fixed.slo_attainment);
 }
 
@@ -480,7 +451,7 @@ TEST(ServingSimTest, ProactiveBeatsStaticOnChurnyTrace) {
 
 TEST(ServeObsTest, MetricsRollUpThroughFleetAggregatorAndExporter) {
   obs::MetricsRegistry registry;
-  const ServingSimResult r = run_sim(ServingMode::kProactive, 1, 123, "",
+  const ServingSimResult r = run_sim(ServingMode::kProactive, 123, "",
                                      &registry, "job7.");
   const obs::MetricsSnapshot snapshot = registry.snapshot();
   EXPECT_EQ(snapshot.counters.at("job7.serve.requests"),
@@ -544,7 +515,7 @@ TEST(ServeObsTest, DecisionLoopEmitsSpansEventsAndCounters) {
             std::string::npos);
 
   // Observing never changes a decision.
-  const ServingSimResult bare = run_sim(ServingMode::kProactive, 1, 123);
+  const ServingSimResult bare = run_sim(ServingMode::kProactive, 123);
   expect_results_identical(r, bare, "observed vs bare");
 }
 
