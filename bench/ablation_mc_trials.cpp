@@ -23,8 +23,10 @@ int main() {
 
     // Wall-clock of one optimization at this trial count.
     const ThroughputModel tm(model, {});
-    LiveputOptimizer optimizer(&tm, CostEstimator(model),
-                               LiveputOptimizerOptions{60.0, trials, 17});
+    LiveputOptimizer optimizer(
+        &tm, CostEstimator(model),
+        LiveputOptimizerOptions{
+            .interval_s = 60.0, .mc_trials = trials, .seed = 17});
     const std::vector<int> predicted(12, 26);
     const auto t0 = std::chrono::steady_clock::now();
     optimizer.optimize(tm.best_config(27), 27, predicted);

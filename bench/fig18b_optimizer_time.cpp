@@ -22,8 +22,10 @@ void optimize_on_segment(benchmark::State& state, TraceSegment segment) {
   const ThroughputModel tm(model, {});
   obs::MetricsRegistry registry;
   LiveputOptimizer optimizer(&tm, CostEstimator(model),
-                             LiveputOptimizerOptions{60.0, 256, 17,
-                                                     &registry});
+                             LiveputOptimizerOptions{.interval_s = 60.0,
+                                                     .mc_trials = 256,
+                                                     .seed = 17,
+                                                     .metrics = &registry});
   const SpotTrace trace = canonical_segment(segment);
   const std::vector<int> series = trace.availability_series();
   const ParallelConfig current = tm.best_config(series.front());
@@ -72,8 +74,8 @@ BENCHMARK(BM_LiveputOptimize_LA_SP)->Unit(benchmark::kMillisecond);
 // sizes): full re-solve vs. the warm-started incremental DP. Both
 // variants run the identical workload — a steady forecast with one
 // change per iteration — so the ratio isolates what warm-starting
-// buys. `Full` forces options.full_resolve (every column re-expanded
-// every solve); `WarmOneChange` is the default incremental path (only
+// buys. `Full` calls invalidate() before every solve (every column
+// re-expanded every solve); `WarmOneChange` is the warm start (only
 // the columns the change invalidates re-expand). `Incr` runs a
 // churnier workload: the edit lands mid-window, so the whole suffix
 // (half the columns) re-expands every solve.
@@ -83,7 +85,7 @@ BENCHMARK(BM_LiveputOptimize_LA_SP)->Unit(benchmark::kMillisecond);
 // path); the acceptance pin is WarmOneChange >= 3x faster than Full
 // at N = 256.
 void optimize_at_scale(benchmark::State& state, int n, int lookahead,
-                       int mc_trials, bool full_resolve, bool churn) {
+                       int mc_trials, bool cold, bool churn) {
   const ModelProfile model = gpt2_profile();
   const ThroughputModel tm(model, {});
   obs::MetricsRegistry registry;
@@ -92,7 +94,6 @@ void optimize_at_scale(benchmark::State& state, int n, int lookahead,
   options.mc_trials = mc_trials;
   options.seed = 17;
   options.metrics = &registry;
-  options.full_resolve = full_resolve;
   LiveputOptimizer optimizer(&tm, CostEstimator(model), options);
   const ParallelConfig current = tm.best_config(n);
   std::vector<int> predicted(static_cast<std::size_t>(lookahead), n);
@@ -109,6 +110,7 @@ void optimize_at_scale(benchmark::State& state, int n, int lookahead,
   const std::size_t at = churn ? predicted.size() / 2 : predicted.size() - 1;
   for (auto _ : state) {
     predicted[at] = predicted[at] == n ? n - 1 : n;
+    if (cold) optimizer.invalidate();
     const LiveputPlan plan = optimizer.optimize(current, n, predicted);
     benchmark::DoNotOptimize(plan.expected_value);
   }
@@ -125,28 +127,22 @@ void optimize_at_scale(benchmark::State& state, int n, int lookahead,
 }
 
 void BM_LiveputOptimize_N256_Full(benchmark::State& state) {
-  optimize_at_scale(state, 256, 12, 64, /*full_resolve=*/true,
-                    /*churn=*/false);
+  optimize_at_scale(state, 256, 12, 64, /*cold=*/true, /*churn=*/false);
 }
 void BM_LiveputOptimize_N256_WarmOneChange(benchmark::State& state) {
-  optimize_at_scale(state, 256, 12, 64, /*full_resolve=*/false,
-                    /*churn=*/false);
+  optimize_at_scale(state, 256, 12, 64, /*cold=*/false, /*churn=*/false);
 }
 void BM_LiveputOptimize_N256_Incr(benchmark::State& state) {
-  optimize_at_scale(state, 256, 12, 64, /*full_resolve=*/false,
-                    /*churn=*/true);
+  optimize_at_scale(state, 256, 12, 64, /*cold=*/false, /*churn=*/true);
 }
 void BM_LiveputOptimize_N1024_Full(benchmark::State& state) {
-  optimize_at_scale(state, 1024, 6, 32, /*full_resolve=*/true,
-                    /*churn=*/false);
+  optimize_at_scale(state, 1024, 6, 32, /*cold=*/true, /*churn=*/false);
 }
 void BM_LiveputOptimize_N1024_WarmOneChange(benchmark::State& state) {
-  optimize_at_scale(state, 1024, 6, 32, /*full_resolve=*/false,
-                    /*churn=*/false);
+  optimize_at_scale(state, 1024, 6, 32, /*cold=*/false, /*churn=*/false);
 }
 void BM_LiveputOptimize_N1024_Incr(benchmark::State& state) {
-  optimize_at_scale(state, 1024, 6, 32, /*full_resolve=*/false,
-                    /*churn=*/true);
+  optimize_at_scale(state, 1024, 6, 32, /*cold=*/false, /*churn=*/true);
 }
 BENCHMARK(BM_LiveputOptimize_N256_Full)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LiveputOptimize_N256_WarmOneChange)
@@ -199,15 +195,17 @@ BENCHMARK(BM_LiveputOptimize_N1024_React)->Unit(benchmark::kMillisecond);
 void BM_FullSchedulerStep(benchmark::State& state) {
   const ModelProfile model = gpt2_profile();
   const ThroughputModel tm(model, {});
-  LiveputOptimizer optimizer(&tm, CostEstimator(model),
-                             LiveputOptimizerOptions{60.0, 256, 17});
+  LiveputOptimizer optimizer(
+      &tm, CostEstimator(model),
+      LiveputOptimizerOptions{
+          .interval_s = 60.0, .mc_trials = 256, .seed = 17});
   const std::vector<int> predicted(12, 26);
   // Alternate the observed availability so every step re-expands at
   // least the first DP column (static inputs would reuse everything
   // and measure nothing). The suffix still converges and is reused —
   // this is the honest steady-state cost of a quiet interval under
-  // the warm-started DP, microseconds rather than the ~0.8 ms a full
-  // solve costs.
+  // the warm-started DP, a microsecond or less rather than the tens of
+  // microseconds a cold solve at N = 27 costs.
   int n_now = 27;
   for (auto _ : state) {
     n_now = n_now == 27 ? 26 : 27;

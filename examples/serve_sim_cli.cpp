@@ -45,11 +45,13 @@
 //
 // Example:
 //   serve_sim_cli model=GPT-2 trace=LA-SP system=proactive arrival=mmpp
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/fault.h"
@@ -66,8 +68,9 @@ using namespace parcae::serve;
 
 namespace {
 
-void print_usage() {
-  std::printf(
+void print_usage(FILE* out) {
+  std::fprintf(
+      out,
       "serve_sim_cli [key=value ...]\n"
       "\n"
       "Run the SLO-aware goodput scheduler (or a baseline) on any\n"
@@ -101,6 +104,15 @@ void print_usage() {
       "arrival=mmpp\n");
 }
 
+// Every key main() reads: the ones print_usage() lists, and help.
+constexpr std::string_view kKeys[] = {
+    "model", "trace", "system", "arrival", "rps", "burst", "diurnal",
+    "replay_rps", "slo_ms", "max_batch", "replicas", "intervals", "lookahead",
+    "history", "reoptimize", "mc_trials", "hysteresis", "seed", "mode",
+    "debounce_ms", "timeline", "metrics", "faults", "faults_seed", "alerts",
+    "alerts_jsonl", "metrics_csv", "requests_jsonl", "trace_json",
+    "events_jsonl", "export_port", "help", "h"};
+
 std::map<std::string, std::string> parse_args(int argc, char** argv) {
   std::map<std::string, std::string> args;
   for (int i = 1; i < argc; ++i) {
@@ -116,6 +128,11 @@ std::map<std::string, std::string> parse_args(int argc, char** argv) {
   return args;
 }
 
+bool known_key(std::string_view key) {
+  return std::find(std::begin(kKeys), std::end(kKeys), key) !=
+         std::end(kKeys);
+}
+
 std::string get(const std::map<std::string, std::string>& args,
                 const std::string& key, const std::string& fallback) {
   const auto it = args.find(key);
@@ -127,8 +144,16 @@ std::string get(const std::map<std::string, std::string>& args,
 int main(int argc, char** argv) {
   const auto args = parse_args(argc, argv);
   if (args.count("help") != 0 || args.count("h") != 0) {
-    print_usage();
+    print_usage(stdout);
     return 0;
+  }
+  // A misspelled or retired key would otherwise run on defaults.
+  for (const auto& arg : args) {
+    if (!known_key(arg.first)) {
+      std::fprintf(stderr, "unknown key '%s'\n\n", arg.first.c_str());
+      print_usage(stderr);
+      return 2;
+    }
   }
 
   ModelProfile model;

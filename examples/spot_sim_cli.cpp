@@ -45,11 +45,13 @@
 //
 // Example:
 //   spot_sim_cli model=GPT-3 trace=LA-SP system=varuna
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "core/slo.h"
 #include "rpc/obs_service.h"
@@ -74,8 +76,9 @@ using namespace parcae;
 
 namespace {
 
-void print_usage() {
-  std::printf(
+void print_usage(FILE* out) {
+  std::fprintf(
+      out,
       "spot_sim_cli [key=value ...]\n"
       "\n"
       "Run any system on any model and trace with tunable policy\n"
@@ -126,6 +129,14 @@ void print_usage() {
       "  spot_sim_cli model=GPT-3 trace=LA-SP system=varuna\n");
 }
 
+// Every key main() reads: the ones print_usage() lists, and help.
+constexpr std::string_view kKeys[] = {
+    "model", "trace", "system", "lookahead", "history", "reoptimize",
+    "mc_trials", "hysteresis", "seed", "mode", "debounce_ms", "timeline",
+    "metrics", "faults", "faults_seed", "metrics_csv", "trace_json",
+    "events_jsonl", "alerts", "alerts_jsonl", "export_port", "transport",
+    "rpc_port", "runtime_minutes", "runtime_trace", "help", "h"};
+
 std::map<std::string, std::string> parse_args(int argc, char** argv) {
   std::map<std::string, std::string> args;
   for (int i = 1; i < argc; ++i) {
@@ -142,6 +153,11 @@ std::map<std::string, std::string> parse_args(int argc, char** argv) {
   return args;
 }
 
+bool known_key(std::string_view key) {
+  return std::find(std::begin(kKeys), std::end(kKeys), key) !=
+         std::end(kKeys);
+}
+
 std::string get(const std::map<std::string, std::string>& args,
                 const std::string& key, const std::string& fallback) {
   const auto it = args.find(key);
@@ -153,8 +169,16 @@ std::string get(const std::map<std::string, std::string>& args,
 int main(int argc, char** argv) {
   const auto args = parse_args(argc, argv);
   if (args.count("help") != 0 || args.count("h") != 0) {
-    print_usage();
+    print_usage(stdout);
     return 0;
+  }
+  // A misspelled or retired key would otherwise run on defaults.
+  for (const auto& arg : args) {
+    if (!known_key(arg.first)) {
+      std::fprintf(stderr, "unknown key '%s'\n\n", arg.first.c_str());
+      print_usage(stderr);
+      return 2;
+    }
   }
 
   ModelProfile model;

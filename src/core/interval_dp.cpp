@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 #include "obs/metrics.h"
@@ -59,9 +57,7 @@ IntervalDp::SpacePtr IntervalDp::resolve_space(int n) {
   space->dest.emplace_back();
   space_lru_.push_front(n);
   space_cache_.emplace(n, SpaceEntry{space, space_lru_.begin()});
-  const std::size_t cap =
-      std::max<std::size_t>(1, options_.space_cache_capacity);
-  while (space_cache_.size() > cap) {
+  while (space_cache_.size() > kSpaceCacheCapacity) {
     space_cache_.erase(space_lru_.back());
     space_lru_.pop_back();
     ++space_cache_evictions_;
@@ -214,15 +210,12 @@ IntervalPlan IntervalDp::optimize(ParallelConfig current, int n_now,
   // unchanged since the previous solve AND its predecessor column's
   // values are unchanged (docs/performance.md §7 for the induction
   // argument that this is bit-exact).
-  const bool warm_ok =
-      !options_.full_resolve && warm_.valid && warm_.predicted.size() == I;
+  const bool warm_ok = warm_.valid && warm_.predicted.size() == I;
   if (!warm_ok) {
     warm_.best.assign(I, {});
     warm_.parent.assign(I, {});
   }
 
-  std::uint64_t reused = 0, re_expanded = 0;
-  std::size_t reused_columns = 0;
   bool prev_changed = false;  // did column i-1's values change this solve?
   for (std::size_t i = 0; i < I; ++i) {
     const bool inputs_same =
@@ -231,8 +224,7 @@ IntervalPlan IntervalDp::optimize(ParallelConfig current, int n_now,
         (i == 0 ? (current == warm_.current && n_now == warm_.n_now)
                 : predicted[i - 1] == warm_.predicted[i - 1]);
     if (inputs_same && !prev_changed) {
-      reused += spaces[i]->size();
-      ++reused_columns;
+      states_reused_ += spaces[i]->size();
       continue;  // column values carry over verbatim; prev_changed stays false
     }
     // Convergence cutoff: if the recomputed column comes out
@@ -246,7 +238,7 @@ IntervalPlan IntervalDp::optimize(ParallelConfig current, int n_now,
                    i == 0 ? nullptr : spaces[i - 1].get(),
                    i == 0 ? nullptr : &warm_.best[i - 1], *spaces[i],
                    warm_.best[i], warm_.parent[i]);
-    re_expanded += spaces[i]->size();
+    states_re_expanded_ += spaces[i]->size();
     prev_changed = !comparable || warm_.best[i] != old_column_;
   }
 
@@ -255,49 +247,9 @@ IntervalPlan IntervalDp::optimize(ParallelConfig current, int n_now,
   warm_.n_now = n_now;
   warm_.predicted = predicted;
   warm_.load = load;
-  warm_.spaces = spaces;
-
-  IntervalPlan plan = backtrack(spaces, warm_.best, warm_.parent);
-
-  states_reused_ += reused;
-  states_re_expanded_ += re_expanded;
-  last_states_reused_ = reused;
-  last_states_re_expanded_ = re_expanded;
-
-  if (options_.verify_incremental && reused_columns > 0) {
-    // Debug pin: full re-solve from scratch must agree bit-for-bit.
-    // All MC summaries the full pass needs are already cached (reused
-    // columns saw identical inputs before), so this consumes no RNG
-    // and cannot perturb subsequent solves.
-    const std::string& family = objective_->traits().dp_family;
-    std::vector<std::vector<double>> vbest(I);
-    std::vector<std::vector<int>> vparent(I);
-    for (std::size_t i = 0; i < I; ++i)
-      compute_column(i, current, n_now, predicted, load,
-                     i == 0 ? nullptr : spaces[i - 1].get(),
-                     i == 0 ? nullptr : &vbest[i - 1], *spaces[i], vbest[i],
-                     vparent[i]);
-    for (std::size_t i = 0; i < I; ++i) {
-      if (vbest[i] != warm_.best[i] || vparent[i] != warm_.parent[i]) {
-        std::fprintf(stderr,
-                     "%s incremental DP diverged from full re-solve at "
-                     "column %zu/%zu (N=%d)\n",
-                     family.c_str(), i, I, predicted[i]);
-        std::abort();
-      }
-    }
-    const IntervalPlan full = backtrack(spaces, vbest, vparent);
-    if (full.configs != plan.configs ||
-        full.expected_value != plan.expected_value) {
-      std::fprintf(stderr,
-                   "%s incremental DP plan diverged from full re-solve\n",
-                   family.c_str());
-      std::abort();
-    }
-  }
 
   flush_metrics();
-  return plan;
+  return backtrack(spaces, warm_.best, warm_.parent);
 }
 
 void IntervalDp::flush_metrics() {

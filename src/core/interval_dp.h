@@ -33,9 +33,10 @@
 //     table: a column i is recomputed only when its direct inputs
 //     (predicted[i-1], predicted[i], load[i]; for i = 0 the live config
 //     and n_now) changed or its predecessor column's values changed.
-//     Reused columns are bit-identical to what a full re-solve would
-//     produce (options.verify_incremental re-runs the full DP and
-//     aborts on any divergence; options.full_resolve disables reuse).
+//     Reused columns are bit-identical to what a cold solve would
+//     produce; invalidate() forces one. The tests diff the warm engine
+//     against a twin that invalidates before every solve and against
+//     a naive reference DP.
 #pragma once
 
 #include <cstdint>
@@ -64,17 +65,7 @@ struct IntervalDpOptions {
   obs::MetricsRegistry* metrics = nullptr;
   // Prepended to every metric name (fleet jobs sharing a registry);
   // "" keeps the historical names. Applied once at construction.
-  std::string metric_prefix;
-  // Escape hatch: disable warm-started column reuse and re-solve the
-  // full DP every optimize() call.
-  bool full_resolve = false;
-  // Debug pin: after an incremental solve that reused any column, run
-  // the full DP too and abort the process if any value, parent, or
-  // plan entry differs. Expensive; for tests and triage only.
-  bool verify_incremental = false;
-  // LRU bound on the per-N config-space cache (a churning fleet sees
-  // many distinct N over a long run). Minimum 1.
-  std::size_t space_cache_capacity = 64;
+  std::string metric_prefix = "";
 };
 
 struct IntervalPlan {
@@ -124,24 +115,22 @@ class IntervalDp {
                    int preemptions, double load = 0.0);
 
   // Drop the warm-started value table; the next optimize() re-solves
-  // every column. Cheap; used on scheduler reset.
+  // every column (a cold solve). Cheap; used on scheduler reset.
   void invalidate();
 
   // Incremental-DP telemetry (<dp_family>.states_reused /
   // .states_re_expanded): DP states carried over from the previous
-  // solve vs. recomputed, cumulatively and for the most recent
-  // optimize() call.
+  // solve vs. recomputed, cumulatively.
   std::uint64_t states_reused() const { return states_reused_; }
   std::uint64_t states_re_expanded() const { return states_re_expanded_; }
-  std::uint64_t last_states_reused() const { return last_states_reused_; }
-  std::uint64_t last_states_re_expanded() const {
-    return last_states_re_expanded_;
-  }
 
   // Edges the argmax scan priced, cumulatively; the bound skipped the
   // rest.
   std::uint64_t edges_priced() const { return edges_priced_; }
 
+  // LRU bound on the per-N config-space cache (a churning fleet sees
+  // many distinct N over a long run).
+  static constexpr std::size_t kSpaceCacheCapacity = 64;
   // Config-space LRU telemetry (<dp_family>.space_cache_evictions).
   std::uint64_t space_cache_evictions() const {
     return space_cache_evictions_;
@@ -175,15 +164,16 @@ class IntervalDp {
   };
   using SpacePtr = std::shared_ptr<ConfigSpace>;
 
-  // Previous solve, persisted for warm starts. `spaces` holds strong
-  // refs so LRU eviction can never invalidate a column we may reuse.
+  // Previous solve, persisted for warm starts: its inputs and DP
+  // tables. A reused column reads only best/parent; its space comes
+  // from the LRU like any other, and an evicted space is rebuilt
+  // identically (building one draws nothing from the sampler).
   struct WarmState {
     bool valid = false;
     ParallelConfig current = kIdleConfig;
     int n_now = 0;
     std::vector<int> predicted;
     std::vector<double> load;
-    std::vector<SpacePtr> spaces;
     std::vector<std::vector<double>> best;
     std::vector<std::vector<int>> parent;
   };
@@ -233,8 +223,6 @@ class IntervalDp {
   std::vector<double> old_column_;
   std::uint64_t states_reused_ = 0;
   std::uint64_t states_re_expanded_ = 0;
-  std::uint64_t last_states_reused_ = 0;
-  std::uint64_t last_states_re_expanded_ = 0;
   std::uint64_t edges_priced_ = 0;
 
   std::uint64_t flushed_states_reused_ = 0;

@@ -28,10 +28,7 @@ SchedulerCore::SchedulerCore(ModelProfile model, SchedulerCoreOptions options,
                      .mc_trials = options.mc_trials,
                      .seed = options.seed,
                      .metrics = metrics_,
-                     .metric_prefix = options.metric_prefix,
-                     .full_resolve = options.optimizer_full_resolve,
-                     .verify_incremental =
-                         options.optimizer_verify_incremental}),
+                     .metric_prefix = options.metric_prefix}),
       predictor_(make_parcae_predictor(
           static_cast<double>(options.max_instances))) {
   // Distributed tracing: spans from this core get deterministic ids

@@ -77,11 +77,6 @@ struct SchedulerCoreOptions {
   // are counted as scheduler.events_coalesced and folded into the
   // same re-solve.
   double debounce_ms = 250.0;
-  // Passthroughs to IntervalDpOptions (triage knobs): disable
-  // the warm-started incremental DP, or run both paths and abort on
-  // any divergence (tests, chaos runs).
-  bool optimizer_full_resolve = false;
-  bool optimizer_verify_incremental = false;
   int mc_trials = 256;
   std::uint64_t seed = 123;
   double interval_s = 60.0;
@@ -192,6 +187,9 @@ class SchedulerCore {
   const SchedulerCoreOptions& options() const { return options_; }
   const ModelProfile& model() const { return model_; }
   const ThroughputModel& throughput_model() const { return throughput_; }
+  // The interval DP behind every re-solve (tests invalidate a twin
+  // core's before each step to compare warm and cold decisions).
+  IntervalDp& optimizer() { return optimizer_; }
   const std::vector<MigrationLogEntry>& migration_log() const {
     return migration_log_;
   }

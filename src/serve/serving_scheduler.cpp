@@ -29,8 +29,6 @@ SchedulerCoreOptions core_options(const ServingSchedulerOptions& o,
   c.reoptimize_every = o.reoptimize_every;
   c.event_driven = o.event_driven;
   c.debounce_ms = o.debounce_ms;
-  c.optimizer_full_resolve = o.optimizer_full_resolve;
-  c.optimizer_verify_incremental = o.optimizer_verify_incremental;
   c.mc_trials = o.mc_trials;
   c.seed = o.seed;
   c.interval_s = o.interval_s;

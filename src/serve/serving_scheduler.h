@@ -58,8 +58,6 @@ struct ServingSchedulerOptions {
   // coalescing; interval 0 always solves.
   bool event_driven = false;
   double debounce_ms = 250.0;
-  bool optimizer_full_resolve = false;
-  bool optimizer_verify_incremental = false;
   int mc_trials = 256;
   std::uint64_t seed = 123;
   double interval_s = 60.0;

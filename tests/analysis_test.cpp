@@ -33,8 +33,9 @@ TEST(ExperimentMatrix, SummaryReferencesParcae) {
       EXPECT_NEAR(s.parcae_speedup_geomean, 1.0, 1e-9);
       EXPECT_EQ(s.cells_no_progress, 0);
     }
-    if (s.system == "Varuna" || s.system == "Bamboo")
+    if (s.system == "Varuna" || s.system == "Bamboo") {
       EXPECT_GT(s.parcae_speedup_geomean, 1.0);
+    }
   }
 }
 

@@ -56,10 +56,12 @@ TEST(TraceCloudProvider, InstanceIdsAreUniqueAcrossLifetimes) {
   cloud.request_instances(4);
   std::set<int> granted;
   for (double t = 0.0; t <= 300.0; t += 60.0) {
-    for (const auto& e : cloud.advance(t))
-      if (e.kind == CloudEvent::Kind::kInstanceGranted)
+    for (const auto& e : cloud.advance(t)) {
+      if (e.kind == CloudEvent::Kind::kInstanceGranted) {
         EXPECT_TRUE(granted.insert(e.instance_id).second)
             << "id reused: " << e.instance_id;
+      }
+    }
   }
   EXPECT_GE(granted.size(), 8u);  // 4 initial + regrants
 }

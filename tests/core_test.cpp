@@ -22,8 +22,10 @@ ThroughputModel gpt2_model() {
 
 LiveputOptimizer make_optimizer(const ThroughputModel* tm,
                                 int trials = 128) {
-  return LiveputOptimizer(tm, CostEstimator(tm->model()),
-                          LiveputOptimizerOptions{60.0, trials, 17});
+  return LiveputOptimizer(
+      tm, CostEstimator(tm->model()),
+      LiveputOptimizerOptions{
+          .interval_s = 60.0, .mc_trials = trials, .seed = 17});
 }
 
 TEST(Liveput, EqualsThroughputWithoutPreemptions) {
@@ -115,8 +117,9 @@ TEST(LiveputOptimizer, PlanCoversAllIntervalsAndRespectsResources) {
   const LiveputPlan plan = opt.optimize({3, 9}, 27, predicted);
   ASSERT_EQ(plan.configs.size(), predicted.size());
   for (std::size_t i = 0; i < plan.configs.size(); ++i) {
-    if (plan.configs[i].valid())
+    if (plan.configs[i].valid()) {
       EXPECT_LE(plan.configs[i].instances(), predicted[i]) << "interval " << i;
+    }
   }
   EXPECT_GT(plan.expected_value, 0.0);
 }

@@ -1,21 +1,19 @@
 // The performance layer's contract: the DP's own structure and the
 // experiment runner's threads must never change a decision. optimize()
 // plans match a naive reference DP bit for bit, including the pruned
-// scan's ties; run_matrix cells are bit-identical at any thread count;
-// scratch-buffer sampling consumes the same RNG draws as the allocating
-// path.
+// scan's ties and warm re-solves that reuse columns; run_matrix cells
+// are bit-identical at any thread count; scratch-buffer sampling
+// consumes the same RNG draws as the allocating path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <utility>
 #include <vector>
 
 #include "analysis/experiment.h"
 #include "common/rng.h"
 #include "core/liveput_optimizer.h"
-#include "migration/migration_expectation.h"
 #include "migration/preemption.h"
 #include "model/model_profile.h"
 #include "obs/metrics.h"
@@ -23,10 +21,10 @@
 #include "serve/serving_scheduler.h"
 #include "trace/spot_trace.h"
 
+#include "dp_oracles.h"
+
 namespace parcae {
 namespace {
-
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
 // A forecast battery covering the DP's regimes: flat (repeated
 // intervals), growth (allocations), decay (preemptions), and a
@@ -83,95 +81,19 @@ TEST(Determinism, RunMatrixCellsIdenticalAcrossThreadCounts) {
   }
 }
 
-// The textbook interval DP, to diff IntervalDp against: candidate-major,
-// every edge priced afresh by its own MigrationExpectation::cost() plus
-// the objective's switch stall, the same value formula and first-wins
-// strict > over predecessors in jj order. No warm start, no predecessor
-// pass, no pruning.
-class ReferenceDp {
- public:
-  ReferenceDp(const SchedulingObjective* objective, const ModelProfile& model,
-              const IntervalDpOptions& options, obs::MetricsRegistry* metrics)
-      : objective_(objective),
-        interval_s_(options.interval_s),
-        migration_(CostEstimator(model), options.mc_trials, options.seed) {
-    migration_.sampler().set_metrics(metrics);
-  }
-
-  IntervalPlan optimize(ParallelConfig current, int n_now,
-                        const std::vector<int>& predicted,
-                        const std::vector<double>& load) {
-    const std::size_t I = predicted.size();
-    std::vector<std::vector<ParallelConfig>> space(I);
-    std::vector<std::vector<double>> best(I);
-    std::vector<std::vector<int>> parent(I);
-    for (std::size_t i = 0; i < I; ++i) {
-      space[i] = objective_->candidates(predicted[i]);
-      space[i].push_back(kIdleConfig);
-      const int n_prev = i == 0 ? n_now : predicted[i - 1];
-      const int k = std::max(0, n_prev - predicted[i]);
-      const double load_i = load.empty() ? 0.0 : load[i];
-      const auto value_of = [&](ParallelConfig from, ParallelConfig to) {
-        double stall = migration_.cost(from, n_prev, to, k);
-        const double sw =
-            from.valid() ? objective_->switch_cost(from, load_i) : 0.0;
-        if (sw > 0.0 && to.valid() && to != from) stall += sw;
-        return objective_->rate(to, load_i) *
-               std::max(0.0, interval_s_ - stall);
-      };
-      best[i].assign(space[i].size(), kNegInf);
-      parent[i].assign(space[i].size(), -1);
-      for (std::size_t j = 0; j < space[i].size(); ++j) {
-        if (i == 0) {
-          best[0][j] = value_of(current, space[0][j]);
-          ++edges_priced_;
-          continue;
-        }
-        for (std::size_t jj = 0; jj < space[i - 1].size(); ++jj) {
-          if (best[i - 1][jj] == kNegInf) continue;
-          ++edges_priced_;
-          const double value =
-              best[i - 1][jj] + value_of(space[i - 1][jj], space[i][j]);
-          if (value > best[i][j]) {
-            best[i][j] = value;
-            parent[i][j] = static_cast<int>(jj);
-          }
-        }
-      }
-    }
-    std::size_t arg = 0;
-    for (std::size_t j = 1; j < best[I - 1].size(); ++j)
-      if (best[I - 1][j] > best[I - 1][arg]) arg = j;
-    IntervalPlan plan;
-    plan.expected_value = std::max(0.0, best[I - 1][arg]);
-    plan.configs.assign(I, kIdleConfig);
-    int cursor = static_cast<int>(arg);
-    for (std::size_t i = I; i-- > 0;) {
-      plan.configs[i] = space[i][static_cast<std::size_t>(cursor)];
-      if (i > 0) cursor = parent[i][static_cast<std::size_t>(cursor)];
-    }
-    return plan;
-  }
-
-  // Every edge out of a live predecessor, cumulatively.
-  std::uint64_t edges_priced() const { return edges_priced_; }
-
- private:
-  const SchedulingObjective* objective_;
-  double interval_s_;
-  MigrationExpectation migration_;
-  std::uint64_t edges_priced_ = 0;
-};
-
 struct DpStep {
   std::vector<int> predicted;
-  std::vector<double> load;  // empty: the objective has no load
+  std::vector<double> load = {};  // empty: the objective has no load
+  // Re-solve from the previous step's live config and n_now instead of
+  // following its plan, so the warm start can reuse columns.
+  bool hold = false;
 };
 
 // Walks `steps` through IntervalDp (warm-started) and the reference,
-// chaining the advised config: plans must be bit-identical, both
-// engines must draw the same MC summaries, and the bound must have
-// spared IntervalDp some of the edges the reference prices.
+// chaining the advised config unless a step holds: plans must be
+// bit-identical, both engines must draw the same MC summaries, every
+// held step must reuse DP states, and the bound must have spared
+// IntervalDp some of the edges the reference prices.
 void expect_matches_reference(const SchedulingObjective& objective,
                               const ModelProfile& model,
                               IntervalDpOptions options, ParallelConfig current,
@@ -184,6 +106,7 @@ void expect_matches_reference(const SchedulingObjective& objective,
   ParallelConfig live = current;
   int n = n_now;
   for (std::size_t s = 0; s < steps.size(); ++s) {
+    const std::uint64_t reused = dp.states_reused();
     const IntervalPlan got =
         dp.optimize(live, n, steps[s].predicted, steps[s].load);
     const IntervalPlan want =
@@ -191,8 +114,13 @@ void expect_matches_reference(const SchedulingObjective& objective,
     EXPECT_EQ(got.configs, want.configs) << "step " << s;
     // Bit-identical, not approximately equal.
     EXPECT_EQ(got.expected_value, want.expected_value) << "step " << s;
-    live = got.next();
-    n = steps[s].predicted.front();
+    if (steps[s].hold) {
+      EXPECT_GT(dp.states_reused(), reused) << "step " << s;
+    }
+    if (s + 1 < steps.size() && !steps[s + 1].hold) {
+      live = got.next();
+      n = steps[s].predicted.front();
+    }
   }
   EXPECT_GT(dp_metrics.counter_value("mc_sampler.samples"), 0.0);
   EXPECT_EQ(dp_metrics.counter_value("mc_sampler.samples"),
@@ -206,15 +134,26 @@ TEST(Determinism, OptimizeMatchesNaiveReferenceDp) {
   const LiveputObjective objective(&tm);
   std::vector<DpStep> steps;
   for (const auto& predicted : forecast_battery())
-    steps.push_back({predicted, {}});
+    steps.push_back({.predicted = predicted});
   // Idle-only column after live predecessors (N = 0 with k = 28 > 0):
   // no edge reads a summary, so nothing may be drawn for it; the later
   // k = 2 column's summaries would shift if anything were.
-  steps.push_back({{28, 28, 0, 28, 26, 26}, {}});
+  steps.push_back({.predicted = {28, 28, 0, 28, 26, 26}});
   ASSERT_FALSE(tm.enumerate_configs(28).empty());  // live predecessors
   // Width growth at the same depth: every column into N = 32 prices
   // same-depth edges with to.dp > from.dp (the inter-stage mixture).
-  steps.push_back({{16, 32, 32, 32, 30, 32}, {}});
+  steps.push_back({.predicted = {16, 32, 32, 32, 30, 32}});
+  // Warm re-solves from one live state: a repeated forecast reuses every
+  // column; a tail-only change re-expands the last; a mid-window edit
+  // re-expands columns 5 and 6, and the columns after them see
+  // unchanged direct inputs but must not be reused over changed values.
+  std::vector<int> window = {28, 28, 27, 26, 24, 20, 16, 12, 12, 16, 20, 28};
+  steps.push_back({.predicted = window});
+  steps.push_back({.predicted = window, .hold = true});
+  window.back() = 24;
+  steps.push_back({.predicted = window, .hold = true});
+  window[5] = 18;
+  steps.push_back({.predicted = window, .hold = true});
   IntervalDpOptions options;
   options.mc_trials = 128;
   options.seed = 17;
@@ -228,7 +167,7 @@ TEST(Determinism, OptimizeMatchesNaiveReferenceDp) {
   const ParallelConfig full = tm.best_config(128);
   ASSERT_EQ(full.instances(), 128);
   expect_matches_reference(objective, model, options, full, 128,
-                           {{{126, 126, 126}, {}}});
+                           {{.predicted = {126, 126, 126}}});
 }
 
 // Two configs with hand-picked rates per column (the column's load picks
@@ -286,8 +225,9 @@ TEST(Determinism, PrunedScanTiesMatchNaiveReferenceDp) {
   //   Step 2: F(1) = {a: 3, b: 3}. Into a, a's free stay and b's edge
   //   are both worth 3: the lower jj (a) wins, not the later one.
   // Either way the plan is {a, a, a}; a wrong tie rule yields {b, b, a}.
-  const std::vector<DpStep> steps = {{{8, 8, 8}, {0, 1, 2}},
-                                     {{8, 8, 8}, {0, 3, 4}}};
+  const std::vector<DpStep> steps = {
+      {.predicted = {8, 8, 8}, .load = {0, 1, 2}},
+      {.predicted = {8, 8, 8}, .load = {0, 3, 4}}};
   expect_matches_reference(objective, model, options, a, 8, steps);
 }
 
@@ -296,10 +236,18 @@ TEST(Determinism, GoodputOptimizeMatchesNaiveReferenceDp) {
   const serve::GoodputObjective objective(model, {}, {}, nullptr, 32);
   const ParallelConfig live = objective.best_config(16, 40.0);
   ASSERT_GT(objective.switch_cost(live, 40.0), 0.0);  // drain is charged
+  const std::vector<int> flat(8, 16);
   const std::vector<DpStep> steps = {
-      {{16, 16, 14, 12, 12, 16, 20, 24}, {40, 40, 80, 80, 40, 20, 20, 40}},
-      {{16, 12, 12, 0, 8, 8, 16, 16}, {40, 60, 60, 60, 30, 30, 30, 30}},
-      {{16, 16, 16, 16, 16, 16, 16, 16}, std::vector<double>(8, 90.0)},
+      {.predicted = {16, 16, 14, 12, 12, 16, 20, 24},
+       .load = {40, 40, 80, 80, 40, 20, 20, 40}},
+      {.predicted = {16, 12, 12, 0, 8, 8, 16, 16},
+       .load = {40, 60, 60, 60, 30, 30, 30, 30}},
+      {.predicted = flat, .load = std::vector<double>(8, 90.0)},
+      // The load forecast moves, the availability does not: the columns
+      // before the first changed load are reused, the rest re-expand.
+      {.predicted = flat,
+       .load = {90, 90, 90, 90, 45, 45, 120, 120},
+       .hold = true},
   };
   IntervalDpOptions options;
   options.mc_trials = 64;

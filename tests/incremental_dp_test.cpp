@@ -1,14 +1,17 @@
 // The incremental liveput DP's contract: warm-started column reuse
-// must never change a plan. Incremental and full re-solves are
-// bit-identical across seeded availability-churn schedules (including
-// the degenerate all-changed case) and under fault-injection chaos;
-// states_reused accounting, the bounded config-space LRU, the batched
-// MC tally, and the event-driven scheduler mode are pinned alongside.
+// must never change a plan. A warm engine and its cold twin (the same
+// engine, invalidated before every solve) are bit-identical across
+// seeded availability-churn schedules (including the degenerate
+// all-changed case) and, as whole scheduler cores, under fault-injection
+// chaos; the bounded config-space LRU also matches the naive reference
+// DP. states_reused accounting, the batched MC tally, and the
+// event-driven scheduler mode are pinned alongside.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
@@ -19,21 +22,12 @@
 #include "model/model_profile.h"
 #include "obs/metrics.h"
 #include "parallel/throughput_model.h"
-#include "runtime/cluster_sim.h"
-#include "runtime/parcae_policy.h"
 #include "trace/spot_trace.h"
+
+#include "dp_oracles.h"
 
 namespace parcae {
 namespace {
-
-void expect_plans_equal(const LiveputPlan& a, const LiveputPlan& b,
-                        const char* what) {
-  ASSERT_EQ(a.configs.size(), b.configs.size()) << what;
-  for (std::size_t i = 0; i < a.configs.size(); ++i)
-    EXPECT_EQ(a.configs[i], b.configs[i]) << what << " interval " << i;
-  // Bit-identical, not approximately equal.
-  EXPECT_EQ(a.expected_value, b.expected_value) << what;
-}
 
 // A seeded churn schedule: each step perturbs the forecast the way a
 // live predictor would — quiet stretches (everything reusable),
@@ -81,139 +75,132 @@ std::vector<std::vector<int>> churn_schedule(std::uint64_t seed, int steps,
   return schedule;
 }
 
-LiveputOptimizerOptions optimizer_options(bool full_resolve, bool verify) {
-  LiveputOptimizerOptions options;
+IntervalDpOptions optimizer_options() {
+  IntervalDpOptions options;
   options.interval_s = 60.0;
   options.mc_trials = 64;
   options.seed = 17;
-  options.full_resolve = full_resolve;
-  options.verify_incremental = verify;
   return options;
 }
 
 TEST(IncrementalDp, BitIdenticalPlansAcrossChurnSchedules) {
   const ModelProfile model = gpt2_profile();
   const ThroughputModel tm(model, {});
+  const LiveputObjective objective(&tm);
   const auto schedule = churn_schedule(/*seed=*/2024, /*steps=*/30,
                                        /*lookahead=*/8, /*max_n=*/32);
-  LiveputOptimizer full(&tm, CostEstimator(model),
-                        optimizer_options(/*full_resolve=*/true,
-                                          /*verify=*/false));
-  // verify_incremental doubles as an in-process cross-check: any
-  // reused column that diverges from a scratch full re-solve aborts.
-  LiveputOptimizer incremental(
-      &tm, CostEstimator(model),
-      optimizer_options(/*full_resolve=*/false, /*verify=*/true));
+  WarmAndCold dp(&objective, model, optimizer_options());
   ParallelConfig current = tm.best_config(26);
   int n_now = 26;
   for (const auto& forecast : schedule) {
-    const LiveputPlan a = full.optimize(current, n_now, forecast);
-    const LiveputPlan b = incremental.optimize(current, n_now, forecast);
-    expect_plans_equal(a, b, "incremental vs full");
+    const std::uint64_t states =
+        dp.warm().states_reused() + dp.warm().states_re_expanded();
+    const LiveputPlan plan = dp.optimize(current, n_now, forecast);
     // Every DP state is either reused or re-expanded, never both.
     std::size_t total_states = 0;
     for (const int n : forecast)
       total_states += tm.enumerate_configs(n).size() + 1;
-    EXPECT_EQ(incremental.last_states_reused() +
-                  incremental.last_states_re_expanded(),
+    EXPECT_EQ(dp.warm().states_reused() + dp.warm().states_re_expanded() -
+                  states,
               total_states);
     // Drive the schedule like a scheduler would: follow the plan.
-    current = a.next();
+    current = plan.next();
     n_now = forecast.front();
   }
+  dp.expect_same_draws();
   // The whole point: quiet/localized steps actually reuse columns.
-  EXPECT_GT(incremental.states_reused(), 0u);
-  EXPECT_EQ(full.states_reused(), 0u);
+  EXPECT_GT(dp.warm().states_reused(), 0u);
+  EXPECT_EQ(dp.cold().states_reused(), 0u);
 }
 
 TEST(IncrementalDp, DegenerateAllChangedScheduleReusesNothing) {
   const ModelProfile model = gpt2_profile();
   const ThroughputModel tm(model, {});
-  LiveputOptimizer full(&tm, CostEstimator(model),
-                        optimizer_options(true, false));
-  LiveputOptimizer incremental(&tm, CostEstimator(model),
-                               optimizer_options(false, true));
+  const LiveputObjective objective(&tm);
+  WarmAndCold dp(&objective, model, optimizer_options());
   const ParallelConfig current = tm.best_config(24);
   // Disjoint N sets per step: every column's direct inputs change.
   const std::vector<std::vector<int>> schedule = {
       {24, 23, 22, 21}, {12, 11, 10, 9}, {30, 29, 28, 27}, {5, 4, 3, 2}};
-  for (const auto& forecast : schedule) {
-    const LiveputPlan a = full.optimize(current, 24, forecast);
-    const LiveputPlan b = incremental.optimize(current, 24, forecast);
-    expect_plans_equal(a, b, "all-changed");
-  }
-  EXPECT_EQ(incremental.states_reused(), 0u);
-  EXPECT_GT(incremental.states_re_expanded(), 0u);
+  for (const auto& forecast : schedule) dp.optimize(current, 24, forecast);
+  dp.expect_same_draws();
+  EXPECT_EQ(dp.warm().states_reused(), 0u);
+  EXPECT_GT(dp.warm().states_re_expanded(), 0u);
 }
 
 TEST(IncrementalDp, StatesReusedAccountingIsPinned) {
   const ModelProfile model = gpt2_profile();
   const ThroughputModel tm(model, {});
-  LiveputOptimizer optimizer(&tm, CostEstimator(model),
-                             optimizer_options(false, true));
+  LiveputOptimizer optimizer(&tm, CostEstimator(model), optimizer_options());
   const ParallelConfig current = tm.best_config(24);
-  const std::size_t s24 = tm.enumerate_configs(24).size() + 1;
-  const std::size_t s20 = tm.enumerate_configs(20).size() + 1;
+  const std::uint64_t s24 = tm.enumerate_configs(24).size() + 1;
+  const std::uint64_t s20 = tm.enumerate_configs(20).size() + 1;
+  // One solve's DP states {reused, re-expanded}: deltas of the
+  // cumulative counters.
+  const auto solve = [&](const std::vector<int>& forecast) {
+    const std::uint64_t reused = optimizer.states_reused();
+    const std::uint64_t re_expanded = optimizer.states_re_expanded();
+    optimizer.optimize(current, 24, forecast);
+    return std::pair{optimizer.states_reused() - reused,
+                     optimizer.states_re_expanded() - re_expanded};
+  };
+  using Delta = std::pair<std::uint64_t, std::uint64_t>;
 
   // Cold solve: everything re-expanded.
-  optimizer.optimize(current, 24, {24, 24, 24, 24});
-  EXPECT_EQ(optimizer.last_states_reused(), 0u);
-  EXPECT_EQ(optimizer.last_states_re_expanded(), 4 * s24);
-
+  EXPECT_EQ(solve({24, 24, 24, 24}), (Delta{0, 4 * s24}));
   // Identical inputs: everything reused.
-  optimizer.optimize(current, 24, {24, 24, 24, 24});
-  EXPECT_EQ(optimizer.last_states_reused(), 4 * s24);
-  EXPECT_EQ(optimizer.last_states_re_expanded(), 0u);
-
+  EXPECT_EQ(solve({24, 24, 24, 24}), (Delta{4 * s24, 0}));
   // Tail-only change: the prefix is reused verbatim, only the last
   // column (whose direct input predicted[3] changed) re-expands.
-  optimizer.optimize(current, 24, {24, 24, 24, 20});
-  EXPECT_EQ(optimizer.last_states_reused(), 3 * s24);
-  EXPECT_EQ(optimizer.last_states_re_expanded(), s20);
-
+  EXPECT_EQ(solve({24, 24, 24, 20}), (Delta{3 * s24, s20}));
   // invalidate() drops the warm table: the next solve is cold again.
   optimizer.invalidate();
-  optimizer.optimize(current, 24, {24, 24, 24, 20});
-  EXPECT_EQ(optimizer.last_states_reused(), 0u);
-  EXPECT_EQ(optimizer.last_states_re_expanded(), 3 * s24 + s20);
-}
-
-TEST(IncrementalDp, FullResolveEscapeHatchNeverReuses) {
-  const ModelProfile model = gpt2_profile();
-  const ThroughputModel tm(model, {});
-  LiveputOptimizer optimizer(&tm, CostEstimator(model),
-                             optimizer_options(true, false));
-  const ParallelConfig current = tm.best_config(24);
-  for (int i = 0; i < 3; ++i) {
-    optimizer.optimize(current, 24, {24, 24, 24, 24});
-    EXPECT_EQ(optimizer.last_states_reused(), 0u);
-  }
+  EXPECT_EQ(solve({24, 24, 24, 20}), (Delta{0, 3 * s24 + s20}));
 }
 
 TEST(IncrementalDp, SpaceCacheLruIsBoundedAndPlansUnchanged) {
   const ModelProfile model = gpt2_profile();
   const ThroughputModel tm(model, {});
-  LiveputOptimizerOptions bounded = optimizer_options(false, true);
-  bounded.space_cache_capacity = 2;
-  obs::MetricsRegistry registry;
-  bounded.metrics = &registry;
-  LiveputOptimizer small(&tm, CostEstimator(model), bounded);
-  LiveputOptimizer large(&tm, CostEstimator(model),
-                         optimizer_options(false, true));
-  const ParallelConfig current = tm.best_config(20);
-  // Churn through many distinct N so the 2-entry LRU must evict while
-  // solves are in flight (shared_ptr spaces keep reused columns safe).
-  for (int base : {8, 12, 16, 20, 24, 28, 8, 20}) {
-    const std::vector<int> forecast = {base, base + 1, base + 2, base + 3};
-    const LiveputPlan a = small.optimize(current, 20, forecast);
-    const LiveputPlan b = large.optimize(current, 20, forecast);
-    expect_plans_equal(a, b, "bounded vs unbounded space cache");
-    EXPECT_LE(small.space_cache_size(), 2u);
+  const LiveputObjective objective(&tm);
+  const IntervalDpOptions options = optimizer_options();
+  WarmAndCold dp(&objective, model, options);
+  obs::MetricsRegistry reference_metrics;
+  ReferenceDp reference(&objective, model, options, &reference_metrics);
+  // A window with more distinct N than the LRU holds: resolving it
+  // evicts its own first spaces while the solve is in flight, and every
+  // later solve of it misses on every N (the LRU cycles). So the
+  // repeated solve reuses every column over rebuilt spaces, and the
+  // tail edit reuses all but the last.
+  constexpr std::size_t kDistinct = IntervalDp::kSpaceCacheCapacity + 8;
+  std::vector<int> window;
+  for (std::size_t i = 0; i < kDistinct; ++i)
+    window.push_back(1 + static_cast<int>((i * 37) % kDistinct));
+  std::vector<std::vector<int>> schedule = {window, window};
+  --window.back();
+  schedule.push_back(window);
+
+  const ParallelConfig current = tm.best_config(24);
+  for (std::size_t s = 0; s < schedule.size(); ++s) {
+    const LiveputPlan got = dp.optimize(current, 24, schedule[s]);
+    const LiveputPlan want = reference.optimize(current, 24, schedule[s], {});
+    EXPECT_EQ(got.configs, want.configs) << "step " << s;
+    EXPECT_EQ(got.expected_value, want.expected_value) << "step " << s;
+    EXPECT_LE(dp.warm().space_cache_size(), IntervalDp::kSpaceCacheCapacity);
   }
-  EXPECT_GT(small.space_cache_evictions(), 0u);
-  EXPECT_EQ(large.space_cache_evictions(), 0u);
-  EXPECT_EQ(registry.counter_value("liveput_dp.space_cache_evictions"),
-            static_cast<double>(small.space_cache_evictions()));
+  dp.expect_same_draws();
+  EXPECT_EQ(dp.warm_metrics().counter_value("mc_sampler.samples"),
+            reference_metrics.counter_value("mc_sampler.samples"));
+  // The repeated solve reused every state, the tail edit all but the
+  // last column's.
+  std::uint64_t states = 0;
+  for (const int n : schedule[0]) states += tm.enumerate_configs(n).size() + 1;
+  const int last_n = schedule[0].back();
+  EXPECT_EQ(dp.warm().states_reused(),
+            2 * states - (tm.enumerate_configs(last_n).size() + 1));
+  EXPECT_EQ(dp.cold().states_reused(), 0u);
+  EXPECT_GT(dp.warm().space_cache_evictions(), 0u);
+  EXPECT_EQ(dp.warm_metrics().counter_value("liveput_dp.space_cache_evictions"),
+            static_cast<double>(dp.warm().space_cache_evictions()));
 }
 
 TEST(IncrementalDp, BatchedMcTallyMatchesPerTrialAccumulation) {
@@ -257,34 +244,53 @@ TEST(IncrementalDp, BatchedMcTallyMatchesPerTrialAccumulation) {
 }
 
 TEST(IncrementalDp, ChaosChurnUnderFaultInjectionStaysBitExact) {
-  // Full end-to-end churn under unpredicted-preemption chaos (the
-  // PARCAE_FAULTS point "sim.unpredicted_preempt"): the incremental
-  // core, running with the verify-both-paths pin armed, must commit
-  // exactly what the full-resolve core commits.
-  const SpotTrace trace = canonical_segment(TraceSegment::kLowAvailSparse);
-  auto run = [&](bool full_resolve) {
-    ParcaePolicyOptions popt;
-    popt.lookahead = 8;
-    popt.history = 8;
-    popt.mc_trials = 32;
-    popt.seed = 7;
-    popt.optimizer_full_resolve = full_resolve;
-    popt.optimizer_verify_incremental = !full_resolve;
-    ParcaePolicy policy(gpt2_profile(), popt, &trace);
-    FaultInjector faults(0xfa017);
-    FaultTrigger trigger;
-    trigger.probability = 0.3;
-    faults.arm("sim.unpredicted_preempt", trigger);
-    SimulationOptions sim;
-    sim.record_timeline = false;
-    sim.faults = &faults;
-    return simulate(policy, trace, sim);
-  };
-  const SimulationResult full = run(true);
-  const SimulationResult incremental = run(false);
-  EXPECT_EQ(full.committed_units, incremental.committed_units);
-  EXPECT_EQ(full.total_cost_usd, incremental.total_cost_usd);
-  EXPECT_EQ(full.gpu_hours.lost, incremental.gpu_hours.lost);
+  // Two cores step over the same observation stream: the trace's
+  // availability under unpredicted-preemption chaos (the simulator's
+  // PARCAE_FAULTS point "sim.unpredicted_preempt": one instance beyond
+  // the trace disappears at a boundary). The twin's DP drops its warm
+  // state before every step, so it always solves cold; the warm core
+  // must decide exactly what the twin decides, decision by decision.
+  const std::vector<int> series =
+      canonical_segment(TraceSegment::kLowAvailSparse).availability_series();
+  SchedulerCoreOptions options;
+  options.lookahead = 8;
+  options.history = 8;
+  options.mc_trials = 32;
+  options.seed = 7;
+  SchedulerCore warm(gpt2_profile(), options,
+                     static_cast<const SpotTrace*>(nullptr));
+  SchedulerCore cold(gpt2_profile(), options,
+                     static_cast<const SpotTrace*>(nullptr));
+  FaultInjector faults(0xfa017);
+  FaultTrigger trigger;
+  trigger.probability = 0.3;
+  faults.arm("sim.unpredicted_preempt", trigger);
+  int prev_available = 0;
+  int unpredicted = 0;
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    const int interval = static_cast<int>(i);
+    int available = series[i];
+    faults.set_interval(interval);
+    if (available > 0 && faults.should_fire("sim.unpredicted_preempt")) {
+      --available;
+      ++unpredicted;
+    }
+    const AvailabilityObservation observed{
+        available, std::max(0, prev_available - available),
+        std::max(0, available - prev_available)};
+    prev_available = available;
+    const SchedulerDecision a = warm.step(interval, observed, 60.0);
+    cold.optimizer().invalidate();
+    const SchedulerDecision b = cold.step(interval, observed, 60.0);
+    EXPECT_EQ(a.config, b.config) << "interval " << i;
+    EXPECT_EQ(a.planned_next, b.planned_next) << "interval " << i;
+    EXPECT_EQ(a.stall_s, b.stall_s) << "interval " << i;
+  }
+  EXPECT_GT(unpredicted, 0);
+  EXPECT_EQ(warm.metrics().counter_value("mc_sampler.samples"),
+            cold.metrics().counter_value("mc_sampler.samples"));
+  EXPECT_GT(warm.optimizer().states_reused(), 0u);
+  EXPECT_EQ(cold.optimizer().states_reused(), 0u);
 }
 
 TEST(EventDrivenScheduler, ReoptimizesOnBootstrapAndEventsOnly) {

@@ -14,8 +14,10 @@ ThroughputModel gpt3_model() {
 }
 
 LiveputOptimizer make_optimizer(const ThroughputModel* tm) {
-  return LiveputOptimizer(tm, CostEstimator(tm->model()),
-                          LiveputOptimizerOptions{60.0, 128, 17});
+  return LiveputOptimizer(
+      tm, CostEstimator(tm->model()),
+      LiveputOptimizerOptions{
+          .interval_s = 60.0, .mc_trials = 128, .seed = 17});
 }
 
 TEST(OptimizerPaths, PlansThroughACapacityGap) {
@@ -113,8 +115,11 @@ TEST(OptimizerPaths, PredictedCrashPrefersRobustConfigurations) {
   auto opt = make_optimizer(&tm);
   const std::vector<int> predicted{12, 12, 12, 12};
   const LiveputPlan plan = opt.optimize(tm.best_config(24), 24, predicted);
-  for (const auto& c : plan.configs)
-    if (c.valid()) EXPECT_LE(c.instances(), 12);
+  for (const auto& c : plan.configs) {
+    if (c.valid()) {
+      EXPECT_LE(c.instances(), 12);
+    }
+  }
 }
 
 TEST(OptimizerPaths, MismatchedCurrentConfigStillPlans) {
@@ -123,8 +128,11 @@ TEST(OptimizerPaths, MismatchedCurrentConfigStillPlans) {
   const auto tm = ThroughputModel(gpt2_profile(), {});
   auto opt = make_optimizer(&tm);
   const LiveputPlan plan = opt.optimize({4, 8}, 20, {20, 20});
-  for (const auto& c : plan.configs)
-    if (c.valid()) EXPECT_LE(c.instances(), 20);
+  for (const auto& c : plan.configs) {
+    if (c.valid()) {
+      EXPECT_LE(c.instances(), 20);
+    }
+  }
   EXPECT_GT(plan.expected_value, 0.0);
 }
 

@@ -117,7 +117,9 @@ TEST(SchedulerCore, StaticModeHoldsItsTargetWithoutForecasting) {
   for (std::size_t i = 0; i < observations.size(); ++i) {
     const SchedulerDecision d =
         core.step(static_cast<int>(i), observations[i], 60.0);
-    if (i < 2) EXPECT_EQ(d.config, (ParallelConfig{1, 8})) << "interval " << i;
+    if (i < 2) {
+      EXPECT_EQ(d.config, (ParallelConfig{1, 8})) << "interval " << i;
+    }
     EXPECT_LE(d.config.instances(), observations[i].available);
     EXPECT_TRUE(d.forecast.empty()) << "interval " << i;
     EXPECT_FALSE(d.planned_next.valid()) << "interval " << i;

@@ -35,6 +35,8 @@
 #include "serve/serving_sim.h"
 #include "trace/spot_trace.h"
 
+#include "dp_oracles.h"
+
 namespace parcae::serve {
 namespace {
 
@@ -260,11 +262,9 @@ TEST(GoodputDpTest, IncrementalMatchesFullAcrossChurn) {
   const ModelProfile model = model_by_name("GPT-2");
   const GoodputObjective objective(model, {}, {}, nullptr, 32);
 
-  IntervalDpOptions opt = goodput_dp_options(64);
-  // verify_incremental aborts the process if a warm-started column
-  // ever diverges from the full re-solve.
-  opt.verify_incremental = true;
-  IntervalDp dp(&objective, CostEstimator(model), opt);
+  // Every step solves on a warm engine and on its cold twin, which
+  // must agree bit for bit.
+  WarmAndCold dp(&objective, model, goodput_dp_options(64));
 
   Rng rng(404);
   std::vector<int> n(8, 12);
@@ -289,7 +289,9 @@ TEST(GoodputDpTest, IncrementalMatchesFullAcrossChurn) {
     }
     current = dp.optimize(current, n[0], n, rps).next();
   }
-  EXPECT_GT(dp.states_reused(), 0u);
+  dp.expect_same_draws();
+  EXPECT_GT(dp.warm().states_reused(), 0u);
+  EXPECT_EQ(dp.cold().states_reused(), 0u);
 }
 
 TEST(GoodputDpTest, ChargesDrainOnConfigChangeOnly) {
@@ -372,27 +374,40 @@ TEST(ServingSimTest, DeterministicAcrossReruns) {
 
 TEST(ServingSimTest, WarmStartedDpMatchesFullResolveInTheLoop) {
   // The serving loop warm-starts the shared DP across intervals while
-  // its rate forecast moves with the burst state. With the
-  // verify-both-paths pin armed (it aborts on any divergence), an
-  // incremental run must serve exactly what a full-resolve run serves.
+  // its rate forecast moves with the burst state. Two cores step over
+  // the same observation stream and the same prepared arrivals; the
+  // twin's DP drops its warm state before every step, so it always
+  // solves cold. The warm core must decide exactly what the twin
+  // decides, decision by decision.
   const ModelProfile model = model_by_name("GPT-2");
-  const SpotTrace trace = canonical_segment(TraceSegment::kLowAvailSparse);
-  obs::MetricsRegistry registry;
-  const auto run = [&](bool full_resolve) {
-    ArrivalGenerator arrivals(mmpp_options(9));
-    ServingSchedulerOptions sopt;
-    sopt.mc_trials = 32;
-    sopt.seed = 9;
-    sopt.optimizer_full_resolve = full_resolve;
-    sopt.optimizer_verify_incremental = !full_resolve;
-    if (!full_resolve) sopt.metrics = &registry;
-    ServingScheduler scheduler(model, sopt, &arrivals);
-    ServingSimOptions sim;
-    sim.record_timeline = false;
-    return simulate_serving(scheduler, arrivals, trace, 60, sim);
-  };
-  expect_results_identical(run(true), run(false), "full vs incremental");
-  EXPECT_GT(registry.counter_value("serve_dp.states_reused"), 0.0);
+  const std::vector<int> series =
+      canonical_segment(TraceSegment::kLowAvailSparse).availability_series();
+  ArrivalGenerator arrivals(mmpp_options(9));
+  arrivals.prepare(static_cast<int>(series.size()));
+  ServingSchedulerOptions sopt;
+  sopt.mc_trials = 32;
+  sopt.seed = 9;
+  ServingScheduler warm(model, sopt, &arrivals);
+  ServingScheduler cold(model, sopt, &arrivals);
+  int prev_available = 0;
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    const int interval = static_cast<int>(i);
+    const int available = series[i];
+    const AvailabilityObservation observed{
+        available, std::max(0, prev_available - available),
+        std::max(0, available - prev_available)};
+    prev_available = available;
+    const SchedulerDecision a = warm.step(interval, observed, 60.0);
+    cold.core().optimizer().invalidate();
+    const SchedulerDecision b = cold.step(interval, observed, 60.0);
+    EXPECT_EQ(a.config, b.config) << "interval " << i;
+    EXPECT_EQ(a.planned_next, b.planned_next) << "interval " << i;
+    EXPECT_EQ(a.stall_s, b.stall_s) << "interval " << i;
+  }
+  EXPECT_EQ(warm.core().metrics().counter_value("mc_sampler.samples"),
+            cold.core().metrics().counter_value("mc_sampler.samples"));
+  EXPECT_GT(warm.core().optimizer().states_reused(), 0u);
+  EXPECT_EQ(cold.core().optimizer().states_reused(), 0u);
 }
 
 TEST(ServingSimTest, AccountingBalancesUnderInjectedPreemptionMidBurst) {
