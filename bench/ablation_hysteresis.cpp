@@ -18,7 +18,7 @@ int main() {
     options.depth_change_hysteresis = h;
     auto run = [&](TraceSegment segment) {
       return bench::run_parcae(model, canonical_segment(segment),
-                               PredictionMode::kArima, options)
+                               PredictionMode::kProactive, options)
                  .committed_units /
              1e6;
     };

@@ -19,7 +19,7 @@ int main() {
     ParcaePolicyOptions options;
     options.mc_trials = trials;
     const SimulationResult r =
-        bench::run_parcae(model, trace, PredictionMode::kArima, options);
+        bench::run_parcae(model, trace, PredictionMode::kProactive, options);
 
     // Wall-clock of one optimization at this trial count.
     const ThroughputModel tm(model, {});

@@ -13,7 +13,7 @@ int main() {
   const SpotTrace trace = canonical_segment(TraceSegment::kHighAvailDense);
 
   const SimulationResult parcae =
-      bench::run_parcae(model, trace, PredictionMode::kArima);
+      bench::run_parcae(model, trace, PredictionMode::kProactive);
   const SimulationResult ideal =
       bench::run_parcae(model, trace, PredictionMode::kOracle);
   const SimulationResult varuna = bench::run_varuna(model, trace);

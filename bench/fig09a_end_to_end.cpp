@@ -22,7 +22,7 @@ int main() {
       const SimulationResult varuna = bench::run_varuna(model, trace);
       const SimulationResult bamboo = bench::run_bamboo(model, trace);
       const SimulationResult parcae =
-          bench::run_parcae(model, trace, PredictionMode::kArima);
+          bench::run_parcae(model, trace, PredictionMode::kProactive);
       const SimulationResult ideal =
           bench::run_parcae(model, trace, PredictionMode::kOracle);
       auto speedup = [&](const SimulationResult& base) {

@@ -29,7 +29,7 @@ int main() {
       ParcaePolicyOptions options;
       options.lookahead = lookahead;
       const SimulationResult parcae =
-          bench::run_parcae(model, trace, PredictionMode::kArima, options);
+          bench::run_parcae(model, trace, PredictionMode::kProactive, options);
       const SimulationResult ideal =
           bench::run_parcae(model, trace, PredictionMode::kOracle, options);
       if (lookahead == 1) ideal_at_1 = ideal.avg_unit_throughput;

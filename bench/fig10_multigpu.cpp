@@ -16,11 +16,11 @@ int main() {
                    "S cost (1e-8 USD/token)", "M cost (1e-8 USD/token)"});
   for (const SpotTrace& trace : all_canonical_segments()) {
     const SimulationResult single =
-        bench::run_parcae(model, trace, PredictionMode::kArima);
+        bench::run_parcae(model, trace, PredictionMode::kProactive);
 
     const SpotTrace nodes = derive_multi_gpu_trace(trace, 4);
     ParcaePolicyOptions options;
-    options.mode = PredictionMode::kArima;
+    options.mode = PredictionMode::kProactive;
     ParcaePolicy policy(node_model, options);
     SimulationOptions sim = bench::sim_options(node_model);
     sim.gpus_per_instance = 4;

@@ -17,7 +17,7 @@ int main() {
     ParcaePolicyOptions options;
     options.reoptimize_every = every;
     const SimulationResult parcae =
-        bench::run_parcae(model, trace, PredictionMode::kArima, options);
+        bench::run_parcae(model, trace, PredictionMode::kProactive, options);
     const SimulationResult ideal =
         bench::run_parcae(model, trace, PredictionMode::kOracle, options);
     table.row()

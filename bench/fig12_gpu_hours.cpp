@@ -34,7 +34,7 @@ int main() {
                    "lost", "unutilized", "total GPU-h"});
   for (const SpotTrace& trace : all_canonical_segments()) {
     add_row(table, trace.name(),
-            bench::run_parcae(model, trace, PredictionMode::kArima));
+            bench::run_parcae(model, trace, PredictionMode::kProactive));
     add_row(table, trace.name(), bench::run_bamboo(model, trace));
     add_row(table, trace.name(), bench::run_varuna(model, trace));
   }

@@ -21,7 +21,7 @@ int main() {
         bench::run_parcae(model, trace, PredictionMode::kReactive)
             .committed_samples;
     const double full =
-        bench::run_parcae(model, trace, PredictionMode::kArima)
+        bench::run_parcae(model, trace, PredictionMode::kProactive)
             .committed_samples;
     liveput_gain_sum += full / reactive - 1.0;
     table.row()

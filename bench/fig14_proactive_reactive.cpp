@@ -26,7 +26,7 @@ int main() {
       options.preemption_events = events;
       options.target_availability = 30.0;
       const SpotTrace trace = synthesize_trace(options, rng);
-      proactive += bench::run_parcae(model, trace, PredictionMode::kArima)
+      proactive += bench::run_parcae(model, trace, PredictionMode::kProactive)
                        .avg_unit_throughput;
       reactive += bench::run_parcae(model, trace, PredictionMode::kReactive)
                       .avg_unit_throughput;

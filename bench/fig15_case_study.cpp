@@ -14,7 +14,7 @@ int main() {
   const SpotTrace trace = full.slice(0.0, 40 * 60.0, "HA-DP[0:40min]");
 
   const SimulationResult proactive =
-      bench::run_parcae(model, trace, PredictionMode::kArima);
+      bench::run_parcae(model, trace, PredictionMode::kProactive);
   const SimulationResult reactive =
       bench::run_parcae(model, trace, PredictionMode::kReactive);
 

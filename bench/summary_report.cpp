@@ -9,7 +9,6 @@
 #include "bench/bench_util.h"
 #include "common/fault.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
 #include "nn/dataset.h"
 #include "runtime/spot_driver.h"
 
@@ -17,13 +16,8 @@ using namespace parcae;
 
 int main() {
   bench::header("Summary", "full evaluation matrix");
-  MatrixOptions options;
-  const int threads = ThreadPool::resolve(options.threads);
-  std::printf("matrix threads: %d (PARCAE_THREADS overrides; cells are "
-              "bit-identical at any count)\n\n",
-              threads);
   const auto t0 = std::chrono::steady_clock::now();
-  const auto cells = run_matrix(options);
+  const auto cells = run_matrix(MatrixOptions{});
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -44,8 +38,8 @@ int main() {
   std::ofstream out("summary_report.md");
   out << markdown;
   std::printf("full matrix written to summary_report.md (%zu cells, "
-              "%.1f s wall-clock on %d threads)\n",
-              cells.size(), wall_s, threads);
+              "%.1f s wall-clock)\n",
+              cells.size(), wall_s);
   bench::paper_note(
       "aggregates §10.2: Parcae dominates every baseline in geometric "
       "mean and is the only system with zero no-progress cells");

@@ -34,7 +34,7 @@ int main() {
       const SimulationResult varuna = bench::run_varuna(model, trace);
       const SimulationResult bamboo = bench::run_bamboo(model, trace);
       const SimulationResult parcae =
-          bench::run_parcae(model, trace, PredictionMode::kArima);
+          bench::run_parcae(model, trace, PredictionMode::kProactive);
       table.row()
           .add(model.name)
           .add(trace.name())

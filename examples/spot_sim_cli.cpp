@@ -480,8 +480,8 @@ int main(int argc, char** argv) {
 
     SpotDriverOptions dopt;
     dopt.iterations_per_interval = 6;
-    dopt.scheduler.event_driven = popt.event_driven;
-    dopt.scheduler.debounce_ms = popt.debounce_ms;
+    dopt.event_driven = popt.event_driven;
+    dopt.debounce_ms = popt.debounce_ms;
     if (faults.armed()) dopt.faults = &faults;
     // runtime_trace= attaches one writer per "process": scheduler
     // (decision spans + client-side rpc.call spans) and hub (server-
@@ -491,7 +491,7 @@ int main(int argc, char** argv) {
     obs::TraceWriter scheduler_tracer;
     obs::TraceWriter hub_tracer;
     if (!runtime_trace.empty()) {
-      dopt.scheduler.tracer = &scheduler_tracer;
+      dopt.tracer = &scheduler_tracer;
       dopt.hub_tracer = &hub_tracer;
     }
     SpotTrainingDriver driver(copt, &dataset, dopt);

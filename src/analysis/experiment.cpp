@@ -10,7 +10,6 @@
 #include "baselines/oobleck_policy.h"
 #include "baselines/varuna_policy.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "runtime/parcae_policy.h"
 
@@ -59,50 +58,23 @@ std::vector<PolicySpec> extended_policies() {
 }
 
 std::vector<CellResult> run_matrix(const MatrixOptions& options) {
-  // Flatten the grid so each cell has a fixed slot: results land at
-  // their index regardless of completion order, keeping the output
-  // bit-identical at any thread count.
-  struct Item {
-    const ModelProfile* model;
-    const SpotTrace* trace;
-    const PolicySpec* spec;
-  };
-  std::vector<Item> items;
-  items.reserve(options.models.size() * options.traces.size() *
+  std::vector<CellResult> cells;
+  cells.reserve(options.models.size() * options.traces.size() *
                 options.policies.size());
   for (const ModelProfile& model : options.models)
     for (const SpotTrace& trace : options.traces)
-      for (const PolicySpec& spec : options.policies)
-        items.push_back({&model, &trace, &spec});
-
-  std::vector<CellResult> cells(items.size());
-  auto run_cell = [&](std::size_t idx) {
-    const Item& item = items[idx];
-    auto policy = item.spec->make(*item.model, *item.trace);
-    SimulationOptions sim;
-    sim.units_per_sample = item.model->tokens_per_sample;
-    sim.record_timeline = false;
-    // Fresh registry per cell: cell.result.metrics never mixes
-    // instruments across the grid.
-    obs::MetricsRegistry cell_metrics;
-    sim.metrics = &cell_metrics;
-    CellResult& cell = cells[idx];
-    cell.model = item.model->name;
-    cell.trace = item.trace->name();
-    cell.system = item.spec->name;
-    cell.result = simulate(*policy, *item.trace, sim);
-  };
-
-  const int threads = ThreadPool::resolve(options.threads);
-  if (threads <= 1 || items.size() <= 1) {
-    for (std::size_t idx = 0; idx < items.size(); ++idx) run_cell(idx);
-  } else {
-    ThreadPool pool(threads);
-    pool.parallel_for(items.size(), run_cell);
-    obs::default_registry()
-        .counter("threadpool.tasks")
-        .add(static_cast<double>(pool.tasks_run()));
-  }
+      for (const PolicySpec& spec : options.policies) {
+        auto policy = spec.make(model, trace);
+        SimulationOptions sim;
+        sim.units_per_sample = model.tokens_per_sample;
+        sim.record_timeline = false;
+        // Fresh registry per cell: cell.result.metrics never mixes
+        // instruments across the grid.
+        obs::MetricsRegistry cell_metrics;
+        sim.metrics = &cell_metrics;
+        cells.push_back({model.name, trace.name(), spec.name,
+                         simulate(*policy, trace, sim)});
+      }
   return cells;
 }
 

@@ -47,16 +47,11 @@ struct MatrixOptions {
   std::vector<ModelProfile> models = model_zoo();
   std::vector<SpotTrace> traces = all_canonical_segments();
   std::vector<PolicySpec> policies = standard_policies();
-  // Worker threads for grid cells (each cell owns its policy, trace
-  // and metrics registry, so cells are embarrassingly parallel).
-  // 0 = PARCAE_THREADS env var, else hardware concurrency
-  // (ThreadPool::resolve). Cell results and their order are identical
-  // at any thread count.
-  int threads = 0;
 };
 
-// Runs every cell; deterministic (bit-identical at any thread count,
-// ordered model-major, then trace, then policy).
+// Runs every cell, one after another; deterministic (each cell owns
+// its policy and metrics registry; ordered model-major, then trace,
+// then policy).
 std::vector<CellResult> run_matrix(const MatrixOptions& options);
 
 struct SystemSummary {

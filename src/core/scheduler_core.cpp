@@ -11,15 +11,15 @@
 namespace parcae {
 
 SchedulerCore::SchedulerCore(ModelProfile model, SchedulerCoreOptions options,
-                             const InstancePoolView* oracle)
+                             const InstancePoolView* oracle,
+                             const SchedulingObjective* objective)
     : model_(std::move(model)),
       options_(options),
       oracle_(oracle),
       metrics_(options.metrics != nullptr ? options.metrics : &own_metrics_),
       throughput_(model_, options.throughput),
       liveput_(&throughput_),
-      objective_(options.objective != nullptr ? options.objective
-                                              : &liveput_),
+      objective_(objective != nullptr ? objective : &liveput_),
       names_(make_names(options.metric_prefix, objective_->traits())),
       planner_(CostEstimator(model_), metrics_, options.metric_prefix),
       optimizer_(objective_, CostEstimator(model_),
@@ -41,9 +41,10 @@ SchedulerCore::SchedulerCore(ModelProfile model, SchedulerCoreOptions options,
 }
 
 SchedulerCore::SchedulerCore(ModelProfile model, SchedulerCoreOptions options,
-                             const SpotTrace* oracle)
+                             const SpotTrace* oracle,
+                             const SchedulingObjective* objective)
     : SchedulerCore(std::move(model), std::move(options),
-                    static_cast<const InstancePoolView*>(nullptr)) {
+                    static_cast<const InstancePoolView*>(nullptr), objective) {
   if (oracle != nullptr) {
     owned_oracle_ = std::make_unique<TracePoolView>(oracle);
     oracle_ = owned_oracle_.get();
@@ -319,7 +320,7 @@ SchedulerDecision SchedulerCore::step(int interval_index,
   history_.push_back(static_cast<double>(available));
   current_ = adapted;
   prev_available_ = available;
-  if (options_.mode == PredictionMode::kArima ||
+  if (options_.mode == PredictionMode::kProactive ||
       options_.mode == PredictionMode::kOracle) {
     bool reoptimize;
     if (options_.event_driven) {

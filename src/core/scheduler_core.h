@@ -25,13 +25,13 @@
 //   - future backends (sharded or RPC executors) are one adapter each.
 //
 // Four modes cover the paper's variants and the serving baselines:
-//   kArima    — Parcae        (guarded ARIMA forecasts)
-//   kOracle   — Parcae(Ideal) (true future availability)
-//   kReactive — Parcae-Reactive (§10.4: liveput optimization disabled,
-//               the objective's best config for what is available now
-//               + adaptation only)
-//   kStatic   — fixed provisioning (options.static_config), only
-//               damage-adapted
+//   kProactive — Parcae          (guarded ARIMA forecasts)
+//   kOracle    — Parcae(Ideal)   (true future availability)
+//   kReactive  — Parcae-Reactive (§10.4: liveput optimization disabled,
+//                the objective's best config for what is available
+//                now + adaptation only)
+//   kStatic    — fixed provisioning (options.static_config), only
+//                damage-adapted
 #pragma once
 
 #include <cstdint>
@@ -56,10 +56,10 @@ namespace obs {
 class TraceWriter;
 }  // namespace obs
 
-enum class PredictionMode { kArima, kOracle, kReactive, kStatic };
+enum class PredictionMode { kProactive, kOracle, kReactive, kStatic };
 
 struct SchedulerCoreOptions {
-  PredictionMode mode = PredictionMode::kArima;
+  PredictionMode mode = PredictionMode::kProactive;
   int lookahead = 12;         // I: intervals the optimizer plans over
   int history = 12;           // H: intervals of history fed to ARIMA
   int reoptimize_every = 1;   // prediction rate (Figure 11)
@@ -117,18 +117,6 @@ struct SchedulerCoreOptions {
   std::string metric_prefix;
   // kStatic: the fixed provisioning.
   ParallelConfig static_config = kIdleConfig;
-  // What the core maximizes (non-owning; must outlive the core). Null
-  // selects training liveput over this core's ThroughputModel.
-  const SchedulingObjective* objective = nullptr;
-};
-
-// Availability change observed at an interval boundary (the cloud-side
-// inputs of Algorithm 1). Executor backends translate their own event
-// streams (trace diffs, preemption notices) into this.
-struct AvailabilityObservation {
-  int available = 0;    // instances available this interval
-  int preempted = 0;    // instances lost at this interval boundary
-  int allocated = 0;    // instances gained at this interval boundary
 };
 
 struct MigrationLogEntry {
@@ -158,14 +146,19 @@ class SchedulerCore {
   // `oracle` must outlive the core when mode == kOracle (it supplies
   // the true future availability of the instances this core may use —
   // the whole pool for a single job, its lease for a fleet job).
+  // `objective` is what the core maximizes (non-owning; must outlive
+  // the core); null selects training liveput over this core's
+  // ThroughputModel.
   SchedulerCore(ModelProfile model, SchedulerCoreOptions options,
-                const InstancePoolView* oracle);
+                const InstancePoolView* oracle,
+                const SchedulingObjective* objective = nullptr);
 
   // Trace-backed convenience: wraps `oracle` in a core-owned
   // TracePoolView (the single-job adapter). Behavior is bit-identical
   // to the historical direct-trace path.
   SchedulerCore(ModelProfile model, SchedulerCoreOptions options,
-                const SpotTrace* oracle = nullptr);
+                const SpotTrace* oracle = nullptr,
+                const SchedulingObjective* objective = nullptr);
 
   // Restores the pristine post-construction state (history, RNG,
   // telemetry, migration log).
@@ -246,7 +239,7 @@ class SchedulerCore {
   obs::MetricsRegistry* metrics_;
   ThroughputModel throughput_;
   LiveputObjective liveput_;
-  const SchedulingObjective* objective_;  // options.objective or &liveput_
+  const SchedulingObjective* objective_;  // the injected one or &liveput_
   MetricNames names_;
   MigrationPlanner planner_;
   IntervalDp optimizer_;

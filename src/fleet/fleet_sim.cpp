@@ -217,7 +217,7 @@ FleetSimResult FleetSimulator::integrate(
                          options_.capacity, options_.interval_s);
 
     ParcaePolicyOptions policy_options;
-    policy_options.mode = PredictionMode::kArima;
+    policy_options.mode = PredictionMode::kProactive;
     policy_options.lookahead = options_.lookahead;
     policy_options.history = options_.history;
     policy_options.mc_trials = options_.mc_trials;

@@ -26,6 +26,15 @@
 
 namespace parcae {
 
+// Availability change observed at an interval boundary (the cloud-side
+// inputs of Algorithm 1). Executor backends translate their own event
+// streams (trace diffs, preemption notices, lease resizes) into this.
+struct AvailabilityObservation {
+  int available = 0;    // instances available this interval
+  int preempted = 0;    // instances lost at this interval boundary
+  int allocated = 0;    // instances gained at this interval boundary
+};
+
 // Read-only view of the instances leased to one consumer over time.
 class InstancePoolView {
  public:

@@ -27,10 +27,10 @@ const char* migration_kind_name(MigrationKind kind) {
 
 std::string MigrationPlan::to_string() const {
   std::string s = migration_kind_name(kind);
-  s += " " + from.to_string() + "->" + to.to_string();
+  s.append(" ").append(from.to_string()).append("->").append(to.to_string());
   if (inter_stage_moves > 0)
-    s += " moves=" + std::to_string(inter_stage_moves);
-  s += " stall=" + std::to_string(stall_s()) + "s";
+    s.append(" moves=").append(std::to_string(inter_stage_moves));
+  s.append(" stall=").append(std::to_string(stall_s())).append("s");
   return s;
 }
 

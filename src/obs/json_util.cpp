@@ -45,7 +45,9 @@ std::string json_escape(std::string_view s) {
 }
 
 std::string json_quote(std::string_view s) {
-  return "\"" + json_escape(s) + "\"";
+  std::string out = "\"";
+  out.append(json_escape(s)).append("\"");
+  return out;
 }
 
 }  // namespace parcae::obs

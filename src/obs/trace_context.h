@@ -17,8 +17,8 @@
 // span ids from a per-writer SplitMix64 stream forked from the job
 // seed — no wall clock, no global RNG — so the id graph of a seeded
 // run replays bit-for-bit (timestamps are the only wall-clock field in
-// a trace file). Context is thread-local and does not cross ThreadPool
-// workers; the decision-path inner loops run contextless by design.
+// a trace file). Context is thread-local and does not cross threads;
+// the decision-path inner loops run contextless by design.
 #pragma once
 
 #include <cstdint>

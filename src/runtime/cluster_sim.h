@@ -40,12 +40,9 @@ struct IntervalDecision {
   std::string note;               // human-readable event description
 };
 
-// Availability change the policy is informed about.
-struct AvailabilityEvent {
-  int available = 0;    // instances available this interval
-  int preempted = 0;    // instances lost at this interval boundary
-  int allocated = 0;    // instances gained at this interval boundary
-};
+// Availability change the policy is informed about (the core's
+// observation under the simulator's historical name).
+using AvailabilityEvent = AvailabilityObservation;
 
 // Interface every training system implements (Parcae and baselines).
 class SpotTrainingPolicy {

@@ -23,7 +23,7 @@ ParcaePolicy::ParcaePolicy(ModelProfile model, ParcaePolicyOptions options,
 
 std::string ParcaePolicy::name() const {
   switch (options_.mode) {
-    case PredictionMode::kArima:
+    case PredictionMode::kProactive:
       return "Parcae";
     case PredictionMode::kOracle:
       return "Parcae(Ideal)";
@@ -48,9 +48,7 @@ IntervalDecision ParcaePolicy::on_interval(int interval_index,
                                            const AvailabilityEvent& event,
                                            double interval_s) {
   const double T = interval_s;
-  const SchedulerDecision advice = core_.step(
-      interval_index,
-      {event.available, event.preempted, event.allocated}, T);
+  const SchedulerDecision advice = core_.step(interval_index, event, T);
 
   // Large stalls spill into following intervals.
   accountant_.add_stall(advice.stall_s);

@@ -86,7 +86,7 @@ std::string SchedulerRunReport::to_text() const {
 
 SchedulerCoreOptions SchedulerProcess::core_options(
     const SchedulerProcessOptions& options, obs::MetricsRegistry* metrics) {
-  SchedulerCoreOptions core = options.core;
+  SchedulerCoreOptions core;
   core.interval_s = options.interval_s;
   core.seed = options.seed;
   core.metrics = metrics;

@@ -102,9 +102,6 @@ struct SchedulerProcessOptions {
 
   std::string kv_namespace = "parcae/";
   std::uint64_t seed = 123;
-  // Core knobs (mode, lookahead, ...). interval_s / seed / metrics /
-  // max_instances are overridden from the fields above.
-  SchedulerCoreOptions core;
 
   // Written by run_primary / run_standby on completion ("" = skip).
   std::string report_path;

@@ -64,9 +64,9 @@ SpotTrainingDriver::SpotTrainingDriver(TrainingClusterOptions cluster_options,
         obs::fork_trace_seed(options_.seed, /*component=*/2));
     options_.hub_tracer->set_process(2, "hub");
   }
-  if (options_.scheduler.tracer != nullptr)
-    options_.scheduler.tracer->set_process(1, "scheduler");
-  cluster_.set_tracers(options_.scheduler.tracer, options_.hub_tracer);
+  if (options_.tracer != nullptr)
+    options_.tracer->set_process(1, "scheduler");
+  cluster_.set_tracers(options_.tracer, options_.hub_tracer);
   if (faults_ != nullptr) {
     faults_->set_metrics(&core_.metrics());
     cluster_.set_fault_injector(faults_);
@@ -106,15 +106,15 @@ ModelProfile SpotTrainingDriver::derive_profile() const {
 }
 
 SchedulerCoreOptions SpotTrainingDriver::core_options() const {
-  SchedulerCoreOptions core = options_.scheduler;
-  core.interval_s = options_.interval_s;
-  core.lookahead = options_.lookahead;
-  core.history = options_.history;
-  core.seed = options_.seed;
+  SchedulerCoreOptions core = options_;
   // The toy cluster can split only as deep as it has layers, and (with
   // ParcaePS restores) can always run a depth-1 pipeline.
-  core.min_depth_override = 1;
-  core.max_depth_override = cluster_.pipeline_depth_limit();
+  const int limit = cluster_.pipeline_depth_limit();
+  const auto bound = [limit](int depth, int unset) {
+    return depth > 0 ? std::clamp(depth, 1, limit) : unset;
+  };
+  core.min_depth_override = bound(core.min_depth_override, 1);
+  core.max_depth_override = bound(core.max_depth_override, limit);
   return core;
 }
 

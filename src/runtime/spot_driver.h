@@ -30,24 +30,21 @@ namespace parcae {
 
 class SloEngine;
 
-struct SpotDriverOptions {
-  double interval_s = 60.0;
-  int lookahead = 8;
-  int history = 12;
+// The decision knobs are the core's, with the live loop's defaults;
+// `seed` also seeds the cloud, the fault injector and the trace ids.
+// Pipeline-depth bounds left at 0 are derived from the actual cluster,
+// and set ones are clamped into what its layers allow.
+struct SpotDriverOptions : SchedulerCoreOptions {
+  SpotDriverOptions() {
+    lookahead = 8;
+    mc_trials = 128;  // cheaper Monte-Carlo budget for the live loop
+    max_instances = 64;
+    seed = 11;
+  }
+
   int iterations_per_interval = 4;
   // Instances the driver keeps requested from the cloud.
   int requested_instances = 32;
-  std::uint64_t seed = 11;
-  // Remaining decision-engine knobs (mode, mc_trials, hysteresis,
-  // reoptimize_every, ...). The scalar fields above override their
-  // counterparts in here, and the pipeline-depth bounds are derived
-  // from the actual cluster.
-  SchedulerCoreOptions scheduler = [] {
-    SchedulerCoreOptions o;
-    o.mc_trials = 128;  // cheaper Monte-Carlo budget for the live loop
-    o.max_instances = 64;
-    return o;
-  }();
   // Fault injection (docs/robustness.md). Non-owning; when null, the
   // driver consults the PARCAE_FAULTS environment variable and — if it
   // holds a valid spec — builds its own injector from `seed`. The
@@ -57,7 +54,7 @@ struct SpotDriverOptions {
   // Hub-side trace writer (non-owning, optional): receives the
   // rpc.handle.* spans the cluster's RPC server emits, as its own
   // "process" file for `trace_tool merge`. The agent/scheduler side
-  // traces into scheduler.tracer.
+  // traces into `tracer`.
   obs::TraceWriter* hub_tracer = nullptr;
   // SLO rule engine (non-owning, optional). The driver points it at
   // the core's registry and event log (and the active fault injector)

@@ -32,6 +32,16 @@ std::size_t stage_param_count(const std::vector<std::size_t>& dims) {
   return n;
 }
 
+// The agent's published slot: "p<pipeline>s<stage>", or "spare".
+std::string slot_name(const ParcaeAgent& agent) {
+  if (!agent.assigned()) return "spare";
+  std::string s = "p";
+  s.append(std::to_string(agent.pipeline))
+      .append("s")
+      .append(std::to_string(agent.stage));
+  return s;
+}
+
 }  // namespace
 
 TrainingCluster::TrainingCluster(TrainingClusterOptions options,
@@ -211,11 +221,7 @@ void TrainingCluster::heartbeat() {
         continue;
       }
       kv_put_retried(agent_key_prefix_ + std::to_string(agent.id),
-                     agent.assigned()
-                         ? "p" + std::to_string(agent.pipeline) + "s" +
-                               std::to_string(agent.stage)
-                         : "spare",
-                     agent.lease);
+                     slot_name(agent), agent.lease);
       count("cluster.leases_reregistered");
     }
   }
@@ -360,10 +366,7 @@ void TrainingCluster::publish_assignments() {
   for (const auto& agent : agents_) {
     if (!agent.alive) continue;
     kv_put_retried(agent_key_prefix_ + std::to_string(agent.id),
-                   agent.assigned()
-                       ? "p" + std::to_string(agent.pipeline) + "s" +
-                             std::to_string(agent.stage)
-                       : "spare");
+                   slot_name(agent));
   }
 }
 

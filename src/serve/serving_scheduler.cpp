@@ -5,44 +5,13 @@
 namespace parcae::serve {
 namespace {
 
-PredictionMode prediction_mode(ServingMode mode) {
-  switch (mode) {
-    case ServingMode::kOracle:
-      return PredictionMode::kOracle;
-    case ServingMode::kReactive:
-      return PredictionMode::kReactive;
-    case ServingMode::kStatic:
-      return PredictionMode::kStatic;
-    case ServingMode::kProactive:
-      break;
-  }
-  return PredictionMode::kArima;
-}
-
 SchedulerCoreOptions core_options(const ServingSchedulerOptions& o,
                                   const GoodputObjective& objective,
                                   const ArrivalGenerator* arrivals) {
-  SchedulerCoreOptions c;
-  c.mode = prediction_mode(o.mode);
-  c.lookahead = o.lookahead;
-  c.history = o.history;
-  c.reoptimize_every = o.reoptimize_every;
-  c.event_driven = o.event_driven;
-  c.debounce_ms = o.debounce_ms;
-  c.mc_trials = o.mc_trials;
-  c.seed = o.seed;
-  c.interval_s = o.interval_s;
-  c.depth_change_hysteresis = o.depth_change_hysteresis;
-  c.max_instances = o.max_instances;
-  c.throughput = o.throughput;
-  c.metrics = o.metrics;
-  c.tracer = o.tracer;
-  c.metric_prefix = o.metric_prefix;
-  c.static_config = o.static_config;
+  SchedulerCoreOptions c = o;
   if (o.mode == ServingMode::kStatic && !c.static_config.valid())
     c.static_config = objective.best_config(
         o.max_instances, arrivals != nullptr ? arrivals->expected_rps(0) : 0.0);
-  c.objective = &objective;
   return c;
 }
 
@@ -118,6 +87,7 @@ ServingScheduler::ServingScheduler(ModelProfile model,
       objective_(model, options_.throughput, options_.serving, arrivals,
                  options_.max_instances),
       core_(std::move(model), core_options(options_, objective_, arrivals),
-            options_.mode == ServingMode::kOracle ? oracle : nullptr) {}
+            options_.mode == ServingMode::kOracle ? oracle : nullptr,
+            &objective_) {}
 
 }  // namespace parcae::serve

@@ -30,8 +30,6 @@
 //   kStatic    — fixed provisioning chosen once, only damage-adapted
 #pragma once
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/objective.h"
@@ -43,39 +41,16 @@
 
 namespace parcae::serve {
 
-enum class ServingMode { kProactive, kOracle, kReactive, kStatic };
+// The serving modes are the core's (see the file comment).
+using ServingMode = PredictionMode;
 
 const char* serving_mode_name(ServingMode mode);
 
-struct ServingSchedulerOptions {
-  ServingMode mode = ServingMode::kProactive;
-  int lookahead = 12;
-  int history = 12;
-  int reoptimize_every = 1;
-  // Event-driven re-optimization (mode=event in serve_sim_cli): same
-  // semantics as SchedulerCoreOptions — re-solve on pending events
-  // (preemptions/allocations) instead of every tick, with debounce
-  // coalescing; interval 0 always solves.
-  bool event_driven = false;
-  double debounce_ms = 250.0;
-  int mc_trials = 256;
-  std::uint64_t seed = 123;
-  double interval_s = 60.0;
-  // Voluntary depth changes must improve estimated goodput by at
-  // least this fraction (same thrash guard as training).
-  double depth_change_hysteresis = 0.15;
-  int max_instances = 32;
-  // kStatic: the fixed provisioning. Invalid = choose the goodput-best
-  // config for max_instances at the interval-0 expected rate.
-  ParallelConfig static_config = kIdleConfig;
+// Every decision knob is the core's; serving adds only its request
+// model. kStatic with an invalid static_config chooses the goodput-best
+// config for max_instances at the interval-0 expected rate.
+struct ServingSchedulerOptions : SchedulerCoreOptions {
   ServingModelOptions serving;
-  ThroughputModelOptions throughput;
-  // Observability sinks (non-owning, optional), as in
-  // SchedulerCoreOptions: the tracer receives the step, predict,
-  // optimize and plan-migration spans.
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::TraceWriter* tracer = nullptr;
-  std::string metric_prefix;
 };
 
 // The serving objective (see the file comment).

@@ -1,9 +1,9 @@
-// The performance layer's contract: the DP's own structure and the
-// experiment runner's threads must never change a decision. optimize()
-// plans match a naive reference DP bit for bit, including the pruned
-// scan's ties and warm re-solves that reuse columns; run_matrix cells
-// are bit-identical at any thread count; scratch-buffer sampling
-// consumes the same RNG draws as the allocating path.
+// The performance layer's contract: the DP's own structure must never
+// change a decision. optimize() plans match a naive reference DP bit
+// for bit, including the pruned scan's ties and warm re-solves that
+// reuse columns; an edge's price does not depend on earlier queries;
+// scratch-buffer sampling consumes the same RNG draws as the
+// allocating path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/experiment.h"
 #include "common/rng.h"
 #include "core/liveput_optimizer.h"
 #include "migration/preemption.h"
@@ -42,43 +41,6 @@ std::vector<std::vector<int>> forecast_battery() {
                        series.begin() + std::min<std::size_t>(12,
                                                               series.size()));
   return battery;
-}
-
-TEST(Determinism, RunMatrixCellsIdenticalAcrossThreadCounts) {
-  MatrixOptions options;
-  options.models = {gpt2_profile()};
-  options.traces = {canonical_segment(TraceSegment::kHighAvailSparse),
-                    canonical_segment(TraceSegment::kLowAvailSparse)};
-  // Parcae + the two paper baselines keeps the cell mix representative
-  // and the test fast.
-  std::vector<PolicySpec> policies;
-  for (PolicySpec& spec : standard_policies())
-    if (spec.name == "Parcae" || spec.name == "Varuna" ||
-        spec.name == "Bamboo")
-      policies.push_back(std::move(spec));
-  options.policies = policies;
-
-  options.threads = 1;
-  const std::vector<CellResult> serial = run_matrix(options);
-  options.threads = 4;
-  const std::vector<CellResult> threaded = run_matrix(options);
-
-  ASSERT_EQ(serial.size(), threaded.size());
-  ASSERT_EQ(serial.size(), 2u * policies.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].model, threaded[i].model) << i;
-    EXPECT_EQ(serial[i].trace, threaded[i].trace) << i;
-    EXPECT_EQ(serial[i].system, threaded[i].system) << i;
-    EXPECT_EQ(serial[i].result.committed_units,
-              threaded[i].result.committed_units)
-        << i;
-    EXPECT_EQ(serial[i].result.total_cost_usd,
-              threaded[i].result.total_cost_usd)
-        << i;
-    EXPECT_EQ(serial[i].result.gpu_hours.effective,
-              threaded[i].result.gpu_hours.effective)
-        << i;
-  }
 }
 
 struct DpStep {

@@ -246,6 +246,13 @@ TEST(Exporter, PrometheusRenderIsDeterministicAndGrammatical) {
             std::string::npos);
 }
 
+TEST(Exporter, PrometheusNameManglesAndPrefixesALeadingDigit) {
+  EXPECT_EQ(obs::prometheus_name("scheduler.step-ms"), "scheduler_step_ms");
+  EXPECT_EQ(obs::prometheus_name("3rd.pass:ok"), "_3rd_pass:ok");
+  EXPECT_EQ(obs::prometheus_name("_x"), "_x");
+  EXPECT_EQ(obs::prometheus_name(""), "");
+}
+
 TEST(Exporter, SnapshotJsonExposesBucketBoundaries) {
   obs::MetricsRegistry registry;
   const std::string json = seeded_registry(registry).snapshot().to_json();

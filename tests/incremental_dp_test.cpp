@@ -295,7 +295,7 @@ TEST(IncrementalDp, ChaosChurnUnderFaultInjectionStaysBitExact) {
 
 TEST(EventDrivenScheduler, ReoptimizesOnBootstrapAndEventsOnly) {
   SchedulerCoreOptions options;
-  options.mode = PredictionMode::kArima;
+  options.mode = PredictionMode::kProactive;
   options.lookahead = 6;
   options.history = 6;
   options.mc_trials = 16;
@@ -328,7 +328,7 @@ TEST(EventDrivenScheduler, ReoptimizesOnBootstrapAndEventsOnly) {
 
 TEST(EventDrivenScheduler, NotifyEventDebouncesAndDrains) {
   SchedulerCoreOptions options;
-  options.mode = PredictionMode::kArima;
+  options.mode = PredictionMode::kProactive;
   options.lookahead = 4;
   options.history = 4;
   options.mc_trials = 16;
@@ -352,7 +352,7 @@ TEST(EventDrivenScheduler, NotifyEventDebouncesAndDrains) {
 
 TEST(EventDrivenScheduler, NotifyEventIsNoOpOnTickScheduling) {
   SchedulerCoreOptions options;
-  options.mode = PredictionMode::kArima;
+  options.mode = PredictionMode::kProactive;
   options.lookahead = 4;
   options.history = 4;
   options.mc_trials = 16;

@@ -71,7 +71,7 @@ TEST_P(EndToEndTest, ParcaeBeatsReactiveBaselines) {
   const ModelProfile m = model_by_name(GetParam().model);
   const SpotTrace trace = canonical_segment(GetParam().segment);
   const double parcae =
-      run_parcae(m, trace, PredictionMode::kArima).committed_samples;
+      run_parcae(m, trace, PredictionMode::kProactive).committed_samples;
   const double varuna = run_varuna(m, trace).committed_samples;
   const double bamboo = run_bamboo(m, trace).committed_samples;
   EXPECT_GT(parcae, varuna) << m.name;
@@ -84,7 +84,7 @@ TEST_P(EndToEndTest, IdealUpperBoundsArima) {
   const double ideal =
       run_parcae(m, trace, PredictionMode::kOracle).committed_samples;
   const double arima =
-      run_parcae(m, trace, PredictionMode::kArima).committed_samples;
+      run_parcae(m, trace, PredictionMode::kProactive).committed_samples;
   // Figure 9b: Parcae with real predictions reaches ~87% of the
   // oracle; it must never meaningfully exceed it.
   EXPECT_LE(arima, ideal * 1.02) << m.name;
@@ -100,7 +100,7 @@ TEST(EndToEnd, Gpt3LowAvailabilityOnlyParcaeProgresses) {
   EXPECT_DOUBLE_EQ(run_varuna(m, trace).committed_samples, 0.0);
   EXPECT_DOUBLE_EQ(run_bamboo(m, trace).committed_samples, 0.0);
   const double parcae =
-      run_parcae(m, trace, PredictionMode::kArima).committed_samples;
+      run_parcae(m, trace, PredictionMode::kProactive).committed_samples;
   const double ideal =
       run_parcae(m, trace, PredictionMode::kOracle).committed_samples;
   EXPECT_GT(parcae, 0.0);
@@ -116,7 +116,7 @@ TEST(EndToEnd, ProactiveBeatsReactiveUnderDensePreemptions) {
   options.target_availability = 30.0;
   const SpotTrace trace = synthesize_trace(options, rng);
   const double proactive =
-      run_parcae(m, trace, PredictionMode::kArima).committed_samples;
+      run_parcae(m, trace, PredictionMode::kProactive).committed_samples;
   const double reactive =
       run_parcae(m, trace, PredictionMode::kReactive).committed_samples;
   EXPECT_GT(proactive, reactive);
@@ -134,7 +134,7 @@ TEST(EndToEnd, SpotTrainingIsCheaperPerTokenThanOnDemand) {
       simulate(od, flat_trace(32, 3600.0), od_sim);
   for (const SpotTrace& trace : all_canonical_segments()) {
     const SimulationResult parcae =
-        run_parcae(m, trace, PredictionMode::kArima);
+        run_parcae(m, trace, PredictionMode::kProactive);
     EXPECT_LT(parcae.cost_per_unit, ondemand.cost_per_unit)
         << trace.name();
     EXPECT_GT(ondemand.cost_per_unit / parcae.cost_per_unit, 1.5)
@@ -146,7 +146,7 @@ TEST(EndToEnd, GpuHourBreakdownShapesMatchFigure12) {
   const ModelProfile m = gpt2_profile();
   const SpotTrace trace = canonical_segment(TraceSegment::kHighAvailDense);
   const SimulationResult parcae =
-      run_parcae(m, trace, PredictionMode::kArima);
+      run_parcae(m, trace, PredictionMode::kProactive);
   const SimulationResult bamboo = run_bamboo(m, trace);
   const SimulationResult varuna = run_varuna(m, trace);
   // Parcae spends the majority of GPU hours on effective compute.

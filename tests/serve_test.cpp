@@ -464,6 +464,38 @@ TEST(ServingSimTest, ProactiveBeatsStaticOnChurnyTrace) {
 // ---------------------------------------------------------------------
 // Observability
 
+TEST(ServingSchedulerTest, CoreKnobsReachTheCoreAsSet) {
+  // ServingSchedulerOptions is SchedulerCoreOptions plus the request
+  // model, so every core knob reaches the core as set, including those
+  // serve_sim_cli has no key for.
+  ArrivalGenerator arrivals(ArrivalOptions{});
+  ServingSchedulerOptions sopt;
+  sopt.mode = ServingMode::kReactive;
+  sopt.lookahead = 5;
+  sopt.seed = 77;
+  sopt.cost_noise_stddev = 0.05;
+  sopt.min_depth_override = 2;
+  sopt.max_depth_override = 6;
+  sopt.metric_prefix = "svc.";
+  ServingScheduler reactive(model_by_name("GPT-2"), sopt, &arrivals);
+  const SchedulerCoreOptions& c = reactive.core().options();
+  EXPECT_EQ(c.mode, PredictionMode::kReactive);
+  EXPECT_EQ(c.lookahead, 5);
+  EXPECT_EQ(c.seed, 77u);
+  EXPECT_EQ(c.cost_noise_stddev, 0.05);
+  EXPECT_EQ(c.min_depth_override, 2);
+  EXPECT_EQ(c.max_depth_override, 6);
+  EXPECT_EQ(c.metric_prefix, "svc.");
+  EXPECT_FALSE(c.static_config.valid());
+
+  // Only kStatic fills in an unset static_config, and only in the
+  // core's copy.
+  sopt.mode = ServingMode::kStatic;
+  ServingScheduler fixed(model_by_name("GPT-2"), sopt, &arrivals);
+  EXPECT_TRUE(fixed.core().options().static_config.valid());
+  EXPECT_FALSE(fixed.options().static_config.valid());
+}
+
 TEST(ServeObsTest, MetricsRollUpThroughFleetAggregatorAndExporter) {
   obs::MetricsRegistry registry;
   const ServingSimResult r = run_sim(ServingMode::kProactive, 123, "",

@@ -101,6 +101,40 @@ TEST(SpotTrainingDriver, FullLoopTrainsThroughChurn) {
             1);
 }
 
+TEST(SpotTrainingDriver, CoreTakesTheOptionsAndClampsSetDepthBounds) {
+  const auto ds = nn::make_blobs(64, 8, 3, 0.5, 7);
+  TrainingClusterOptions cluster;
+  cluster.layer_sizes = {8, 24, 16, 3};  // three layers to split
+  cluster.epoch_size = ds.size();
+  cluster.batch_size = 32;
+  cluster.initial_instances = 0;
+
+  // The live loop's defaults reach the core; unset depth bounds are
+  // derived from the cluster.
+  SpotTrainingDriver defaults(cluster, &ds, {});
+  const SchedulerCoreOptions& d = defaults.scheduler().options();
+  EXPECT_EQ(d.lookahead, 8);
+  EXPECT_EQ(d.mc_trials, 128);
+  EXPECT_EQ(d.max_instances, 64);
+  EXPECT_EQ(d.seed, 11u);
+  EXPECT_EQ(d.min_depth_override, 1);
+  EXPECT_EQ(d.max_depth_override, 3);
+
+  // Set knobs are the caller's; a set depth bound is clamped into what
+  // the cluster's layers allow, not replaced.
+  SpotDriverOptions options;
+  options.history = 6;
+  options.cost_noise_stddev = 0.1;
+  options.min_depth_override = 2;
+  options.max_depth_override = 99;
+  SpotTrainingDriver driver(cluster, &ds, options);
+  const SchedulerCoreOptions& c = driver.scheduler().options();
+  EXPECT_EQ(c.history, 6);
+  EXPECT_EQ(c.cost_noise_stddev, 0.1);
+  EXPECT_EQ(c.min_depth_override, 2);
+  EXPECT_EQ(c.max_depth_override, 3);
+}
+
 TEST(SpotTrainingDriver, SurvivesTotalOutage) {
   const auto ds = nn::make_blobs(128, 8, 3, 0.5, 7);
   TrainingClusterOptions cluster;

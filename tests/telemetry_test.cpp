@@ -92,7 +92,8 @@ TEST(EventLog, RenderLastNLargerThanSizeRendersAll) {
 TEST(EventLog, ByCategoryPointersStayValidAfterEvictions) {
   EventLog log(4);
   for (int i = 0; i < 16; ++i)
-    log.record(i, EventCategory::kMigration, "m" + std::to_string(i));
+    log.record(i, EventCategory::kMigration,
+               std::string("m").append(std::to_string(i)));
   // Pointers taken *after* the evictions reference live events; they
   // must stay usable while no further record() happens.
   const auto migrations = log.by_category(EventCategory::kMigration);
