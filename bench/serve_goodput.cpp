@@ -15,10 +15,12 @@
 //    bench/compare.py against bench/baselines/BENCH_serve_goodput.json:
 //      BM_ServeSim            one proactive interval-loop over LA-SP
 //      BM_GoodputOptimize/*   cold solve vs. warm-started re-solve
-//      BM_ArrivalGen          MMPP interval preparation (1 day)
+//      BM_ArrivalGen          MMPP chain and per-interval counts (1 day)
+//      BM_ArrivalOffsets      every interval's sorted offsets (1 day)
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -167,8 +169,9 @@ void BM_GoodputOptimize_Warm(benchmark::State& state) {
 }
 BENCHMARK(BM_GoodputOptimize_Warm)->Unit(benchmark::kMicrosecond);
 
-// One simulated day of MMPP interval preparation (the serial chain
-// walk that every thread's arrivals() replays deterministically).
+// One simulated day of MMPP chain preparation plus the per-interval
+// request counts: total_requests() draws only each interval's count,
+// none of its offsets (BM_ArrivalOffsets times those).
 void BM_ArrivalGen(benchmark::State& state) {
   for (auto _ : state) {
     ArrivalGenerator arrivals(bench_arrivals());
@@ -178,6 +181,25 @@ void BM_ArrivalGen(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1440);
 }
 BENCHMARK(BM_ArrivalGen)->Unit(benchmark::kMillisecond);
+
+// One simulated day of arrival offsets, drawn and sorted interval by
+// interval as simulate_serving consumes them; items are requests.
+void BM_ArrivalOffsets(benchmark::State& state) {
+  ArrivalGenerator arrivals(bench_arrivals());
+  arrivals.prepare(1440);
+  std::vector<double> offsets;
+  std::int64_t requests = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < 1440; ++i) {
+      arrivals.arrivals(i, offsets);
+      requests += static_cast<std::int64_t>(offsets.size());
+    }
+    benchmark::DoNotOptimize(offsets.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(requests);
+}
+BENCHMARK(BM_ArrivalOffsets)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace parcae::serve

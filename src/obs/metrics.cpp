@@ -51,6 +51,16 @@ double Histogram::bucket_midpoint(int index) { return bucket_value(index); }
 
 void Histogram::observe(double value) {
   std::lock_guard<std::mutex> lock(mu_);
+  observe_locked(value);
+}
+
+void Histogram::observe(std::span<const double> values) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (double value : values) observe_locked(value);
+}
+
+// Requires mu_ held.
+void Histogram::observe_locked(double value) {
   ++buckets_[static_cast<std::size_t>(bucket_index(value))];
   if (count_ == 0) {
     min_ = value;

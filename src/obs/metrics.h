@@ -7,7 +7,8 @@
 // long run. A MetricsRegistry owns named instruments; looking one up
 // is a mutex-guarded map find (hold the returned reference to
 // amortize it), recording into a counter or gauge is a single atomic
-// op, and a histogram observation is one lock + one bucket increment.
+// op, and a histogram observation is one lock + one bucket increment;
+// a batch of observations (a span of values) takes the lock once.
 // Cheap enough to leave compiled in and enabled by default.
 //
 // There is one process-wide default_registry() for code without an
@@ -23,6 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -105,6 +107,10 @@ class Histogram {
   static constexpr int kBuckets = 512;
 
   void observe(double value);
+  // Observes `values` in order under one lock: the same buckets, sum,
+  // min and max as one observe() per value, but a concurrent reader
+  // sees either none of the batch or all of it.
+  void observe(std::span<const double> values);
 
   std::uint64_t count() const;
   double sum() const;
@@ -125,6 +131,7 @@ class Histogram {
  private:
   static int bucket_index(double value);
   static double bucket_value(int index);
+  void observe_locked(double value);
   double quantile_locked(double q) const;
 
   mutable std::mutex mu_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 namespace parcae::serve {
 namespace {
@@ -107,10 +108,37 @@ void ArrivalGenerator::arrivals(int interval, std::vector<double>& out) const {
   const double lambda = realized_rps(interval) * options_.interval_s;
   if (lambda <= 0.0) return;
   Rng rng(mix(options_.seed, static_cast<std::uint64_t>(interval) + 1));
-  const int n = static_cast<int>(rng.poisson(lambda));
-  out.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) out.push_back(rng.uniform() * options_.interval_s);
-  std::sort(out.begin(), out.end());
+  const int requests = static_cast<int>(rng.poisson(lambda));
+  if (requests < 2) {
+    if (requests == 1) out.push_back(rng.uniform() * options_.interval_s);
+    return;
+  }
+  // The offsets are uniform on [0, interval_s), so a counting pass into
+  // n buckets keyed on floor(v * n / interval_s) leaves about one value
+  // per bucket. The key is monotone in v, so a later bucket never holds
+  // a smaller value and the insertion pass only reorders values within
+  // a bucket: expected O(n), and exactly the vector std::sort returns
+  // (equal doubles are indistinguishable). The scratch is per call, so
+  // concurrent calls share nothing.
+  const auto n = static_cast<std::size_t>(requests);
+  std::vector<double> drawn(n);
+  for (double& v : drawn) v = rng.uniform() * options_.interval_s;
+  const double scale = static_cast<double>(n) / options_.interval_s;
+  const auto bucket = [&](double v) {
+    return std::min(static_cast<std::size_t>(v * scale), n - 1);
+  };
+  // cursor[b]: the next free slot of bucket b.
+  std::vector<std::uint32_t> cursor(n + 1, 0);
+  for (double v : drawn) ++cursor[bucket(v) + 1];
+  std::partial_sum(cursor.begin(), cursor.end(), cursor.begin());
+  out.resize(n);
+  for (double v : drawn) out[cursor[bucket(v)]++] = v;
+  for (std::size_t i = 1; i < n; ++i) {
+    const double v = out[i];
+    std::size_t j = i;
+    for (; j > 0 && out[j - 1] > v; --j) out[j] = out[j - 1];
+    out[j] = v;
+  }
 }
 
 std::uint64_t ArrivalGenerator::total_requests(int intervals) const {

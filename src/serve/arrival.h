@@ -6,15 +6,23 @@
 // stream, a 2-state MMPP (Markov-modulated Poisson process) for
 // bursty traffic, a diurnal rate envelope, and a trace-replay mode
 // that follows a measured per-interval rate series. A simulated day at
-// production rates is millions of requests, so generation is
-// allocation-light (callers pass reusable buffers) and, critically,
-// deterministic with the same discipline as the MC preemption sampler
-// (src/migration/preemption.*): every per-interval draw comes from an
-// Rng forked from (seed, interval), i.e. a pure function of the seed
-// and the interval index. Any thread may generate any interval in any
-// order and the counts and arrival offsets are bit-identical to a
-// serial sweep — the property tests/serve_test.cpp pins across
-// threads 1/4/8.
+// production rates is millions of requests, so generation is cheap per
+// request: callers pass a reusable output buffer, and an interval's
+// offsets are ordered by a counting pass into one bucket per offset
+// plus an insertion pass — expected linear time, and exactly the
+// vector std::sort would return. The sort's scratch (the drawn offsets
+// and the bucket cursors) is allocated in each call, not kept in a
+// mutable member, because the accessors below are const and
+// thread-safe.
+//
+// Generation is, critically, deterministic with the same discipline
+// as the MC preemption sampler (src/migration/preemption.*): every
+// per-interval draw comes from an Rng forked from (seed, interval),
+// i.e. a pure function of the seed and the interval index. Any thread
+// may generate any interval in any order and the counts and arrival
+// offsets are bit-identical to a serial sweep — the property
+// tests/serve_test.cpp pins across threads 1/4/8 and against pinned
+// digests.
 //
 // The only serial state is the MMPP modulation chain (one draw per
 // interval), precomputed once by prepare(); after that every accessor

@@ -13,8 +13,9 @@
 namespace parcae::serve {
 namespace {
 
-// Exact percentile over a scratch copy (nearest-rank on the sorted
-// order); 0 when empty.
+// Exact order statistic: the element of rank floor(q * n), clamped to
+// n - 1, in ascending order (so for n = 100 the p99 is the maximum); 0
+// when empty. Permutes `xs` in place (nth_element).
 double percentile(std::vector<double>& xs, double q) {
   if (xs.empty()) return 0.0;
   const auto rank = static_cast<std::size_t>(
@@ -90,6 +91,9 @@ ServingSimResult simulate_serving(ServingScheduler& scheduler,
   std::vector<double> all_lat_ms;
   std::vector<double> carry;  // reused reconfiguration flush buffer
   std::vector<double> batch;  // reused batch arrival times
+  // batch_time[b] = qm.batch_execution(running.pp, b), filled on demand
+  // and emptied when the running pipeline depth changes.
+  std::vector<ServeBatchTime> batch_time;
 
   for (int i = 0; i < I; ++i) {
     const double t0 = i * T;
@@ -138,6 +142,7 @@ ServingSimResult simulate_serving(ServingScheduler& scheduler,
             jsonl << line;
           }
       }
+      if (config.pp != running.pp) batch_time.clear();
       running = config;
       rr = 0;
     }
@@ -217,8 +222,10 @@ ServingSimResult simulate_serving(ServingScheduler& scheduler,
           batch.push_back(r.queue.front());
           r.queue.pop_front();
         }
-        const ServeBatchTime exec = qm.batch_execution(
-            running.pp, static_cast<int>(batch.size()));
+        while (batch_time.size() <= batch.size())
+          batch_time.push_back(qm.batch_execution(
+              running.pp, static_cast<int>(batch_time.size())));
+        const ServeBatchTime exec = batch_time[batch.size()];
         const double completion = start + exec.latency_s;
         r.free_at = start + exec.occupancy_s;
         for (double arrival : batch) {
@@ -229,7 +236,6 @@ ServingSimResult simulate_serving(ServingScheduler& scheduler,
           const double ms = latency * 1000.0;
           interval_lat_ms.push_back(ms);
           all_lat_ms.push_back(ms);
-          h_latency.observe(ms);
           if (jsonl.is_open()) {
             std::snprintf(line, sizeof line,
                           "{\"t\":%.3f,\"latency_ms\":%.3f,\"ok\":%d}\n",
@@ -250,6 +256,11 @@ ServingSimResult simulate_serving(ServingScheduler& scheduler,
     result.slo_violations += served_i - good_i;
     c_served.add(static_cast<double>(served_i));
     c_violations.add(static_cast<double>(served_i - good_i + dropped_i));
+
+    // One histogram lock per interval, in completion order, before
+    // percentile() permutes the buffer and before any per-interval
+    // reader (gauges, time series, SLO rules) runs.
+    h_latency.observe(interval_lat_ms);
 
     std::uint64_t queued = 0;
     for (const Replica& r : replicas) queued += r.queue.size();

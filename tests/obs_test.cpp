@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,6 +86,55 @@ TEST(Metrics, HistogramHandlesEmptyZeroAndWideRange) {
   EXPECT_DOUBLE_EQ(wide.min(), 1e-9);
   EXPECT_DOUBLE_EQ(wide.max(), 1e12);
   EXPECT_DOUBLE_EQ(wide.quantile(1.0), 1e12);
+}
+
+// Everything stats() reports, and quantiles between its fixed ranks;
+// the sums compare bit for bit.
+void expect_same_histogram(const obs::Histogram& a, const obs::Histogram& b) {
+  const obs::HistogramStats x = a.stats();
+  const obs::HistogramStats y = b.stats();
+  EXPECT_EQ(x.count, y.count);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(x.sum),
+            std::bit_cast<std::uint64_t>(y.sum));
+  EXPECT_EQ(x.min, y.min);
+  EXPECT_EQ(x.max, y.max);
+  EXPECT_EQ(x.p50, y.p50);
+  EXPECT_EQ(x.p95, y.p95);
+  EXPECT_EQ(x.p99, y.p99);
+  ASSERT_EQ(x.buckets.size(), y.buckets.size());
+  for (std::size_t i = 0; i < x.buckets.size(); ++i) {
+    EXPECT_EQ(x.buckets[i].index, y.buckets[i].index) << i;
+    EXPECT_EQ(x.buckets[i].count, y.buckets[i].count) << i;
+  }
+  for (double q : {0.0, 0.3, 0.75, 0.999, 1.0})
+    EXPECT_EQ(a.quantile(q), b.quantile(q)) << q;
+}
+
+TEST(Metrics, BatchedObserveEqualsPerValueObserves) {
+  obs::Histogram batched, single;
+  // An empty batch leaves the histogram empty, min and max at 0.
+  batched.observe(std::span<const double>{});
+  EXPECT_EQ(batched.count(), 0u);
+  EXPECT_EQ(batched.min(), 0.0);
+  EXPECT_EQ(batched.max(), 0.0);
+  expect_same_histogram(batched, single);
+
+  // The first batch lands in an empty histogram. 1e16 lies above the
+  // top bucket's bound (about 1.8e13), 0 and 1e-7 in the underflow
+  // bucket, and the order of summation shows in the sum's bits: after
+  // 1e16 each 1.0 rounds away (1e16 + 1 ties to 1e16), while summed in
+  // reverse the two add up to 2 first and survive.
+  const std::vector<double> first = {1e16, 1.0, 1.0, 0.0, 1e-7};
+  const std::vector<double> second = {2.5, 0.0, 4.0};
+  for (const std::vector<double>& values : {first, second}) {
+    batched.observe(values);
+    for (double v : values) single.observe(v);
+    expect_same_histogram(batched, single);
+  }
+  const obs::HistogramStats stats = batched.stats();
+  EXPECT_EQ(stats.buckets.front().index, 0);
+  EXPECT_EQ(stats.buckets.front().count, 3u);
+  EXPECT_EQ(stats.buckets.back().index, obs::Histogram::kBuckets);
 }
 
 TEST(Metrics, SnapshotRendersAndExportsCsv) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -108,6 +109,55 @@ TEST(ArrivalTest, ThreadsBitIdentical) {
         EXPECT_EQ(serial[i], parallel[i])
             << arrival_kind_name(kind) << " interval " << i;
     }
+  }
+}
+
+// 64-bit FNV-1a over the bit patterns of every interval's offset count
+// and offsets, in order.
+std::uint64_t arrival_digest(const ArrivalOptions& options, int intervals) {
+  ArrivalGenerator gen(options);
+  gen.prepare(intervals);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto hash_word = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  std::vector<double> out;
+  for (int i = 0; i < intervals; ++i) {
+    gen.arrivals(i, out);
+    hash_word(out.size());
+    for (double t : out) hash_word(std::bit_cast<std::uint64_t>(t));
+  }
+  return h;
+}
+
+TEST(ArrivalTest, OffsetsMatchPinnedDigest) {
+  // The offsets are pinned across commits, not only across threads and
+  // replays: however arrivals() orders them, it must return exactly the
+  // sorted vector these digests were taken from. At 500 rps every
+  // interval holds 30k-90k offsets; at 0.02 rps a handful (Poisson mean
+  // 1.2, 3.6 in an MMPP burst), so the empty and single-offset
+  // intervals are covered too.
+  struct Case {
+    ArrivalKind kind;
+    double base_rps;
+    int intervals;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {ArrivalKind::kPoisson, 500.0, 16, 0x635076b8f1b38e3eull},
+      {ArrivalKind::kMmpp, 500.0, 16, 0xa1559284447c5fe7ull},
+      {ArrivalKind::kPoisson, 0.02, 64, 0x729ae61d54bf1c04ull},
+      {ArrivalKind::kMmpp, 0.02, 64, 0xf18bd47d8dd5c732ull},
+  };
+  for (const Case& c : cases) {
+    ArrivalOptions a = mmpp_options(2024);
+    a.kind = c.kind;
+    a.base_rps = c.base_rps;
+    EXPECT_EQ(arrival_digest(a, c.intervals), c.digest)
+        << arrival_kind_name(c.kind) << " at " << c.base_rps << " rps";
   }
 }
 
@@ -365,6 +415,10 @@ TEST(ServingSimTest, AccountingBalances) {
   EXPECT_GT(r.slo_attainment, 0.0);
   EXPECT_LE(r.slo_attainment, 1.0);
   EXPECT_GT(r.spot_cost_usd, 0.0);
+  // The latency histogram is fed one batch per interval and still holds
+  // one observation per completed request.
+  EXPECT_EQ(r.metrics.histograms.at("serve.latency_ms").count,
+            r.requests_served);
 }
 
 TEST(ServingSimTest, DeterministicAcrossReruns) {
