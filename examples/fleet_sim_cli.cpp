@@ -3,19 +3,14 @@
 //
 //   fleet_sim_cli [key=value ...]
 //
-// Run `fleet_sim_cli help` for the full key list.
+// Run `fleet_sim_cli help` for the keys.
 #include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
 
-#include "core/slo.h"
+#include "cli.h"
 #include "fleet/fleet_sim.h"
 #include "obs/exporter.h"
-#include "obs/metrics.h"
-#include "rpc/obs_service.h"
-#include "rpc/rpc.h"
 #include "runtime/kv_store.h"
 #include "trace/trace_io.h"
 
@@ -23,181 +18,104 @@ using namespace parcae;
 
 namespace {
 
-void print_usage() {
-  std::printf(
-      "fleet_sim_cli [key=value ...]\n"
-      "\n"
-      "Replay a fleet of Parcae jobs over one shared spot pool, with\n"
-      "the FleetArbiter granting/revoking leases each interval, and\n"
-      "compare against static partitioning (docs/fleet.md).\n"
-      "\n"
-      "keys:\n"
-      "  jobs=<int>          fleet size (default 10); jobs cycle through\n"
-      "                      GPT-2/BERT-Large/ResNet-152/VGG-19 with\n"
-      "                      weights 1.0/2.0/1.0/0.5\n"
-      "  trace=HA-DP|HA-SP|LA-DP|LA-SP|full-day|<file.csv>\n"
-      "                      shared pool trace (default full-day)\n"
-      "  capacity=<int>      pool capacity (default 32)\n"
-      "  seed=<int>          fleet seed; job j's scheduler seed is\n"
-      "                      forked as fleet_job_seed(seed, j)\n"
-      "  lookahead=<int>     per-job lookahead (default 6)\n"
-      "  history=<int>       per-job prediction history (default 8)\n"
-      "  mc_trials=<int>     per-job Monte-Carlo trials (default 16)\n"
-      "  mode=tick|event     per-job re-optimization trigger: tick\n"
-      "                      (default) re-solves every interval; event\n"
-      "                      re-solves only on lease-change events\n"
-      "                      (warm-started incremental DP)\n"
-      "  debounce_ms=<float> event coalescing window for mode=event\n"
-      "                      (default 250)\n"
-      "  swap_margin=<float> arbiter swap hysteresis (default 0.05)\n"
-      "  static=0|1          also run the static-partitioning baseline\n"
-      "                      and print the comparison (default 1)\n"
-      "  election=0|1        arm KV-backed leader election for the\n"
-      "                      arbiter (default 0)\n"
-      "  metrics=0|1         print the metrics-registry snapshot\n"
-      "  rollup=0|1          print the FleetAggregator rollup (per-job\n"
-      "                      job<j>.* folded into fleet.* sums/maxima)\n"
-      "  alerts=<spec>       fleet SLO rules evaluated on the rollup\n"
-      "                      once per regime (docs/observability.md\n"
-      "                      grammar; alerts=default = built-ins)\n"
-      "  alerts_jsonl=<file> fired alerts as JSONL\n"
-      "  export_port=<int>   serve the live fleet rollup as Prometheus\n"
-      "                      text over TCP RPC (obs.metrics method,\n"
-      "                      0 = ephemeral)\n"
-      "\n"
-      "example:\n"
-      "  fleet_sim_cli jobs=50 trace=LA-SP seed=7\n");
-}
+constexpr char kAbout[] =
+    "fleet_sim_cli [key=value ...]\n"
+    "\n"
+    "Replay a fleet of Parcae jobs over one shared spot pool, with\n"
+    "the FleetArbiter granting/revoking leases each interval, and\n"
+    "compare against static partitioning (docs/fleet.md). Jobs cycle\n"
+    "through GPT-2/BERT-Large/ResNet-152/VGG-19 with weights\n"
+    "1.0/2.0/1.0/0.5.\n"
+    "\n"
+    "example:\n"
+    "  fleet_sim_cli jobs=50 trace=LA-SP seed=7\n";
 
-std::map<std::string, std::string> parse_args(int argc, char** argv) {
-  std::map<std::string, std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    // Accept GNU-style spellings (--jobs=50) for every key.
-    arg.erase(0, arg.find_first_not_of('-'));
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      args[arg] = "";
-      continue;
-    }
-    args[arg.substr(0, eq)] = arg.substr(eq + 1);
-  }
-  return args;
-}
-
-std::string get(const std::map<std::string, std::string>& args,
-                const std::string& key, const std::string& fallback) {
-  const auto it = args.find(key);
-  return it == args.end() ? fallback : it->second;
-}
+constexpr cli::Key kKeys[] = {
+    {"jobs", "<int>", "fleet size (default 10)"},
+    {"trace", "HA-DP|HA-SP|LA-DP|LA-SP|full-day|<file.csv>",
+     "shared pool trace (default full-day)"},
+    {"capacity", "<int>", "pool capacity (default 32)"},
+    {"seed", "<int>", "fleet seed; job j's is fleet_job_seed(seed, j)"},
+    {"lookahead", "<int>", "per-job lookahead (default 6)"},
+    {"history", "<int>", "per-job prediction history (default 8)"},
+    {"mc_trials", "<int>", "per-job Monte-Carlo trials (default 16)"},
+    {"mode", "tick|event",
+     "per-interval or lease-event re-solves (default tick)"},
+    {"debounce_ms", "<float>", "mode=event coalescing window (default 250)"},
+    {"swap_margin", "<float>", "arbiter swap hysteresis (default 0.05)"},
+    {"static", "0|1",
+     "also run static partitioning and compare (default 1)"},
+    {"election", "0|1", "KV-backed leader election for the arbiter"},
+    {"metrics", "0|1", "print the metrics-registry snapshot"},
+    {"rollup", "0|1", "print the per-job metrics folded into fleet.*"},
+    {"alerts", "<spec>|default",
+     "fleet SLO rules on the rollup, once per regime"},
+    {"alerts_jsonl", "<file>", "fired alerts as JSONL"},
+    {"export_port", "<int>",
+     "serve the fleet rollup over TCP RPC (0 = ephemeral)"},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse_args(argc, argv);
-  if (args.count("help") != 0 || args.count("h") != 0) {
-    print_usage();
-    return 0;
+  const cli::Args args(argc, argv, kAbout, kKeys);
+
+  const std::string trace_name = args.get("trace", "full-day");
+  std::string trace_error;
+  const std::optional<SpotTrace> trace =
+      resolve_trace(trace_name, &trace_error);
+  if (!trace) {
+    std::fprintf(stderr, "cannot resolve trace '%s': %s\n",
+                 trace_name.c_str(), trace_error.c_str());
+    return 1;
   }
 
-  const std::string trace_name = get(args, "trace", "full-day");
-  SpotTrace trace;
-  bool found = false;
-  for (const SpotTrace& t : all_canonical_segments())
-    if (t.name() == trace_name) {
-      trace = t;
-      found = true;
-    }
-  if (!found && trace_name == "full-day") {
-    trace = full_day_trace();
-    found = true;
-  }
-  if (!found) {
-    std::string error;
-    auto loaded = load_trace(trace_name, &error);
-    if (!loaded) {
-      std::fprintf(stderr, "cannot resolve trace '%s': %s\n",
-                   trace_name.c_str(), error.c_str());
-      return 1;
-    }
-    trace = *loaded;
-  }
-
-  const int num_jobs = std::stoi(get(args, "jobs", "10"));
+  const int num_jobs = std::stoi(args.get("jobs", "10"));
   if (num_jobs < 1) {
     std::fprintf(stderr, "jobs=%d: need at least one job\n", num_jobs);
     return 1;
   }
 
   fleet::FleetSimOptions options;
-  options.fleet_seed = std::stoull(get(args, "seed", "42"));
-  options.capacity = std::stoi(get(args, "capacity", "32"));
-  options.lookahead = std::stoi(get(args, "lookahead", "6"));
-  options.history = std::stoi(get(args, "history", "8"));
-  options.mc_trials = std::stoi(get(args, "mc_trials", "16"));
-  options.swap_margin = std::stod(get(args, "swap_margin", "0.05"));
-  const std::string sched_mode = get(args, "mode", "tick");
-  if (sched_mode != "tick" && sched_mode != "event") {
-    std::fprintf(stderr, "mode=%s: expected tick or event\n",
-                 sched_mode.c_str());
-    return 1;
-  }
-  options.event_driven = sched_mode == "event";
-  options.debounce_ms = std::stod(get(args, "debounce_ms", "250"));
+  options.fleet_seed = std::stoull(args.get("seed", "42"));
+  options.capacity = std::stoi(args.get("capacity", "32"));
+  options.lookahead = std::stoi(args.get("lookahead", "6"));
+  options.history = std::stoi(args.get("history", "8"));
+  options.mc_trials = std::stoi(args.get("mc_trials", "16"));
+  options.swap_margin = std::stod(args.get("swap_margin", "0.05"));
+  if (!cli::read_mode(args, options.event_driven)) return 1;
+  options.debounce_ms = std::stod(args.get("debounce_ms", "250"));
 
   obs::MetricsRegistry registry;
   options.metrics = &registry;
   KvStore kv;
-  if (get(args, "election", "0") == "1") options.kv = &kv;
+  if (args.get("election", "0") == "1") options.kv = &kv;
 
   // Fleet SLOs: rules run against the FleetAggregator rollup once per
   // regime, so they can target fleet-wide names ("fleet.sim.preemptions",
   // "fleet.fleet.normalized_liveput.max", arbiter counters).
-  const std::string alerts_spec = get(args, "alerts", "");
-  const std::string alerts_jsonl = get(args, "alerts_jsonl", "");
   std::unique_ptr<SloEngine> slo;
-  if (!alerts_spec.empty()) {
-    std::string error;
-    const std::vector<SloRule> rules =
-        alerts_spec == "default" ? SloEngine::default_rules()
-                                 : SloEngine::parse_rules(alerts_spec, &error);
-    if (rules.empty()) {
-      std::fprintf(stderr, "bad alert spec '%s': %s\n", alerts_spec.c_str(),
-                   error.c_str());
-      return 1;
-    }
-    slo = std::make_unique<SloEngine>(rules);
-    options.slo = slo.get();
-  }
+  if (!cli::arm_alerts(args, SloEngine::default_rules(), slo)) return 1;
+  options.slo = slo.get();
 
   // Live export: every scrape folds a fresh registry snapshot through
   // the aggregator, so a scraper watches fleet.* rollups move as jobs
   // integrate.
-  const std::string export_port = get(args, "export_port", "");
-  std::unique_ptr<rpc::Transport> export_transport;
-  std::unique_ptr<rpc::RpcServer> export_server;
-  std::unique_ptr<rpc::ObsService> export_service;
-  if (!export_port.empty()) {
-    export_transport = rpc::make_tcp_transport(std::stoi(export_port));
-    export_server = std::make_unique<rpc::RpcServer>(*export_transport);
-    export_service = std::make_unique<rpc::ObsService>(
-        [&registry]() {
-          obs::FleetAggregator aggregator;
-          aggregator.fold(registry.snapshot());
-          return aggregator.rollup();
-        });
-    export_service->bind(*export_server);
-    export_server->start();
-    std::printf("serving fleet rollup on %s (rpc method \"obs.metrics\")\n",
-                export_transport->address().c_str());
-  }
+  cli::Exporter exporter(
+      args,
+      [&registry] {
+        obs::FleetAggregator aggregator;
+        aggregator.fold(registry.snapshot());
+        return aggregator.rollup();
+      },
+      nullptr, "fleet rollup");
 
   fleet::FleetSimulator simulator(fleet::standard_fleet(num_jobs), options);
-  const fleet::FleetSimResult arbiter = simulator.run(trace);
+  const fleet::FleetSimResult arbiter = simulator.run(*trace);
   std::printf("%s", arbiter.to_string().c_str());
 
-  if (get(args, "static", "1") == "1") {
-    const fleet::FleetSimResult baseline = simulator.run_static(trace);
+  if (args.get("static", "1") == "1") {
+    const fleet::FleetSimResult baseline = simulator.run_static(*trace);
     std::printf("\n%s", baseline.to_string().c_str());
     const double gain =
         baseline.weighted_liveput > 0.0
@@ -211,41 +129,16 @@ int main(int argc, char** argv) {
         baseline.weighted_share_deviation);
   }
 
-  if (get(args, "metrics", "0") == "1") {
+  if (args.get("metrics", "0") == "1") {
     std::printf("\nmetrics:\n%s", registry.snapshot().render().c_str());
   }
-  if (get(args, "rollup", "0") == "1") {
+  if (args.get("rollup", "0") == "1") {
     obs::FleetAggregator aggregator;
     aggregator.fold(registry.snapshot());
     std::printf("\nfleet rollup (%d jobs folded):\n%s", aggregator.jobs(),
                 aggregator.rollup().render().c_str());
   }
-  if (slo != nullptr) {
-    const std::string table = slo->render();
-    if (table.empty())
-      std::printf("\nalerts: none fired (%zu rules armed)\n",
-                  slo->rules().size());
-    else
-      std::printf("\nalerts (%zu fired):\n%s", slo->alerts().size(),
-                  table.c_str());
-    if (!alerts_jsonl.empty()) {
-      if (slo->write_jsonl(alerts_jsonl))
-        std::printf("wrote %s (%zu alerts)\n", alerts_jsonl.c_str(),
-                    slo->alerts().size());
-      else
-        std::fprintf(stderr, "cannot write %s\n", alerts_jsonl.c_str());
-    }
-  }
-  if (export_server != nullptr) {
-    try {
-      rpc::RpcClient scraper(*export_transport,
-                             export_transport->address());
-      const std::string prom = rpc::ObsClient(scraper).scrape();
-      std::printf("exporter self-scrape: %zu bytes of Prometheus text\n",
-                  prom.size());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "exporter self-scrape failed: %s\n", e.what());
-    }
-  }
+  cli::report_alerts(args, slo.get());
+  exporter.self_scrape();
   return 0;
 }

@@ -3,23 +3,7 @@
 //
 //   multiproc_e2e [key=value ...]
 //
-//   agents=<int>          agent child processes (default 4)
-//   intervals=<int>       decision intervals (default 24)
-//   tick_ms=<int>         scheduler wall pacing (default 120)
-//   interval_s=<float>    logical seconds per interval (default 60)
-//   ttl=<float>           agent lease TTL, logical seconds (150)
-//   standby=<0|1>         also run a standby scheduler (default 1)
-//   kill_agent_at=<float>   SIGKILL a (seeded) random agent this many
-//                           wall seconds in (<0 = never; default 1.0)
-//   kill_primary_at=<float> SIGKILL the primary this many wall
-//                           seconds in (<0 = never; default 2.0)
-//   port=<int>            hub TCP port (default seeded in 21000..22999)
-//   seed=<int>            victim pick + port seed (default 7)
-//   dir=<path>            where the wal/report files go (default ".")
-//   max_wall_s=<float>    harness timeout (default 90)
-//   agent_bin= scheduler_bin=  binary paths; default next to this
-//                           executable (../tools/...), overridable via
-//                           PARCAE_AGENT_BIN / PARCAE_SCHEDULER_BIN
+// Run `multiproc_e2e help` for the keys.
 //
 // The run is judged by the surviving scheduler's report:
 //   - the run completed (all intervals decided),
@@ -35,13 +19,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli.h"
 #include "common/rng.h"
 #include "runtime/process_supervisor.h"
 
@@ -49,23 +33,35 @@ using namespace parcae;
 
 namespace {
 
-std::map<std::string, std::string> parse_args(int argc, char** argv) {
-  std::map<std::string, std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    arg.erase(0, arg.find_first_not_of('-'));
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) continue;
-    args[arg.substr(0, eq)] = arg.substr(eq + 1);
-  }
-  return args;
-}
+constexpr char kAbout[] =
+    "multiproc_e2e [key=value ...]\n"
+    "\n"
+    "Run a real scheduler, standby and agent processes under SIGKILL\n"
+    "fault injection and judge the surviving scheduler's report\n"
+    "(docs/robustness.md).\n"
+    "\n"
+    "example:\n"
+    "  multiproc_e2e agents=4 kill_agent_at=1.2 kill_primary_at=2.5\n";
 
-std::string get(const std::map<std::string, std::string>& args,
-                const std::string& key, const std::string& fallback) {
-  const auto it = args.find(key);
-  return it == args.end() ? fallback : it->second;
-}
+constexpr cli::Key kKeys[] = {
+    {"agents", "<int>", "agent child processes (default 4)"},
+    {"intervals", "<int>", "decision intervals (default 24)"},
+    {"tick_ms", "<int>", "scheduler wall pacing (default 120)"},
+    {"interval_s", "<float>", "logical seconds per interval (default 60)"},
+    {"ttl", "<float>", "agent lease TTL, logical seconds (default 150)"},
+    {"standby", "0|1", "also run a standby scheduler (default 1)"},
+    {"kill_agent_at", "<float>",
+     "wall s to SIGKILL a seeded agent (<0 = never; 1.0)"},
+    {"kill_primary_at", "<float>",
+     "wall s to SIGKILL the primary (<0 = never; 2.0)"},
+    {"port", "<int>", "hub TCP port (default seeded in 21000..22999)"},
+    {"seed", "<int>", "victim pick and port seed (default 7)"},
+    {"dir", "<path>", "where the wal/report files go (default .)"},
+    {"max_wall_s", "<float>", "harness timeout (default 90)"},
+    {"agent_bin", "<path>", "agent binary (PARCAE_AGENT_BIN, ../tools/)"},
+    {"scheduler_bin", "<path>",
+     "scheduler binary (PARCAE_SCHEDULER_BIN, ../tools/)"},
+};
 
 double wall_s() {
   return std::chrono::duration<double>(
@@ -75,10 +71,10 @@ double wall_s() {
 
 // Binary discovery: explicit flag > environment > sibling of this
 // executable (build/examples/multiproc_e2e -> build/tools/<name>).
-std::string find_binary(const std::map<std::string, std::string>& args,
-                        const std::string& flag, const char* env,
-                        const std::string& argv0, const std::string& name) {
-  if (const std::string v = get(args, flag, ""); !v.empty()) return v;
+std::string find_binary(const cli::Args& args, const std::string& flag,
+                        const char* env, const std::string& argv0,
+                        const std::string& name) {
+  if (const std::string v = args.get(flag); !v.empty()) return v;
   if (const char* e = std::getenv(env); e != nullptr && *e != '\0') return e;
   std::string dir = ".";
   if (const auto slash = argv0.find_last_of('/'); slash != std::string::npos)
@@ -99,24 +95,24 @@ std::string report_field(const std::string& text, const std::string& key) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse_args(argc, argv);
-  const int agents = std::stoi(get(args, "agents", "4"));
-  const int intervals = std::stoi(get(args, "intervals", "24"));
-  const int tick_ms = std::stoi(get(args, "tick_ms", "120"));
-  const std::string interval_s = get(args, "interval_s", "60");
-  const std::string ttl = get(args, "ttl", "150");
-  const bool standby = get(args, "standby", "1") != "0";
-  const double kill_agent_at = std::stod(get(args, "kill_agent_at", "1.0"));
+  const cli::Args args(argc, argv, kAbout, kKeys);
+  const int agents = std::stoi(args.get("agents", "4"));
+  const int intervals = std::stoi(args.get("intervals", "24"));
+  const int tick_ms = std::stoi(args.get("tick_ms", "120"));
+  const std::string interval_s = args.get("interval_s", "60");
+  const std::string ttl = args.get("ttl", "150");
+  const bool standby = args.get("standby", "1") != "0";
+  const double kill_agent_at = std::stod(args.get("kill_agent_at", "1.0"));
   const double kill_primary_at =
-      std::stod(get(args, "kill_primary_at", "2.0"));
-  const std::uint64_t seed = std::stoull(get(args, "seed", "7"));
-  const double max_wall_s = std::stod(get(args, "max_wall_s", "90"));
-  const std::string dir = get(args, "dir", ".");
+      std::stod(args.get("kill_primary_at", "2.0"));
+  const std::uint64_t seed = std::stoull(args.get("seed", "7"));
+  const double max_wall_s = std::stod(args.get("max_wall_s", "90"));
+  const std::string dir = args.get("dir", ".");
 
   Rng rng(seed ^ 0xe2e);
   const int port =
-      args.count("port") != 0U
-          ? std::stoi(args.at("port"))
+      args.has("port")
+          ? std::stoi(args.get("port"))
           : 21000 + static_cast<int>(rng.uniform_int(2000));
 
   const std::string agent_bin =

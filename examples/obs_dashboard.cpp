@@ -21,10 +21,10 @@
 // the *real* training runtime under fault injection (PARCAE_FAULTS
 // overrides the default chaos spec) with its recovery counters.
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 
+#include "cli.h"
 #include "common/fault.h"
 #include "common/table.h"
 #include "core/slo.h"
@@ -38,26 +38,16 @@
 
 using namespace parcae;
 
-namespace {
-
-std::optional<SpotTrace> resolve(const std::string& what) {
-  for (const SpotTrace& t : all_canonical_segments())
-    if (t.name() == what) return t;
-  if (what == "full-day") return full_day_trace();
-  std::string error;
-  auto trace = load_trace(what, &error);
-  if (!trace) std::fprintf(stderr, "cannot load '%s': %s\n", what.c_str(),
-                           error.c_str());
-  return trace;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const std::string trace_name = argc > 1 ? argv[1] : "HA-DP";
   const std::string outdir = argc > 2 ? argv[2] : ".";
-  const auto trace = resolve(trace_name);
-  if (!trace) return 1;
+  std::string trace_error;
+  const auto trace = resolve_trace(trace_name, &trace_error);
+  if (!trace) {
+    std::fprintf(stderr, "cannot load '%s': %s\n", trace_name.c_str(),
+                 trace_error.c_str());
+    return 1;
+  }
 
   const ModelProfile model = model_by_name("GPT-2");
 
@@ -150,13 +140,10 @@ int main(int argc, char** argv) {
   // -- §8 robustness: chaos-run the real runtime (SpotTrainingDriver)
   // on a churny synthetic trace with faults injected into training,
   // migration, ParcaePS and the KvStore, and show what it survived.
-  const char* env_spec = std::getenv("PARCAE_FAULTS");
-  const std::string chaos_spec =
-      env_spec != nullptr && *env_spec != '\0'
-          ? env_spec
-          : "cluster.kill_mid_iteration:nth=5,max=2;"
-            "cluster.kill_mid_migration:nth=3,max=1;"
-            "ps.push:prob=0.05;kv.put:prob=0.02";
+  const std::string chaos_spec = cli::env_fault_spec(
+      "cluster.kill_mid_iteration:nth=5,max=2;"
+      "cluster.kill_mid_migration:nth=3,max=1;"
+      "ps.push:prob=0.05;kv.put:prob=0.02");
   FaultInjector faults(2026);
   std::string spec_error;
   if (!faults.arm_from_spec(chaos_spec, &spec_error)) {

@@ -1,73 +1,25 @@
 // Full simulation CLI: run any system on any model and trace with
-// tunable policy options.
+// tunable policy options, optionally with a real-runtime pass on a
+// prefix of the trace (transport=).
 //
 //   spot_sim_cli [key=value ...]
 //
-// keys:
-//   model=GPT-2|GPT-3|BERT-Large|ResNet-152|VGG-19
-//   trace=HA-DP|HA-SP|LA-DP|LA-SP|full-day|<file.csv>
-//   system=parcae|ideal|reactive|varuna|bamboo|oobleck|checkfreq|
-//          hybrid|elastic|ondemand
-//   lookahead=<int>        history=<int>      reoptimize=<int>
-//   mc_trials=<int>        hysteresis=<float> seed=<int>
-//   timeline=0|1
-//   metrics=0|1            print the metrics-registry snapshot
-//   faults=<spec>          fault-injection spec (docs/robustness.md),
-//                          e.g. faults=sim.unpredicted_preempt:prob=0.1
-//                          (the PARCAE_FAULTS env var is the fallback)
-//   faults_seed=<int>      injector seed (default: seed ^ 0xfa017)
-//   metrics_csv=<file>     per-interval time series as CSV
-//   trace_json=<file>      Chrome trace events (chrome://tracing,
-//                          https://ui.perfetto.dev)
-//   events_jsonl=<file>    scheduler EventLog as JSONL (Parcae modes)
-//   alerts=<spec>          SLO rules evaluated every interval
-//                          (src/core/slo.h grammar; alerts=default
-//                          loads the built-in rule set)
-//   alerts_jsonl=<file>    fired alerts as JSONL
-//   export_port=<int>      serve the live registry as Prometheus text
-//                          over TCP RPC (method "obs.metrics";
-//                          0 = ephemeral) for the whole run, with a
-//                          self-scrape before exit
-//   transport=inproc|tcp   also run the *real* runtime (laptop-scale
-//                          SpotTrainingDriver) on a prefix of the
-//                          selected trace, with agents reaching the
-//                          KV/PS hub over this transport (docs/rpc.md),
-//                          and print the driver report + rpc.* counters
-//   rpc_port=<int>         TCP listen port for transport=tcp
-//                          (0 = ephemeral)
-//   runtime_minutes=<int>  trace prefix the runtime pass replays
-//                          (default 20)
-//   runtime_trace=<prefix> write the runtime pass's per-process trace
-//                          files <prefix>.scheduler.json (decision +
-//                          rpc.call spans) and <prefix>.hub.json
-//                          (rpc.handle spans) — fuse with
-//                          `trace_tool merge out.json <both files>`
-//
-// Example:
-//   spot_sim_cli model=GPT-3 trace=LA-SP system=varuna
+// Run `spot_sim_cli help` for the keys.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 
-#include "core/slo.h"
-#include "rpc/obs_service.h"
-#include "rpc/rpc.h"
 #include "baselines/bamboo_policy.h"
-#include "common/fault.h"
 #include "baselines/checkfreq_policy.h"
 #include "baselines/elastic_dp_policy.h"
 #include "baselines/hybrid_policy.h"
 #include "baselines/ondemand_policy.h"
 #include "baselines/oobleck_policy.h"
 #include "baselines/varuna_policy.h"
+#include "cli.h"
 #include "common/table.h"
 #include "nn/dataset.h"
-#include "obs/profile_span.h"
-#include "obs/timeseries.h"
 #include "runtime/parcae_policy.h"
 #include "runtime/spot_driver.h"
 #include "trace/trace_io.h"
@@ -76,238 +28,126 @@ using namespace parcae;
 
 namespace {
 
-void print_usage(FILE* out) {
-  std::fprintf(
-      out,
-      "spot_sim_cli [key=value ...]\n"
-      "\n"
-      "Run any system on any model and trace with tunable policy\n"
-      "options (DESIGN.md has the per-experiment index).\n"
-      "\n"
-      "keys:\n"
-      "  model=GPT-2|GPT-3|BERT-Large|ResNet-152|VGG-19\n"
-      "  trace=HA-DP|HA-SP|LA-DP|LA-SP|full-day|<file.csv>\n"
-      "  system=parcae|ideal|reactive|varuna|bamboo|oobleck|checkfreq|\n"
-      "         hybrid|elastic|ondemand\n"
-      "  lookahead=<int>        history=<int>      reoptimize=<int>\n"
-      "  mc_trials=<int>        hysteresis=<float> seed=<int>\n"
-      "  mode=tick|event        scheduler re-optimization trigger:\n"
-      "                         tick (default) re-solves every\n"
-      "                         reoptimize= intervals; event re-solves\n"
-      "                         only on preemption notices / lease\n"
-      "                         expiries / allocations (warm-started\n"
-      "                         incremental DP, docs/performance.md)\n"
-      "  debounce_ms=<float>    event coalescing window for mode=event\n"
-      "                         (default 250)\n"
-      "  timeline=0|1           print the per-interval event timeline\n"
-      "  metrics=0|1            print the metrics-registry snapshot\n"
-      "  faults=<spec>          fault-injection spec (docs/robustness.md),\n"
-      "                         e.g. faults=sim.unpredicted_preempt:prob=0.1\n"
-      "                         (the PARCAE_FAULTS env var is the fallback)\n"
-      "  faults_seed=<int>      injector seed (default: seed ^ 0xfa017)\n"
-      "  metrics_csv=<file>     per-interval time series as CSV\n"
-      "  trace_json=<file>      Chrome trace events (chrome://tracing)\n"
-      "  events_jsonl=<file>    scheduler EventLog as JSONL (Parcae modes)\n"
-      "  alerts=<spec>          SLO rules evaluated every interval\n"
-      "                         (docs/observability.md grammar;\n"
-      "                         alerts=default = built-in rule set)\n"
-      "  alerts_jsonl=<file>    fired alerts as JSONL\n"
-      "  export_port=<int>      serve the live registry as Prometheus\n"
-      "                         text over TCP RPC (obs.metrics method,\n"
-      "                         0 = ephemeral) for the whole run\n"
-      "  transport=inproc|tcp   also run the real runtime on a prefix of\n"
-      "                         the trace over this transport (docs/rpc.md)\n"
-      "  rpc_port=<int>         TCP listen port for transport=tcp\n"
-      "                         (0 = ephemeral)\n"
-      "  runtime_minutes=<int>  trace prefix the runtime pass replays\n"
-      "                         (default 20)\n"
-      "  runtime_trace=<prefix> write the runtime pass's per-process\n"
-      "                         trace files (<prefix>.scheduler.json +\n"
-      "                         <prefix>.hub.json; trace_tool merge)\n"
-      "\n"
-      "example:\n"
-      "  spot_sim_cli model=GPT-3 trace=LA-SP system=varuna\n");
-}
+constexpr char kAbout[] =
+    "spot_sim_cli [key=value ...]\n"
+    "\n"
+    "Run any system on any model and trace with tunable policy\n"
+    "options (DESIGN.md has the per-experiment index).\n"
+    "\n"
+    "example:\n"
+    "  spot_sim_cli model=GPT-3 trace=LA-SP system=varuna\n";
 
-// Every key main() reads: the ones print_usage() lists, and help.
-constexpr std::string_view kKeys[] = {
-    "model", "trace", "system", "lookahead", "history", "reoptimize",
-    "mc_trials", "hysteresis", "seed", "mode", "debounce_ms", "timeline",
-    "metrics", "faults", "faults_seed", "metrics_csv", "trace_json",
-    "events_jsonl", "alerts", "alerts_jsonl", "export_port", "transport",
-    "rpc_port", "runtime_minutes", "runtime_trace", "help", "h"};
-
-std::map<std::string, std::string> parse_args(int argc, char** argv) {
-  std::map<std::string, std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    // Accept GNU-style spellings (--seed=8) for every key.
-    arg.erase(0, arg.find_first_not_of('-'));
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      args[arg] = "";
-      continue;
-    }
-    args[arg.substr(0, eq)] = arg.substr(eq + 1);
-  }
-  return args;
-}
-
-bool known_key(std::string_view key) {
-  return std::find(std::begin(kKeys), std::end(kKeys), key) !=
-         std::end(kKeys);
-}
-
-std::string get(const std::map<std::string, std::string>& args,
-                const std::string& key, const std::string& fallback) {
-  const auto it = args.find(key);
-  return it == args.end() ? fallback : it->second;
-}
+constexpr cli::Key kKeys[] = {
+    {"model", "GPT-2|GPT-3|BERT-Large|ResNet-152|VGG-19",
+     "model profile (default GPT-2)"},
+    {"trace", "HA-DP|HA-SP|LA-DP|LA-SP|full-day|<file.csv>",
+     "availability trace (default HA-DP)"},
+    {"system",
+     "parcae|ideal|reactive|varuna|bamboo|oobleck|checkfreq|hybrid|"
+     "elastic|ondemand",
+     "system to run (default parcae)"},
+    {"lookahead", "<int>", "intervals the DP plans ahead (default 12)"},
+    {"history", "<int>", "intervals the predictor sees (default 12)"},
+    {"reoptimize", "<int>", "mode=tick re-solve period (default 1)"},
+    {"mc_trials", "<int>", "Monte-Carlo preemption trials (default 256)"},
+    {"hysteresis", "<float>", "depth-change hysteresis (default 0.15)"},
+    {"seed", "<int>", "policy seed (default 123)"},
+    {"mode", "tick|event",
+     "re-solve per interval, or on events (default tick)"},
+    {"debounce_ms", "<float>", "mode=event coalescing window (default 250)"},
+    {"timeline", "0|1", "print the per-interval event timeline (default 1)"},
+    {"metrics", "0|1", "print the metrics-registry snapshot"},
+    {"faults", "<spec>", "fault spec (docs/robustness.md), else PARCAE_FAULTS"},
+    {"faults_seed", "<int>", "injector seed (default seed ^ 0xfa017)"},
+    {"metrics_csv", "<file>", "per-interval time series as CSV"},
+    {"trace_json", "<file>", "Chrome trace events (chrome://tracing)"},
+    {"events_jsonl", "<file>", "scheduler EventLog as JSONL (Parcae modes)"},
+    {"alerts", "<spec>|default",
+     "SLO rules per interval (docs/observability.md)"},
+    {"alerts_jsonl", "<file>", "fired alerts as JSONL"},
+    {"export_port", "<int>",
+     "serve the live registry over TCP RPC (0 = ephemeral)"},
+    {"transport", "inproc|tcp",
+     "real-runtime pass on a trace prefix (docs/rpc.md)"},
+    {"rpc_port", "<int>", "TCP listen port for transport=tcp (0 = ephemeral)"},
+    {"runtime_minutes", "<int>",
+     "trace prefix the runtime pass replays (default 20)"},
+    {"runtime_trace", "<prefix>",
+     "write <prefix>.scheduler.json and <prefix>.hub.json"},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse_args(argc, argv);
-  if (args.count("help") != 0 || args.count("h") != 0) {
-    print_usage(stdout);
-    return 0;
-  }
-  // A misspelled or retired key would otherwise run on defaults.
-  for (const auto& arg : args) {
-    if (!known_key(arg.first)) {
-      std::fprintf(stderr, "unknown key '%s'\n\n", arg.first.c_str());
-      print_usage(stderr);
-      return 2;
-    }
-  }
+  const cli::Args args(argc, argv, kAbout, kKeys);
 
   ModelProfile model;
   try {
-    model = model_by_name(get(args, "model", "GPT-2"));
+    model = model_by_name(args.get("model", "GPT-2"));
   } catch (const std::out_of_range&) {
     std::fprintf(stderr, "unknown model\n");
     return 1;
   }
 
-  const std::string trace_name = get(args, "trace", "HA-DP");
-  SpotTrace trace;
-  bool found = false;
-  for (const SpotTrace& t : all_canonical_segments())
-    if (t.name() == trace_name) {
-      trace = t;
-      found = true;
-    }
-  if (!found && trace_name == "full-day") {
-    trace = full_day_trace();
-    found = true;
-  }
-  if (!found) {
-    std::string error;
-    auto loaded = load_trace(trace_name, &error);
-    if (!loaded) {
-      std::fprintf(stderr, "cannot resolve trace '%s': %s\n",
-                   trace_name.c_str(), error.c_str());
-      return 1;
-    }
-    trace = *loaded;
-  }
-
-  ParcaePolicyOptions popt;
-  popt.lookahead = std::stoi(get(args, "lookahead", "12"));
-  popt.history = std::stoi(get(args, "history", "12"));
-  popt.reoptimize_every = std::stoi(get(args, "reoptimize", "1"));
-  popt.mc_trials = std::stoi(get(args, "mc_trials", "256"));
-  popt.depth_change_hysteresis = std::stod(get(args, "hysteresis", "0.15"));
-  popt.seed = std::stoull(get(args, "seed", "123"));
-  const std::string sched_mode = get(args, "mode", "tick");
-  if (sched_mode != "tick" && sched_mode != "event") {
-    std::fprintf(stderr, "mode=%s: expected tick or event\n",
-                 sched_mode.c_str());
+  const std::string trace_name = args.get("trace", "HA-DP");
+  std::string trace_error;
+  std::optional<SpotTrace> resolved = resolve_trace(trace_name, &trace_error);
+  if (!resolved) {
+    std::fprintf(stderr, "cannot resolve trace '%s': %s\n",
+                 trace_name.c_str(), trace_error.c_str());
     return 1;
   }
-  popt.event_driven = sched_mode == "event";
-  popt.debounce_ms = std::stod(get(args, "debounce_ms", "250"));
+  SpotTrace trace = std::move(*resolved);
 
-  const std::string system = get(args, "system", "parcae");
+  ParcaePolicyOptions popt;
+  popt.lookahead = std::stoi(args.get("lookahead", "12"));
+  popt.history = std::stoi(args.get("history", "12"));
+  popt.reoptimize_every = std::stoi(args.get("reoptimize", "1"));
+  popt.mc_trials = std::stoi(args.get("mc_trials", "256"));
+  popt.depth_change_hysteresis = std::stod(args.get("hysteresis", "0.15"));
+  popt.seed = std::stoull(args.get("seed", "123"));
+  if (!cli::read_mode(args, popt.event_driven)) return 1;
+  popt.debounce_ms = std::stod(args.get("debounce_ms", "250"));
+
+  const std::string system = args.get("system", "parcae");
   std::unique_ptr<SpotTrainingPolicy> policy;
   SimulationOptions sim;
   sim.units_per_sample = model.tokens_per_sample;
-  sim.record_timeline = get(args, "timeline", "1") == "1";
+  sim.record_timeline = args.get("timeline", "1") == "1";
 
   // Observability sinks shared by the policy's SchedulerCore and the
   // simulator so snapshots and spans land in one place.
   obs::MetricsRegistry registry;
   obs::TraceWriter tracer;
   obs::TimeSeriesRecorder series;
-  const std::string metrics_csv = get(args, "metrics_csv", "");
-  const std::string trace_json = get(args, "trace_json", "");
-  const std::string events_jsonl = get(args, "events_jsonl", "");
   sim.metrics = &registry;
-  if (!trace_json.empty()) sim.tracer = &tracer;
-  if (!metrics_csv.empty()) sim.timeseries = &series;
+  if (!args.get("trace_json").empty()) sim.tracer = &tracer;
+  if (!args.get("metrics_csv").empty()) sim.timeseries = &series;
   popt.metrics = &registry;
   popt.tracer = sim.tracer;
 
-  // Fault injection: the faults= key wins, the PARCAE_FAULTS env var
-  // is the fallback. An armed injector drives the simulator's
-  // sim.unpredicted_preempt point.
-  FaultInjector faults(std::stoull(
-      get(args, "faults_seed",
-          std::to_string(std::stoull(get(args, "seed", "123")) ^ 0xfa017ull))));
-  std::string fault_spec = get(args, "faults", "");
-  if (fault_spec.empty()) {
-    const char* env = std::getenv("PARCAE_FAULTS");
-    if (env != nullptr) fault_spec = env;
-  }
-  if (!fault_spec.empty()) {
-    std::string error;
-    if (!faults.arm_from_spec(fault_spec, &error)) {
-      std::fprintf(stderr, "bad fault spec '%s': %s\n", fault_spec.c_str(),
-                   error.c_str());
-      return 1;
-    }
-    sim.faults = &faults;
-  }
+  // An armed injector drives the simulator's sim.unpredicted_preempt
+  // point, and the runtime pass's points when transport= is set.
+  FaultInjector faults;
+  if (!cli::arm_faults(args, popt.seed ^ 0xfa017ull, faults)) return 1;
+  if (faults.armed()) sim.faults = &faults;
 
   // SLO alerting: alerts= arms a rule engine the simulator evaluates
   // at the end of every interval. Rules over series columns need the
   // time-series recorder, so alerting switches it on even without
   // metrics_csv=.
-  const std::string alerts_spec = get(args, "alerts", "");
-  const std::string alerts_jsonl = get(args, "alerts_jsonl", "");
   std::unique_ptr<SloEngine> slo;
-  if (!alerts_spec.empty()) {
-    std::string error;
-    const std::vector<SloRule> rules =
-        alerts_spec == "default" ? SloEngine::default_rules()
-                                 : SloEngine::parse_rules(alerts_spec, &error);
-    if (rules.empty()) {
-      std::fprintf(stderr, "bad alert spec '%s': %s\n", alerts_spec.c_str(),
-                   error.c_str());
-      return 1;
-    }
-    slo = std::make_unique<SloEngine>(rules);
+  if (!cli::arm_alerts(args, SloEngine::default_rules(), slo)) return 1;
+  if (slo != nullptr) {
     sim.slo = slo.get();
     sim.timeseries = &series;
   }
 
-  // Live export: serve the shared registry over a TCP RPC endpoint for
-  // the whole run — a scraper can watch the simulation move.
-  const std::string export_port = get(args, "export_port", "");
-  std::unique_ptr<rpc::Transport> export_transport;
-  std::unique_ptr<rpc::RpcServer> export_server;
-  std::unique_ptr<rpc::ObsService> export_service;
-  if (!export_port.empty()) {
-    export_transport = rpc::make_tcp_transport(std::stoi(export_port));
-    export_server = std::make_unique<rpc::RpcServer>(*export_transport);
-    export_service = std::make_unique<rpc::ObsService>(registry);
-    if (sim.faults != nullptr)
-      export_service->set_fault_injector(sim.faults);
-    export_service->bind(*export_server);
-    export_server->start();
-    std::printf("serving metrics on %s (rpc method \"obs.metrics\")\n",
-                export_transport->address().c_str());
-  }
+  // Live export: serve the shared registry for the whole run, so a
+  // scraper can watch the simulation move.
+  cli::Exporter exporter(
+      args, [&registry] { return registry.snapshot(); }, sim.faults,
+      "metrics");
 
   const ParcaePolicy* parcae_policy = nullptr;
   if (system == "parcae") {
@@ -390,82 +230,30 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (get(args, "metrics", "0") == "1") {
+  if (args.get("metrics", "0") == "1") {
     std::printf("\nmetrics:\n%s", r.metrics.render().c_str());
   }
-  if (!metrics_csv.empty()) {
-    if (series.write_csv(metrics_csv))
-      std::printf("wrote %s (%zu intervals)\n", metrics_csv.c_str(),
-                  series.rows());
-    else
-      std::fprintf(stderr, "cannot write %s\n", metrics_csv.c_str());
-  }
-  if (!trace_json.empty()) {
-    if (tracer.write_file(trace_json))
-      std::printf("wrote %s (%zu events)\n", trace_json.c_str(),
-                  tracer.size());
-    else
-      std::fprintf(stderr, "cannot write %s\n", trace_json.c_str());
-  }
-  if (!events_jsonl.empty()) {
-    if (parcae_policy == nullptr) {
-      std::fprintf(stderr,
-                   "events_jsonl: system '%s' keeps no EventLog "
-                   "(Parcae modes only)\n",
-                   system.c_str());
-    } else {
-      FILE* f = std::fopen(events_jsonl.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", events_jsonl.c_str());
-      } else {
-        const std::string jsonl = parcae_policy->telemetry().to_jsonl();
-        std::fwrite(jsonl.data(), 1, jsonl.size(), f);
-        std::fclose(f);
-        std::printf("wrote %s (%zu events)\n", events_jsonl.c_str(),
-                    parcae_policy->telemetry().size());
-      }
-    }
-  }
+  cli::write_metrics_csv(args, series);
+  cli::write_trace_json(args, tracer);
+  if (parcae_policy != nullptr)
+    cli::write_events_jsonl(args, parcae_policy->telemetry());
+  else if (!args.get("events_jsonl").empty())
+    std::fprintf(stderr,
+                 "events_jsonl: system '%s' keeps no EventLog "
+                 "(Parcae modes only)\n",
+                 system.c_str());
 
-  if (slo != nullptr) {
-    const std::string table = slo->render();
-    if (table.empty())
-      std::printf("\nalerts: none fired (%zu rules armed)\n",
-                  slo->rules().size());
-    else
-      std::printf("\nalerts (%zu fired):\n%s", slo->alerts().size(),
-                  table.c_str());
-    if (!alerts_jsonl.empty()) {
-      if (slo->write_jsonl(alerts_jsonl))
-        std::printf("wrote %s (%zu alerts)\n", alerts_jsonl.c_str(),
-                    slo->alerts().size());
-      else
-        std::fprintf(stderr, "cannot write %s\n", alerts_jsonl.c_str());
-    }
-  }
-
-  if (export_server != nullptr) {
-    // Prove the endpoint works end to end: scrape our own exporter
-    // over the wire before shutting it down.
-    try {
-      rpc::RpcClient scraper(*export_transport,
-                             export_transport->address());
-      const std::string prom = rpc::ObsClient(scraper).scrape();
-      std::printf("exporter self-scrape: %zu bytes of Prometheus text\n",
-                  prom.size());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "exporter self-scrape failed: %s\n", e.what());
-    }
-  }
+  cli::report_alerts(args, slo.get());
+  exporter.self_scrape();
 
   // transport= asks for a real-runtime pass on top of the simulation:
   // replay a prefix of the same trace through the laptop-scale
   // SpotTrainingDriver with agents reaching the KV/PS hub over the
   // chosen transport. The faults= spec (if any) applies here too, so
   // `transport=tcp faults=rpc.drop:prob=0.05` is a chaos smoke.
-  const std::string transport = get(args, "transport", "");
+  const std::string transport = args.get("transport");
   if (!transport.empty()) {
-    const double minutes = std::stod(get(args, "runtime_minutes", "20"));
+    const double minutes = std::stod(args.get("runtime_minutes", "20"));
     const SpotTrace prefix =
         trace.slice(0.0, minutes * 60.0, trace.name() + "-prefix");
     const auto dataset = nn::make_blobs(256, 16, 5, 0.5, 20240101);
@@ -476,7 +264,7 @@ int main(int argc, char** argv) {
     copt.batch_size = 64;
     copt.initial_instances = 0;  // the trace grants them
     copt.transport = transport;
-    copt.rpc_port = std::stoi(get(args, "rpc_port", "0"));
+    copt.rpc_port = std::stoi(args.get("rpc_port", "0"));
 
     SpotDriverOptions dopt;
     dopt.iterations_per_interval = 6;
@@ -487,7 +275,7 @@ int main(int argc, char** argv) {
     // (decision spans + client-side rpc.call spans) and hub (server-
     // side rpc.handle spans). trace_tool merge fuses the two files
     // into a single timeline with cross-process flow arrows.
-    const std::string runtime_trace = get(args, "runtime_trace", "");
+    const std::string runtime_trace = args.get("runtime_trace");
     obs::TraceWriter scheduler_tracer;
     obs::TraceWriter hub_tracer;
     if (!runtime_trace.empty()) {

@@ -6,27 +6,14 @@
 //
 //   spot_training_e2e [key=value ...]
 //
-// keys:
-//   transport=inproc|tcp   how agents reach the KV/PS hub (docs/rpc.md);
-//                          inproc (default) is the deterministic
-//                          in-process transport, tcp runs the same RPCs
-//                          over real localhost sockets
-//   rpc_port=<int>         TCP listen port (0 = ephemeral; ignored for
-//                          inproc)
-//   faults=<spec>          fault-injection spec (docs/robustness.md),
-//                          e.g. faults=rpc.drop:prob=0.05
-//                          (the PARCAE_FAULTS env var is the fallback)
-//   faults_seed=<int>      injector seed (default 0xfa017)
-//
-// The report is bit-identical across transports on a fault-free run
+// Run `spot_training_e2e help` for the keys. The report is
+// bit-identical across transports on a fault-free run
 // (tests/rpc_test.cpp pins this); the rpc section at the end shows
 // what the wire actually carried.
 #include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <string>
 
-#include "common/fault.h"
+#include "cli.h"
 #include "migration/planner.h"
 #include "nn/dataset.h"
 #include "runtime/spot_driver.h"
@@ -36,29 +23,27 @@ using namespace parcae;
 
 namespace {
 
-std::map<std::string, std::string> parse_args(int argc, char** argv) {
-  std::map<std::string, std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    // Accept GNU-style spellings (--transport=tcp) for every key.
-    arg.erase(0, arg.find_first_not_of('-'));
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) continue;
-    args[arg.substr(0, eq)] = arg.substr(eq + 1);
-  }
-  return args;
-}
+constexpr char kAbout[] =
+    "spot_training_e2e [key=value ...]\n"
+    "\n"
+    "Train a real model on a real cluster of agents while a generated\n"
+    "spot market preempts and grants instances (SpotTrainingDriver).\n"
+    "\n"
+    "example:\n"
+    "  spot_training_e2e transport=tcp faults=rpc.drop:prob=0.05\n";
 
-std::string get(const std::map<std::string, std::string>& args,
-                const std::string& key, const std::string& fallback) {
-  const auto it = args.find(key);
-  return it == args.end() ? fallback : it->second;
-}
+constexpr cli::Key kKeys[] = {
+    {"transport", "inproc|tcp",
+     "agent-to-hub transport (default inproc, docs/rpc.md)"},
+    {"rpc_port", "<int>", "TCP listen port (0 = ephemeral)"},
+    {"faults", "<spec>", "fault spec (docs/robustness.md), else PARCAE_FAULTS"},
+    {"faults_seed", "<int>", "injector seed (default 0xfa017)"},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse_args(argc, argv);
+  const cli::Args args(argc, argv, kAbout, kKeys);
   const auto dataset = nn::make_blobs(512, 16, 5, 0.5, 20240101);
 
   // Generate a choppy spot market for an 8-instance reservation.
@@ -81,34 +66,21 @@ int main(int argc, char** argv) {
   cluster.epoch_size = dataset.size();
   cluster.batch_size = 64;
   cluster.initial_instances = 0;  // the market grants them
-  cluster.transport = get(args, "transport", "inproc");
-  cluster.rpc_port = std::stoi(get(args, "rpc_port", "0"));
+  cluster.transport = args.get("transport", "inproc");
+  cluster.rpc_port = std::stoi(args.get("rpc_port", "0"));
 
-  // Fault injection: the faults= key wins, the PARCAE_FAULTS env var
-  // is the fallback. rpc.* points exercise the transport layer.
-  FaultInjector faults(std::stoull(get(args, "faults_seed", "1024023")));
-  std::string fault_spec = get(args, "faults", "");
-  if (fault_spec.empty()) {
-    const char* env = std::getenv("PARCAE_FAULTS");
-    if (env != nullptr) fault_spec = env;
-  }
-  if (!fault_spec.empty()) {
-    std::string error;
-    if (!faults.arm_from_spec(fault_spec, &error)) {
-      std::fprintf(stderr, "bad fault spec '%s': %s\n", fault_spec.c_str(),
-                   error.c_str());
-      return 1;
-    }
-  }
+  // rpc.* fault points exercise the transport layer.
+  FaultInjector faults;
+  if (!cli::arm_faults(args, 0xfa017ull, faults)) return 1;
 
   SpotDriverOptions driver_options;
   driver_options.iterations_per_interval = 6;
-  if (!fault_spec.empty()) driver_options.faults = &faults;
+  if (faults.armed()) driver_options.faults = &faults;
   SpotTrainingDriver driver(cluster, &dataset, driver_options);
   std::printf("transport: %s", driver.cluster().rpc_transport().kind());
   if (cluster.transport == "tcp")
     std::printf(" (%s)", driver.cluster().rpc_address().c_str());
-  if (!fault_spec.empty())
+  if (faults.armed())
     std::printf(", faults armed: %s", faults.describe().c_str());
   std::printf("\n\n");
   const SpotDriverReport report = driver.run(m.trace);
@@ -145,7 +117,7 @@ int main(int argc, char** argv) {
               counter("rpc.dropped"));
   std::printf("  bytes         %.0f sent / %.0f received\n",
               counter("rpc.bytes_sent"), counter("rpc.bytes_received"));
-  if (!fault_spec.empty())
+  if (faults.armed())
     std::printf("  faults        %llu injected\n",
                 static_cast<unsigned long long>(faults.total_fired()));
   return 0;

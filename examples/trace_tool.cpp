@@ -46,11 +46,8 @@ using namespace parcae;
 namespace {
 
 std::optional<SpotTrace> resolve(const std::string& what) {
-  for (const SpotTrace& t : all_canonical_segments())
-    if (t.name() == what) return t;
-  if (what == "full-day") return full_day_trace();
   std::string error;
-  auto trace = load_trace(what, &error);
+  auto trace = resolve_trace(what, &error);
   if (!trace) std::fprintf(stderr, "cannot load '%s': %s\n", what.c_str(),
                            error.c_str());
   return trace;

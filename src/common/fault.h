@@ -15,8 +15,9 @@
 // Consumers hold a nullable FaultInjector*; with no injector (or no
 // armed points) every check is a null/absent-key test and zero RNG
 // draws, so fault-free runs stay bit-identical to builds that never
-// heard of this header. Specs come from code (arm()), from CLI keys,
-// or from the PARCAE_FAULTS environment variable:
+// heard of this header. Specs come from code (arm()), or from a
+// binary's faults= key or PARCAE_FAULTS environment variable, which
+// only the binaries read:
 //
 //   PARCAE_FAULTS="ps.push:prob=0.1;cluster.kill_mid_iteration:nth=3,once"
 //

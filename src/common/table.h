@@ -31,8 +31,6 @@ class TextTable {
   // cells containing commas/quotes are quoted).
   std::string to_csv() const;
 
-  std::size_t num_rows() const { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

@@ -38,10 +38,7 @@ void LeaseLedger::record(int job_id, int interval, int delta,
   lease.count += delta;
   lease.last_change_interval = interval;
   changes_.push_back({interval, job_id, delta, reason});
-  if (delta > 0)
-    granted_ += delta;
-  else
-    revoked_ -= delta;
+  if (delta < 0) revoked_ -= delta;
 }
 
 std::string LeaseLedger::to_string() const {

@@ -53,13 +53,7 @@ class LeaseLedger {
   const std::vector<InstanceLease>& leases() const { return leases_; }
   const std::vector<LeaseChange>& changes() const { return changes_; }
 
-  InstanceLease& lease_for(int job_id) { return leases_.at(job_id); }
-  const InstanceLease& lease_for(int job_id) const {
-    return leases_.at(job_id);
-  }
-
-  // Totals by direction.
-  long long instances_granted() const { return granted_; }
+  // Instances revoked over the run.
   long long instances_revoked() const { return revoked_; }
 
   std::string to_string() const;
@@ -68,7 +62,6 @@ class LeaseLedger {
   std::vector<InstanceLease> leases_;  // indexed by job_id
   std::vector<LeaseChange> changes_;
   std::uint64_t next_id_ = 1;
-  long long granted_ = 0;
   long long revoked_ = 0;
 };
 

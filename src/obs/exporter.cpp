@@ -38,15 +38,14 @@ struct FamilyName {
   std::string label;   // "" or "{job=\"3\"}"
 };
 
-FamilyName family_name(const std::string& raw,
-                       const PrometheusOptions& options) {
+FamilyName family_name(const std::string& raw) {
   FamilyName f;
   std::string job, suffix;
-  if (options.job_labels && split_job_prefix(raw, &job, &suffix)) {
-    f.metric = options.namespace_prefix + prometheus_name(suffix);
+  if (split_job_prefix(raw, &job, &suffix)) {
+    f.metric = "parcae_" + prometheus_name(suffix);
     f.label = "{job=\"" + job + "\"}";
   } else {
-    f.metric = options.namespace_prefix + prometheus_name(raw);
+    f.metric = "parcae_" + prometheus_name(raw);
   }
   return f;
 }
@@ -61,24 +60,23 @@ void append_header(std::string& out, const std::string& metric,
 
 }  // namespace
 
-std::string to_prometheus(const MetricsSnapshot& snapshot,
-                          const PrometheusOptions& options) {
+std::string to_prometheus(const MetricsSnapshot& snapshot) {
   std::string out;
   // One family may cover many job labels; emit HELP/TYPE once each.
   std::map<std::string, bool> seen;
   for (const auto& [name, value] : snapshot.counters) {
-    const FamilyName f = family_name(name, options);
+    const FamilyName f = family_name(name);
     const std::string metric = f.metric + "_total";
     append_header(out, metric, "counter", seen);
     out += metric + f.label + " " + format_metric_value(value) + "\n";
   }
   for (const auto& [name, value] : snapshot.gauges) {
-    const FamilyName f = family_name(name, options);
+    const FamilyName f = family_name(name);
     append_header(out, f.metric, "gauge", seen);
     out += f.metric + f.label + " " + format_metric_value(value) + "\n";
   }
   for (const auto& [name, h] : snapshot.histograms) {
-    const FamilyName f = family_name(name, options);
+    const FamilyName f = family_name(name);
     append_header(out, f.metric, "histogram", seen);
     // Cumulative le buckets; the label set merges {job} with {le}.
     const std::string label_open =

@@ -9,7 +9,8 @@
 //
 // Name mapping: Parcae instrument names are dotted
 // ("job3.scheduler.intervals"); Prometheus names are underscore_cased
-// with an optional job label split off the "job<N>." prefix:
+// under a "parcae_" prefix, with a job label split off the "job<N>."
+// prefix:
 //   parcae_scheduler_intervals_total{job="3"} 42
 // Counters get a _total suffix, histograms the conventional
 // _bucket{le="..."} / _sum / _count triple (cumulative buckets, +Inf
@@ -38,18 +39,10 @@ bool split_job_prefix(std::string_view name, std::string* job,
 // outside [a-zA-Z0-9_:] -> '_', leading digit prefixed with '_'.
 std::string prometheus_name(std::string_view name);
 
-struct PrometheusOptions {
-  // Prefixed to every metric name ("parcae_" by default).
-  std::string namespace_prefix = "parcae_";
-  // Split "job<N>." instrument prefixes into a {job="N"} label.
-  bool job_labels = true;
-};
-
 // The whole snapshot in Prometheus text exposition format 0.0.4
 // (# HELP / # TYPE headers, one family per instrument). Deterministic:
 // families render in registry (lexicographic) order.
-std::string to_prometheus(const MetricsSnapshot& snapshot,
-                          const PrometheusOptions& options = {});
+std::string to_prometheus(const MetricsSnapshot& snapshot);
 
 // Folds per-job prefixed snapshots into "fleet.<suffix>" rollups.
 class FleetAggregator {

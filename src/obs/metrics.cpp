@@ -36,7 +36,7 @@ int Histogram::bucket_index(double value) {
   return std::clamp(idx, 1, kBuckets);
 }
 
-double Histogram::bucket_value(int index) {
+double Histogram::bucket_midpoint(int index) {
   if (index <= 0) return kMinBound;
   // Geometric midpoint of [kMinBound*g^(i-1), kMinBound*g^i].
   return kMinBound * std::pow(kGrowth, static_cast<double>(index) - 0.5);
@@ -46,8 +46,6 @@ double Histogram::bucket_upper_bound(int index) {
   if (index <= 0) return kMinBound;
   return kMinBound * std::pow(kGrowth, static_cast<double>(index));
 }
-
-double Histogram::bucket_midpoint(int index) { return bucket_value(index); }
 
 void Histogram::observe(double value) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -98,27 +96,7 @@ double Histogram::mean() const {
   return count_ ? sum_ / static_cast<double>(count_) : 0.0;
 }
 
-// Requires mu_ held.
-double Histogram::quantile_locked(double q) const {
-  if (count_ == 0) return 0.0;
-  const auto target = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(std::ceil(
-             std::clamp(q, 0.0, 1.0) * static_cast<double>(count_))));
-  // The first and last ranks are tracked exactly.
-  if (target <= 1) return min_;
-  if (target >= count_) return max_;
-  std::uint64_t cum = 0;
-  for (int i = 0; i <= kBuckets; ++i) {
-    cum += buckets_[static_cast<std::size_t>(i)];
-    if (cum >= target) return std::clamp(bucket_value(i), min_, max_);
-  }
-  return max_;
-}
-
-double Histogram::quantile(double q) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return quantile_locked(q);
-}
+double Histogram::quantile(double q) const { return stats().quantile(q); }
 
 HistogramStats Histogram::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -129,13 +107,13 @@ HistogramStats Histogram::stats() const {
   s.mean = sum_ / static_cast<double>(count_);
   s.min = min_;
   s.max = max_;
-  s.p50 = quantile_locked(0.50);
-  s.p95 = quantile_locked(0.95);
-  s.p99 = quantile_locked(0.99);
   for (int i = 0; i <= kBuckets; ++i) {
     const std::uint64_t n = buckets_[static_cast<std::size_t>(i)];
     if (n != 0) s.buckets.push_back({i, bucket_upper_bound(i), n});
   }
+  s.p50 = s.quantile(0.50);
+  s.p95 = s.quantile(0.95);
+  s.p99 = s.quantile(0.99);
   return s;
 }
 

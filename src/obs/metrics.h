@@ -87,10 +87,10 @@ struct HistogramStats {
   double p99 = 0.0;
   std::vector<HistogramBucket> buckets;
 
-  // Same linear-rank-over-buckets estimate Histogram::quantile
-  // computes, re-derived from the sparse bucket list: merging two
-  // snapshots and asking for p99 gives the answer the merged live
-  // histograms would have given.
+  // The linear-rank-over-buckets estimate Histogram::quantile
+  // reports, taken from the sparse bucket list: merging two snapshots
+  // and asking for p99 gives the answer the merged live histograms
+  // would have given.
   double quantile(double q) const;
   // Folds `other` into this summary (bucket-wise sum, exact
   // min/max/count/sum merge) and recomputes mean/p50/p95/p99.
@@ -118,7 +118,7 @@ class Histogram {
   double max() const;
   double mean() const;
   // Linear rank over buckets, geometric midpoint within one; q in
-  // [0, 1]. Returns 0 when empty.
+  // [0, 1]. Returns 0 when empty. Equal to stats().quantile(q).
   double quantile(double q) const;
   HistogramStats stats() const;
 
@@ -130,9 +130,7 @@ class Histogram {
 
  private:
   static int bucket_index(double value);
-  static double bucket_value(int index);
   void observe_locked(double value);
-  double quantile_locked(double q) const;
 
   mutable std::mutex mu_;
   std::array<std::uint64_t, kBuckets + 1> buckets_{};  // [0] = underflow

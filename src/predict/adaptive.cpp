@@ -48,7 +48,6 @@ std::vector<double> AdaptivePredictor::forecast(
       }
     }
   }
-  last_selected_ = members_[best]->name();
   return members_[best]->forecast(history, horizon);
 }
 

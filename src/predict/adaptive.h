@@ -35,9 +35,6 @@ class AdaptivePredictor final : public AvailabilityPredictor {
                                int horizon) const override;
   std::string name() const override { return "Adaptive"; }
 
-  // The member the last forecast() delegated to (for tests/telemetry).
-  std::string last_selected() const { return last_selected_; }
-
   // A ready-made pool: guarded ARIMA, naive, moving average,
   // exponential smoothing, drift.
   static std::unique_ptr<AdaptivePredictor> standard_pool(
@@ -46,7 +43,6 @@ class AdaptivePredictor final : public AvailabilityPredictor {
  private:
   std::vector<std::unique_ptr<AvailabilityPredictor>> members_;
   AdaptiveOptions options_;
-  mutable std::string last_selected_;
 };
 
 }  // namespace parcae

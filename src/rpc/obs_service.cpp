@@ -3,19 +3,17 @@
 #include <utility>
 
 #include "common/fault.h"
+#include "obs/exporter.h"
 #include "rpc/rpc.h"
 #include "rpc/serializer.h"
 
 namespace parcae::rpc {
 
-ObsService::ObsService(const obs::MetricsRegistry& registry,
-                       obs::PrometheusOptions options)
-    : provider_([&registry] { return registry.snapshot(); }),
-      options_(options) {}
+ObsService::ObsService(const obs::MetricsRegistry& registry)
+    : provider_([&registry] { return registry.snapshot(); }) {}
 
-ObsService::ObsService(SnapshotProvider provider,
-                       obs::PrometheusOptions options)
-    : provider_(std::move(provider)), options_(options) {}
+ObsService::ObsService(SnapshotProvider provider)
+    : provider_(std::move(provider)) {}
 
 void ObsService::bind(RpcServer& server) {
   // Request: str format ("prom" | "json"). Response: str body.
@@ -29,7 +27,7 @@ void ObsService::bind(RpcServer& server) {
     if (format == "json")
       w.str(snapshot.to_json());
     else
-      w.str(obs::to_prometheus(snapshot, options_));
+      w.str(obs::to_prometheus(snapshot));
     return w.take();
   });
 }

@@ -18,7 +18,6 @@
 #include <functional>
 #include <string>
 
-#include "obs/exporter.h"
 #include "obs/metrics.h"
 
 namespace parcae {
@@ -37,12 +36,10 @@ class ObsService {
 
   // Serves snapshots of `registry` (non-owning; must outlive the
   // service).
-  explicit ObsService(const obs::MetricsRegistry& registry,
-                      obs::PrometheusOptions options = {});
+  explicit ObsService(const obs::MetricsRegistry& registry);
   // Serves whatever `provider` returns (a fleet rollup, a filtered
   // view, a test fixture).
-  explicit ObsService(SnapshotProvider provider,
-                      obs::PrometheusOptions options = {});
+  explicit ObsService(SnapshotProvider provider);
 
   void bind(RpcServer& server);
   // Arms the "obs.export" point inside the handler (non-owning).
@@ -50,7 +47,6 @@ class ObsService {
 
  private:
   SnapshotProvider provider_;
-  obs::PrometheusOptions options_;
   FaultInjector* faults_ = nullptr;
 };
 

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/fault.h"
-#include "common/log.h"
 #include "core/slo.h"
 #include "obs/profile_span.h"
 #include "obs/timeseries.h"
@@ -163,9 +162,6 @@ SimulationResult simulate(SpotTrainingPolicy& policy,
     if (options.slo != nullptr)
       options.slo->evaluate(static_cast<int>(i),
                             static_cast<double>(i) * T);
-    if (!d.note.empty()) {
-      PARCAE_DEBUG << "[" << policy.name() << "] t=" << i << " " << d.note;
-    }
   }
 
   result.committed_samples = committed;

@@ -50,7 +50,6 @@ class SampleManager {
   std::size_t epoch() const { return epoch_; }
   std::size_t committed_count() const { return committed_; }
   std::size_t outstanding_leases() const { return leases_.size(); }
-  std::size_t pool_remaining() const { return pool_.size(); }
   std::size_t epoch_size() const { return epoch_size_; }
 
   // Indices committed so far this epoch, in commit order (test hook

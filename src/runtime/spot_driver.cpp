@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-
 #include <map>
 #include <optional>
 
@@ -36,21 +33,6 @@ SpotTrainingDriver::SpotTrainingDriver(TrainingClusterOptions cluster_options,
       cluster_(cluster_options_, dataset),
       profile_(derive_profile()),
       core_(profile_, core_options()) {
-  faults_ = options_.faults;
-  if (faults_ == nullptr) {
-    if (const char* spec = std::getenv("PARCAE_FAULTS");
-        spec != nullptr && *spec != '\0') {
-      auto injector = std::make_unique<FaultInjector>(options_.seed ^ 0xfa017ull);
-      std::string error;
-      if (injector->arm_from_spec(spec, &error)) {
-        owned_faults_ = std::move(injector);
-        faults_ = owned_faults_.get();
-      } else {
-        std::fprintf(stderr, "spot_driver: PARCAE_FAULTS ignored: %s\n",
-                     error.c_str());
-      }
-    }
-  }
   // The cluster shares the core's registry and event log so one
   // report/dashboard covers decisions and fault recoveries alike.
   cluster_.set_metrics(&core_.metrics());
@@ -67,15 +49,15 @@ SpotTrainingDriver::SpotTrainingDriver(TrainingClusterOptions cluster_options,
   if (options_.tracer != nullptr)
     options_.tracer->set_process(1, "scheduler");
   cluster_.set_tracers(options_.tracer, options_.hub_tracer);
-  if (faults_ != nullptr) {
-    faults_->set_metrics(&core_.metrics());
-    cluster_.set_fault_injector(faults_);
+  if (options_.faults != nullptr) {
+    options_.faults->set_metrics(&core_.metrics());
+    cluster_.set_fault_injector(options_.faults);
   }
   if (options_.slo != nullptr) {
     options_.slo->set_metrics(&core_.metrics());
     options_.slo->set_event_log(&core_.event_log());
     options_.slo->set_alert_metrics(&core_.metrics());
-    options_.slo->set_fault_injector(faults_);
+    options_.slo->set_fault_injector(options_.faults);
   }
 }
 
@@ -181,7 +163,7 @@ SpotDriverReport SpotTrainingDriver::run(CloudProvider& cloud,
                                    core_.tracer(), "driver");
     ++report.intervals;
     const double boundary = static_cast<double>(i) * options_.interval_s;
-    if (faults_ != nullptr) faults_->set_interval(i);
+    if (options_.faults != nullptr) options_.faults->set_interval(i);
     cluster_.set_time(boundary);
 
     // -- liveness. Advance the lease clock (expiring agents whose

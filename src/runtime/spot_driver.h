@@ -45,11 +45,9 @@ struct SpotDriverOptions : SchedulerCoreOptions {
   int iterations_per_interval = 4;
   // Instances the driver keeps requested from the cloud.
   int requested_instances = 32;
-  // Fault injection (docs/robustness.md). Non-owning; when null, the
-  // driver consults the PARCAE_FAULTS environment variable and — if it
-  // holds a valid spec — builds its own injector from `seed`. The
-  // injector is forwarded to the cluster (kill points), the KvStore
-  // (kv.* points) and every ParcaePS replica (ps.push).
+  // Fault injection (docs/robustness.md). Non-owning; null runs fault
+  // free. The injector is forwarded to the cluster (kill points), the
+  // KvStore (kv.* points) and every ParcaePS replica (ps.push).
   FaultInjector* faults = nullptr;
   // Hub-side trace writer (non-owning, optional): receives the
   // rpc.handle.* spans the cluster's RPC server emits, as its own
@@ -151,10 +149,6 @@ class SpotTrainingDriver {
   TrainingCluster cluster_;
   ModelProfile profile_;
   SchedulerCore core_;
-  // Driver-owned injector built from PARCAE_FAULTS when the caller
-  // didn't supply one; faults_ points at whichever is active.
-  std::unique_ptr<FaultInjector> owned_faults_;
-  FaultInjector* faults_ = nullptr;
 };
 
 }  // namespace parcae

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 namespace parcae {
 namespace {
@@ -151,6 +152,14 @@ std::optional<SpotTrace> load_trace(const std::string& path,
     return std::nullopt;
   }
   return read_trace_csv(is, error);
+}
+
+std::optional<SpotTrace> resolve_trace(const std::string& name,
+                                       std::string* error) {
+  for (SpotTrace& segment : all_canonical_segments())
+    if (segment.name() == name) return std::move(segment);
+  if (name == "full-day") return full_day_trace();
+  return load_trace(name, error);
 }
 
 }  // namespace parcae

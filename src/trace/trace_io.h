@@ -37,4 +37,9 @@ bool save_trace(const std::string& path, const SpotTrace& trace);
 std::optional<SpotTrace> load_trace(const std::string& path,
                                     std::string* error = nullptr);
 
+// The trace a command line names: a canonical segment (HA-DP, HA-SP,
+// LA-DP, LA-SP), "full-day", or else a CSV file for load_trace().
+std::optional<SpotTrace> resolve_trace(const std::string& name,
+                                       std::string* error = nullptr);
+
 }  // namespace parcae

@@ -1,16 +1,14 @@
 // Distributed observability: trace-context propagation across RPC,
-// the Prometheus exporter + fleet rollups, the SLO rule engine, the
-// structured log sink, and `trace_tool merge` semantics.
+// the Prometheus exporter + fleet rollups, the SLO rule engine, and
+// `trace_tool merge` semantics.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/fault.h"
-#include "common/log.h"
 #include "core/slo.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
@@ -488,45 +486,6 @@ TEST(Slo, FleetSnapshotSourceOverridesRegistry) {
   engine.set_snapshot(&rollup);
   EXPECT_EQ(engine.evaluate(0, 0.0).size(), 2u);
   engine.set_snapshot(nullptr);
-}
-
-// ---------------------------------------------------------------------------
-// Structured log sink.
-
-TEST(LogJsonl, SinkStampsTraceContextAndSequencesLines) {
-  std::FILE* sink = std::tmpfile();
-  ASSERT_NE(sink, nullptr);
-  set_log_jsonl(sink);
-  const std::uint64_t base = log_jsonl_lines();
-
-  PARCAE_ERROR << "plain line";
-  {
-    obs::TraceContextScope scope(obs::TraceContext{0xabcd, 0x12});
-    PARCAE_ERROR << "traced \"line\"";
-  }
-  EXPECT_EQ(log_jsonl_lines(), base + 2);
-  set_log_jsonl(nullptr);  // detach before reading
-  PARCAE_ERROR << "after detach";  // must not land in the file
-  EXPECT_EQ(log_jsonl_lines(), base + 2);
-
-  std::rewind(sink);
-  std::string contents;
-  char buffer[256];
-  while (std::fgets(buffer, sizeof(buffer), sink) != nullptr)
-    contents += buffer;
-  std::fclose(sink);
-
-  EXPECT_NE(contents.find("\"level\":\"ERROR\""), std::string::npos);
-  EXPECT_NE(contents.find("\"message\":\"plain line\""), std::string::npos);
-  // The traced line carries the active context, hex-encoded; the plain
-  // line carries none.
-  EXPECT_NE(contents.find("\"trace_id\":\"abcd\",\"span_id\":\"12\""),
-            std::string::npos);
-  EXPECT_EQ(contents.find("after detach"), std::string::npos);
-  // JSON escaping keeps a quoted message on one line.
-  EXPECT_NE(contents.find("traced \\\"line\\\""), std::string::npos);
-  const std::size_t first_brace = contents.find("{\"seq\":");
-  EXPECT_EQ(first_brace, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -88,6 +88,22 @@ TEST(Metrics, HistogramHandlesEmptyZeroAndWideRange) {
   EXPECT_DOUBLE_EQ(wide.quantile(1.0), 1e12);
 }
 
+TEST(Metrics, HistogramQuantileEqualsStatsQuantile) {
+  obs::Histogram h;
+  // The underflow bucket, the top bucket, and a few decades between.
+  for (double v : {0.0, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 3.0, 1e3, 1e6, 1e9, 1e13,
+                   1e15, 1e18})
+    for (int k = 0; k < 3; ++k) h.observe(v * (1.0 + 0.1 * k));
+  const obs::HistogramStats stats = h.stats();
+  ASSERT_FALSE(stats.buckets.empty());
+  EXPECT_EQ(stats.buckets.front().index, 0);
+  EXPECT_EQ(stats.buckets.back().index, obs::Histogram::kBuckets);
+  for (double q : {0.0, 0.01, 0.5, 0.95, 0.99, 1.0})
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(h.quantile(q)),
+              std::bit_cast<std::uint64_t>(stats.quantile(q)))
+        << q;
+}
+
 // Everything stats() reports, and quantiles between its fixed ranks;
 // the sums compare bit for bit.
 void expect_same_histogram(const obs::Histogram& a, const obs::Histogram& b) {

@@ -3,15 +3,7 @@
 // Usage:
 //   parcae_agent port=<int> id=<name> [key=value ...]
 //
-//   port=<int>          scheduler hub's TCP port (required)
-//   id=<name>           agent id; registers <ns>agent/<id> (required)
-//   ns=<prefix>         KV namespace (default "parcae/")
-//   ttl=<float>         liveness lease TTL in *logical* seconds
-//                       (default 5.0; the scheduler's clock advances
-//                       interval_s per tick)
-//   heartbeat_ms=<int>  wall ms between keepalive/poll rounds (30)
-//   max_wall_s=<float>  wall-clock cap; exit 3 when it lapses (120)
-//   deadline_s=<float>  per-RPC response deadline (0.25)
+// Run `parcae_agent help` for the keys.
 //
 // The agent's whole contract with the scheduler is the KV rendezvous:
 // register a key under a TTL lease, keep the lease alive, poll the
@@ -32,35 +24,31 @@
 // patience — a harness timeout, not a protocol outcome).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <string>
 #include <thread>
 
+#include "cli.h"
 #include "rpc/kv_service.h"
 #include "rpc/rpc.h"
 #include "rpc/transport.h"
 
 namespace {
 
-std::map<std::string, std::string> parse_args(int argc, char** argv) {
-  std::map<std::string, std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    // Accept GNU-style spellings (--port=9000) for every key.
-    arg.erase(0, arg.find_first_not_of('-'));
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) continue;
-    args[arg.substr(0, eq)] = arg.substr(eq + 1);
-  }
-  return args;
-}
+constexpr char kAbout[] =
+    "parcae_agent port=<int> id=<name> [key=value ...]\n"
+    "\n"
+    "A ParcaeAgent process: keeps a TTL lease in the scheduler hub's\n"
+    "KV store and acks the configuration the scheduler advises.\n";
 
-std::string get(const std::map<std::string, std::string>& args,
-                const std::string& key, const std::string& fallback) {
-  const auto it = args.find(key);
-  return it == args.end() ? fallback : it->second;
-}
+constexpr parcae::cli::Key kKeys[] = {
+    {"port", "<int>", "scheduler hub's TCP port (required)"},
+    {"id", "<name>", "agent id; registers <ns>agent/<id> (required)"},
+    {"ns", "<prefix>", "KV namespace (default parcae/)"},
+    {"ttl", "<float>", "lease TTL in logical seconds (default 5.0)"},
+    {"heartbeat_ms", "<int>", "wall ms between keepalive rounds (default 30)"},
+    {"max_wall_s", "<float>", "wall-clock cap; exit 3 when it lapses (120)"},
+    {"deadline_s", "<float>", "per-RPC response deadline (default 0.25)"},
+};
 
 double wall_s() {
   return std::chrono::duration<double>(
@@ -72,19 +60,16 @@ double wall_s() {
 
 int main(int argc, char** argv) {
   using namespace parcae;
-  const auto args = parse_args(argc, argv);
-  if (args.find("port") == args.end() || args.find("id") == args.end()) {
-    std::fprintf(stderr, "usage: parcae_agent port=<int> id=<name> "
-                         "[ns= ttl= heartbeat_ms= max_wall_s= deadline_s=]\n");
-    return 2;
-  }
-  const int port = std::stoi(args.at("port"));
-  const std::string id = args.at("id");
-  const std::string ns = get(args, "ns", "parcae/");
-  const double ttl_s = std::stod(get(args, "ttl", "5.0"));
-  const int heartbeat_ms = std::stoi(get(args, "heartbeat_ms", "30"));
-  const double max_wall_s = std::stod(get(args, "max_wall_s", "120"));
-  const double deadline_s = std::stod(get(args, "deadline_s", "0.25"));
+  const cli::Args args(argc, argv, kAbout, kKeys);
+  if (!args.has("port") || !args.has("id"))
+    args.fail("port= and id= are required");
+  const int port = std::stoi(args.get("port"));
+  const std::string id = args.get("id");
+  const std::string ns = args.get("ns", "parcae/");
+  const double ttl_s = std::stod(args.get("ttl", "5.0"));
+  const int heartbeat_ms = std::stoi(args.get("heartbeat_ms", "30"));
+  const double max_wall_s = std::stod(args.get("max_wall_s", "120"));
+  const double deadline_s = std::stod(args.get("deadline_s", "0.25"));
 
   auto transport = rpc::make_tcp_dial_transport(port, /*connect_timeout_s=*/1.0);
 

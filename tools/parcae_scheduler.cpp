@@ -4,75 +4,56 @@
 // Usage:
 //   parcae_scheduler wal=<path> port=<int> [key=value ...]
 //
-//   role=primary|standby  (default primary) — a standby probes the
-//                         primary's endpoint and takes over from the
-//                         shared WAL when it goes silent
-//   wal=<path>            append-only WAL file, shared between the
-//                         primary and the standby (required)
-//   port=<int>            TCP port for the KV service (required; the
-//                         standby takes this same port over)
-//   intervals=<int>       decision intervals in the run (default 16)
-//   interval_s=<float>    logical seconds per interval (2.0)
-//   tick_ms=<int>         wall ms between ticks (100)
-//   seat_ttl=<float>      scheduler/primary seat TTL, logical s (6.0)
-//   takeover_s=<float>    probe silence before takeover, wall s (0.75)
-//   probe_ms=<int>        standby probe period, wall ms (50)
-//   agents=<int>          expected agent count (loss scale; 4)
-//   ns=<prefix>           KV namespace (default "parcae/")
-//   name=<str>            seat candidate / report label
-//   seed=<int>            decision-core seed (123)
-//   report=<path>         also write the run report to this file
-//   faults=<spec>         fault-injection spec (docs/robustness.md),
-//                         e.g. faults=kv.wal_write:nth=5 — the
-//                         PARCAE_FAULTS env var is the fallback
-//   faults_seed=<int>     injector seed (default 0xfa017)
+// Run `parcae_scheduler help` for the keys. A standby probes the
+// primary's endpoint and takes over from the shared WAL, on the same
+// port, when the primary goes silent.
 //
 // Exit codes: 0 run completed (or, for a standby, primary completed
 // without dying), 1 WAL/port failure, 2 bad arguments.
 #include <cstdio>
-#include <cstdlib>
-#include <map>
-#include <memory>
 #include <string>
 
+#include "cli.h"
 #include "common/fault.h"
 #include "runtime/scheduler_process.h"
 
 namespace {
 
-std::map<std::string, std::string> parse_args(int argc, char** argv) {
-  std::map<std::string, std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    // Accept GNU-style spellings (--wal=run.wal) for every key.
-    arg.erase(0, arg.find_first_not_of('-'));
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) continue;
-    args[arg.substr(0, eq)] = arg.substr(eq + 1);
-  }
-  return args;
-}
+constexpr char kAbout[] =
+    "parcae_scheduler wal=<path> port=<int> [key=value ...]\n"
+    "\n"
+    "A ParcaeScheduler process, primary or standby, serving the KV\n"
+    "rendezvous on port= and logging to the shared WAL.\n";
 
-std::string get(const std::map<std::string, std::string>& args,
-                const std::string& key, const std::string& fallback) {
-  const auto it = args.find(key);
-  return it == args.end() ? fallback : it->second;
-}
+constexpr parcae::cli::Key kKeys[] = {
+    {"role", "primary|standby",
+     "a standby takes over when the primary goes silent"},
+    {"wal", "<path>", "append-only WAL shared with the standby (required)"},
+    {"port", "<int>", "TCP port for the KV service (required)"},
+    {"intervals", "<int>", "decision intervals in the run (default 16)"},
+    {"interval_s", "<float>", "logical seconds per interval (default 2.0)"},
+    {"tick_ms", "<int>", "wall ms between ticks (default 100)"},
+    {"seat_ttl", "<float>", "primary seat TTL, logical s (default 6.0)"},
+    {"takeover_s", "<float>",
+     "probe silence before takeover, wall s (default 0.75)"},
+    {"probe_ms", "<int>", "standby probe period, wall ms (default 50)"},
+    {"agents", "<int>", "expected agent count, the loss scale (default 4)"},
+    {"ns", "<prefix>", "KV namespace (default parcae/)"},
+    {"name", "<str>", "seat candidate and report label (default: role)"},
+    {"seed", "<int>", "decision-core seed (default 123)"},
+    {"report", "<path>", "also write the run report to this file"},
+    {"faults", "<spec>", "fault spec (docs/robustness.md), else PARCAE_FAULTS"},
+    {"faults_seed", "<int>", "injector seed (default 0xfa017)"},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace parcae;
-  const auto args = parse_args(argc, argv);
-  if (args.find("wal") == args.end() || args.find("port") == args.end()) {
-    std::fprintf(stderr,
-                 "usage: parcae_scheduler wal=<path> port=<int> "
-                 "[role=primary|standby intervals= interval_s= tick_ms= "
-                 "seat_ttl= takeover_s= probe_ms= agents= ns= name= seed= "
-                 "report= faults=]\n");
-    return 2;
-  }
-  const std::string role = get(args, "role", "primary");
+  const cli::Args args(argc, argv, kAbout, kKeys);
+  if (!args.has("wal") || !args.has("port"))
+    args.fail("wal= and port= are required");
+  const std::string role = args.get("role", "primary");
   if (role != "primary" && role != "standby") {
     std::fprintf(stderr, "parcae_scheduler: unknown role '%s'\n",
                  role.c_str());
@@ -80,40 +61,23 @@ int main(int argc, char** argv) {
   }
 
   SchedulerProcessOptions options;
-  options.wal_path = args.at("wal");
-  options.port = std::stoi(args.at("port"));
-  options.intervals = std::stoi(get(args, "intervals", "16"));
-  options.interval_s = std::stod(get(args, "interval_s", "2.0"));
-  options.tick_wall_ms = std::stoi(get(args, "tick_ms", "100"));
-  options.seat_ttl_s = std::stod(get(args, "seat_ttl", "6.0"));
-  options.takeover_after_s = std::stod(get(args, "takeover_s", "0.75"));
-  options.probe_interval_ms = std::stoi(get(args, "probe_ms", "50"));
-  options.requested_instances = std::stoi(get(args, "agents", "4"));
-  options.kv_namespace = get(args, "ns", "parcae/");
-  options.name = get(args, "name", role);
-  options.seed = std::stoull(get(args, "seed", "123"));
-  options.report_path = get(args, "report", "");
+  options.wal_path = args.get("wal");
+  options.port = std::stoi(args.get("port"));
+  options.intervals = std::stoi(args.get("intervals", "16"));
+  options.interval_s = std::stod(args.get("interval_s", "2.0"));
+  options.tick_wall_ms = std::stoi(args.get("tick_ms", "100"));
+  options.seat_ttl_s = std::stod(args.get("seat_ttl", "6.0"));
+  options.takeover_after_s = std::stod(args.get("takeover_s", "0.75"));
+  options.probe_interval_ms = std::stoi(args.get("probe_ms", "50"));
+  options.requested_instances = std::stoi(args.get("agents", "4"));
+  options.kv_namespace = args.get("ns", "parcae/");
+  options.name = args.get("name", role);
+  options.seed = std::stoull(args.get("seed", "123"));
+  options.report_path = args.get("report");
 
-  // Fault spec: the explicit key wins; PARCAE_FAULTS is the fallback
-  // (same contract as the in-process drivers).
-  std::string spec = get(args, "faults", "");
-  if (spec.empty()) {
-    if (const char* env = std::getenv("PARCAE_FAULTS");
-        env != nullptr && *env != '\0')
-      spec = env;
-  }
-  std::unique_ptr<FaultInjector> faults;
-  if (!spec.empty()) {
-    faults = std::make_unique<FaultInjector>(
-        std::stoull(get(args, "faults_seed", "1024023")));
-    std::string error;
-    if (!faults->arm_from_spec(spec, &error)) {
-      std::fprintf(stderr, "parcae_scheduler: bad faults spec: %s\n",
-                   error.c_str());
-      return 2;
-    }
-    options.faults = faults.get();
-  }
+  FaultInjector faults;
+  if (!cli::arm_faults(args, 0xfa017ull, faults)) return 2;
+  if (faults.armed()) options.faults = &faults;
 
   SchedulerProcess scheduler(options);
   const int rc =
