@@ -70,21 +70,21 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const int num_jobs = std::stoi(args.get("jobs", "10"));
+  const int num_jobs = args.number("jobs", 10);
   if (num_jobs < 1) {
     std::fprintf(stderr, "jobs=%d: need at least one job\n", num_jobs);
     return 1;
   }
 
   fleet::FleetSimOptions options;
-  options.fleet_seed = std::stoull(args.get("seed", "42"));
-  options.capacity = std::stoi(args.get("capacity", "32"));
-  options.lookahead = std::stoi(args.get("lookahead", "6"));
-  options.history = std::stoi(args.get("history", "8"));
-  options.mc_trials = std::stoi(args.get("mc_trials", "16"));
-  options.swap_margin = std::stod(args.get("swap_margin", "0.05"));
+  options.fleet_seed = args.number("seed", std::uint64_t{42});
+  options.capacity = args.number("capacity", 32);
+  options.lookahead = args.number("lookahead", 6);
+  options.history = args.number("history", 8);
+  options.mc_trials = args.number("mc_trials", 16);
+  options.swap_margin = args.number("swap_margin", 0.05);
   if (!cli::read_mode(args, options.event_driven)) return 1;
-  options.debounce_ms = std::stod(args.get("debounce_ms", "250"));
+  options.debounce_ms = args.number("debounce_ms", 250.0);
 
   obs::MetricsRegistry registry;
   options.metrics = &registry;

@@ -96,23 +96,23 @@ std::string report_field(const std::string& text, const std::string& key) {
 
 int main(int argc, char** argv) {
   const cli::Args args(argc, argv, kAbout, kKeys);
-  const int agents = std::stoi(args.get("agents", "4"));
-  const int intervals = std::stoi(args.get("intervals", "24"));
-  const int tick_ms = std::stoi(args.get("tick_ms", "120"));
+  const int agents = args.number("agents", 4);
+  const int intervals = args.number("intervals", 24);
+  const int tick_ms = args.number("tick_ms", 120);
   const std::string interval_s = args.get("interval_s", "60");
   const std::string ttl = args.get("ttl", "150");
   const bool standby = args.get("standby", "1") != "0";
-  const double kill_agent_at = std::stod(args.get("kill_agent_at", "1.0"));
+  const double kill_agent_at = args.number("kill_agent_at", 1.0);
   const double kill_primary_at =
-      std::stod(args.get("kill_primary_at", "2.0"));
-  const std::uint64_t seed = std::stoull(args.get("seed", "7"));
-  const double max_wall_s = std::stod(args.get("max_wall_s", "90"));
+      args.number("kill_primary_at", 2.0);
+  const std::uint64_t seed = args.number("seed", std::uint64_t{7});
+  const double max_wall_s = args.number("max_wall_s", 90.0);
   const std::string dir = args.get("dir", ".");
 
   Rng rng(seed ^ 0xe2e);
   const int port =
       args.has("port")
-          ? std::stoi(args.get("port"))
+          ? args.number("port", 0)
           : 21000 + static_cast<int>(rng.uniform_int(2000));
 
   const std::string agent_bin =

@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
   }
   const SpotTrace trace = std::move(*resolved);
 
-  const std::uint64_t seed = std::stoull(args.get("seed", "123"));
+  const std::uint64_t seed = args.number("seed", std::uint64_t{123});
 
   ArrivalOptions aopt;
   const std::string arrival = args.get("arrival", "poisson");
@@ -103,28 +103,20 @@ int main(int argc, char** argv) {
     aopt.kind = ArrivalKind::kMmpp;
   } else if (arrival == "replay") {
     aopt.kind = ArrivalKind::kReplay;
-    std::string list = args.get("replay_rps");
-    if (list.empty()) {
+    if (args.get("replay_rps").empty()) {
       std::fprintf(stderr, "arrival=replay needs replay_rps=<r0,r1,..>\n");
       return 1;
     }
-    for (std::size_t pos = 0; pos < list.size();) {
-      const auto comma = list.find(',', pos);
-      const std::string tok = list.substr(
-          pos, comma == std::string::npos ? std::string::npos : comma - pos);
-      if (!tok.empty()) aopt.replay_rps.push_back(std::stod(tok));
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
+    aopt.replay_rps = args.numbers<double>("replay_rps", ',');
   } else {
     std::fprintf(stderr, "arrival=%s: expected poisson|mmpp|replay\n",
                  arrival.c_str());
     return 1;
   }
   aopt.seed = seed ^ 0xa221ull;
-  aopt.base_rps = std::stod(args.get("rps", "60"));
-  aopt.burst_multiplier = std::stod(args.get("burst", "3"));
-  aopt.diurnal_amplitude = std::stod(args.get("diurnal", "0"));
+  aopt.base_rps = args.number("rps", 60.0);
+  aopt.burst_multiplier = args.number("burst", 3.0);
+  aopt.diurnal_amplitude = args.number("diurnal", 0.0);
 
   ServingSchedulerOptions sopt;
   const std::string system = args.get("system", "proactive");
@@ -144,25 +136,24 @@ int main(int argc, char** argv) {
   }
   const std::string replicas = args.get("replicas");
   if (!replicas.empty()) {
-    const auto x = replicas.find('x');
-    if (x == std::string::npos) {
+    const std::vector<int> dp_pp = args.numbers<int>("replicas", 'x');
+    if (dp_pp.size() != 2) {
       std::fprintf(stderr, "replicas=%s: expected DxP (e.g. 8x2)\n",
                    replicas.c_str());
       return 1;
     }
-    sopt.static_config = ParallelConfig{std::stoi(replicas.substr(0, x)),
-                                        std::stoi(replicas.substr(x + 1))};
+    sopt.static_config = ParallelConfig{dp_pp[0], dp_pp[1]};
   }
-  sopt.lookahead = std::stoi(args.get("lookahead", "12"));
-  sopt.history = std::stoi(args.get("history", "12"));
-  sopt.reoptimize_every = std::stoi(args.get("reoptimize", "1"));
-  sopt.mc_trials = std::stoi(args.get("mc_trials", "256"));
-  sopt.depth_change_hysteresis = std::stod(args.get("hysteresis", "0.15"));
+  sopt.lookahead = args.number("lookahead", 12);
+  sopt.history = args.number("history", 12);
+  sopt.reoptimize_every = args.number("reoptimize", 1);
+  sopt.mc_trials = args.number("mc_trials", 256);
+  sopt.depth_change_hysteresis = args.number("hysteresis", 0.15);
   sopt.seed = seed;
-  sopt.serving.slo_ms = std::stod(args.get("slo_ms", "4000"));
-  sopt.serving.max_batch = std::stoi(args.get("max_batch", "8"));
+  sopt.serving.slo_ms = args.number("slo_ms", 4000.0);
+  sopt.serving.max_batch = args.number("max_batch", 8);
   if (!cli::read_mode(args, sopt.event_driven)) return 1;
-  sopt.debounce_ms = std::stod(args.get("debounce_ms", "250"));
+  sopt.debounce_ms = args.number("debounce_ms", 250.0);
 
   obs::MetricsRegistry registry;
   obs::TimeSeriesRecorder series;
@@ -199,7 +190,7 @@ int main(int argc, char** argv) {
   const int trace_intervals = static_cast<int>(
       trace.availability_series(sopt.interval_s).size());
   const int intervals =
-      std::stoi(args.get("intervals", std::to_string(trace_intervals)));
+      args.number("intervals", trace_intervals);
 
   const ServingSimResult r =
       simulate_serving(scheduler, arrivals, trace, intervals, sim);

@@ -100,14 +100,14 @@ int main(int argc, char** argv) {
   SpotTrace trace = std::move(*resolved);
 
   ParcaePolicyOptions popt;
-  popt.lookahead = std::stoi(args.get("lookahead", "12"));
-  popt.history = std::stoi(args.get("history", "12"));
-  popt.reoptimize_every = std::stoi(args.get("reoptimize", "1"));
-  popt.mc_trials = std::stoi(args.get("mc_trials", "256"));
-  popt.depth_change_hysteresis = std::stod(args.get("hysteresis", "0.15"));
-  popt.seed = std::stoull(args.get("seed", "123"));
+  popt.lookahead = args.number("lookahead", 12);
+  popt.history = args.number("history", 12);
+  popt.reoptimize_every = args.number("reoptimize", 1);
+  popt.mc_trials = args.number("mc_trials", 256);
+  popt.depth_change_hysteresis = args.number("hysteresis", 0.15);
+  popt.seed = args.number("seed", std::uint64_t{123});
   if (!cli::read_mode(args, popt.event_driven)) return 1;
-  popt.debounce_ms = std::stod(args.get("debounce_ms", "250"));
+  popt.debounce_ms = args.number("debounce_ms", 250.0);
 
   const std::string system = args.get("system", "parcae");
   std::unique_ptr<SpotTrainingPolicy> policy;
@@ -253,7 +253,7 @@ int main(int argc, char** argv) {
   // `transport=tcp faults=rpc.drop:prob=0.05` is a chaos smoke.
   const std::string transport = args.get("transport");
   if (!transport.empty()) {
-    const double minutes = std::stod(args.get("runtime_minutes", "20"));
+    const double minutes = args.number("runtime_minutes", 20.0);
     const SpotTrace prefix =
         trace.slice(0.0, minutes * 60.0, trace.name() + "-prefix");
     const auto dataset = nn::make_blobs(256, 16, 5, 0.5, 20240101);
@@ -264,7 +264,7 @@ int main(int argc, char** argv) {
     copt.batch_size = 64;
     copt.initial_instances = 0;  // the trace grants them
     copt.transport = transport;
-    copt.rpc_port = std::stoi(args.get("rpc_port", "0"));
+    copt.rpc_port = args.number("rpc_port", 0);
 
     SpotDriverOptions dopt;
     dopt.iterations_per_interval = 6;

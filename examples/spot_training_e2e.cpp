@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   cluster.batch_size = 64;
   cluster.initial_instances = 0;  // the market grants them
   cluster.transport = args.get("transport", "inproc");
-  cluster.rpc_port = std::stoi(args.get("rpc_port", "0"));
+  cluster.rpc_port = args.number("rpc_port", 0);
 
   // rpc.* fault points exercise the transport layer.
   FaultInjector faults;

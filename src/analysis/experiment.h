@@ -19,8 +19,7 @@
 namespace parcae {
 
 // A named policy factory: builds a fresh policy for a (model, trace)
-// cell. The trace pointer stays valid for the policy's lifetime (used
-// by oracle-mode policies).
+// cell. Oracle-mode policies read the cell's trace at construction.
 struct PolicySpec {
   std::string name;
   std::function<std::unique_ptr<SpotTrainingPolicy>(

@@ -11,11 +11,10 @@
 namespace parcae {
 
 SchedulerCore::SchedulerCore(ModelProfile model, SchedulerCoreOptions options,
-                             const InstancePoolView* oracle,
+                             const SpotTrace* oracle,
                              const SchedulingObjective* objective)
     : model_(std::move(model)),
       options_(options),
-      oracle_(oracle),
       metrics_(options.metrics != nullptr ? options.metrics : &own_metrics_),
       throughput_(model_, options.throughput),
       liveput_(&throughput_),
@@ -31,6 +30,8 @@ SchedulerCore::SchedulerCore(ModelProfile model, SchedulerCoreOptions options,
                      .metric_prefix = options.metric_prefix}),
       predictor_(make_parcae_predictor(
           static_cast<double>(options.max_instances))) {
+  if (options_.mode == PredictionMode::kOracle && oracle != nullptr)
+    oracle_series_ = oracle->availability_series(options_.interval_s);
   // Distributed tracing: spans from this core get deterministic ids
   // forked from the job seed (first enable wins when fleet cores share
   // one writer — the id stream stays single).
@@ -38,17 +39,6 @@ SchedulerCore::SchedulerCore(ModelProfile model, SchedulerCoreOptions options,
     options_.tracer->enable_trace_ids(
         obs::fork_trace_seed(options_.seed, /*component=*/1));
   reset();
-}
-
-SchedulerCore::SchedulerCore(ModelProfile model, SchedulerCoreOptions options,
-                             const SpotTrace* oracle,
-                             const SchedulingObjective* objective)
-    : SchedulerCore(std::move(model), std::move(options),
-                    static_cast<const InstancePoolView*>(nullptr), objective) {
-  if (oracle != nullptr) {
-    owned_oracle_ = std::make_unique<TracePoolView>(oracle);
-    oracle_ = owned_oracle_.get();
-  }
 }
 
 SchedulerCore::MetricNames SchedulerCore::make_names(
@@ -125,9 +115,8 @@ std::vector<int> SchedulerCore::predict(int interval_index) const {
   const int I = options_.lookahead;
   std::vector<int> out;
   out.reserve(static_cast<std::size_t>(I));
-  if (options_.mode == PredictionMode::kOracle && oracle_ != nullptr) {
-    const std::vector<int> series =
-        oracle_->availability_series(options_.interval_s);
+  if (oracle_series_) {
+    const std::vector<int>& series = *oracle_series_;
     for (int h = 1; h <= I; ++h) {
       const std::size_t idx = std::min(
           series.empty() ? std::size_t{0}

@@ -36,13 +36,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
 
 #include "core/interval_dp.h"
 #include "core/objective.h"
 #include "core/telemetry.h"
-#include "fleet/instance_pool.h"
 #include "migration/planner.h"
 #include "model/model_profile.h"
 #include "obs/metrics.h"
@@ -143,19 +143,12 @@ struct SchedulerDecision {
 
 class SchedulerCore {
  public:
-  // `oracle` must outlive the core when mode == kOracle (it supplies
-  // the true future availability of the instances this core may use —
-  // the whole pool for a single job, its lease for a fleet job).
-  // `objective` is what the core maximizes (non-owning; must outlive
-  // the core); null selects training liveput over this core's
-  // ThroughputModel.
-  SchedulerCore(ModelProfile model, SchedulerCoreOptions options,
-                const InstancePoolView* oracle,
-                const SchedulingObjective* objective = nullptr);
-
-  // Trace-backed convenience: wraps `oracle` in a core-owned
-  // TracePoolView (the single-job adapter). Behavior is bit-identical
-  // to the historical direct-trace path.
+  // `oracle` supplies the true future availability of the instances
+  // this core may use (the whole pool for a single job, its lease for a
+  // fleet job); in kOracle mode its series is copied here, and other
+  // modes ignore it. `objective` is what the core maximizes
+  // (non-owning; must outlive the core); null selects training liveput
+  // over this core's ThroughputModel.
   SchedulerCore(ModelProfile model, SchedulerCoreOptions options,
                 const SpotTrace* oracle = nullptr,
                 const SchedulingObjective* objective = nullptr);
@@ -229,10 +222,8 @@ class SchedulerCore {
 
   ModelProfile model_;
   SchedulerCoreOptions options_;
-  // Oracle lease view: the injected one, or owned_oracle_ when
-  // constructed from a raw SpotTrace.
-  std::unique_ptr<TracePoolView> owned_oracle_;
-  const InstancePoolView* oracle_;
+  // kOracle: the oracle's availability series at options_.interval_s.
+  std::optional<std::vector<int>> oracle_series_;
   // Declared before the planner/optimizer so metrics_ is resolved
   // when they capture it.
   obs::MetricsRegistry own_metrics_;

@@ -3,7 +3,7 @@
 // The single-job system lets SchedulerCore believe the whole trace is
 // its cluster. At fleet scale that ownership moves here: the arbiter
 // holds one InstanceLease per job and resizes them at every interval
-// boundary, and each job's SchedulerCore sees only its lease view.
+// boundary, and each job's SchedulerCore sees only its lease.
 // The design follows Singularity's global preemption-aware arbiter
 // (PAPERS.md) specialized to Parcae's liveput machinery:
 //

@@ -206,15 +206,16 @@ FleetSimResult FleetSimulator::integrate(
     }
   }
 
-  // One full Parcae stack per job over its lease view.
+  // One full Parcae stack per job over its lease.
   const double duration_s = pool_trace.duration_s();
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
     const FleetJobSpec& job = jobs_[j];
     const std::string prefix = "job" + std::to_string(job.job_id) + ".";
     const ModelProfile profile = model_by_name(job.model);
 
-    SeriesPoolView lease("lease:" + prefix + job.model, grant_series[j],
-                         options_.capacity, options_.interval_s);
+    const SpotTrace lease = SpotTrace::from_minute_series(
+        "lease:" + prefix + job.model, grant_series[j], options_.capacity,
+        options_.interval_s);
 
     ParcaePolicyOptions policy_options;
     policy_options.mode = PredictionMode::kProactive;

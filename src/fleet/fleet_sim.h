@@ -17,8 +17,9 @@
 //     instance ever moves between jobs.
 // Each job then runs its own full Parcae stack (SchedulerCore inside
 // ParcaePolicy under the interval simulator) over its per-interval
-// grant series, exposed to it as a SeriesPoolView lease view — the job
-// never sees the pool, only its lease.
+// grant series. To the job that holds it a lease is one more
+// availability trace (SpotTrace::from_minute_series over the grants):
+// the job never sees the pool, only its lease.
 //
 // Determinism: job j's scheduler seed is fleet_job_seed(fleet_seed, j)
 // (the FaultInjector forking scheme), so a fleet run replays
@@ -29,10 +30,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fleet/fleet_arbiter.h"
-#include "fleet/instance_pool.h"
 #include "obs/metrics.h"
 #include "trace/spot_trace.h"
 
@@ -40,6 +41,25 @@ namespace parcae {
 
 class KvStore;
 class SloEngine;
+
+// Stable 64-bit FNV-1a hash (the FaultInjector per-point scheme: one
+// shared constant namespace, independent streams per name).
+inline std::uint64_t fleet_hash_name(std::string_view name) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : name) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Forks job `job_id`'s seed from the fleet seed the way FaultInjector
+// forks per-point streams: seed ^ FNV-1a("job<id>"). Adding or
+// removing jobs never perturbs another job's stream, so fleet runs
+// replay bit-for-bit regardless of job count or interleaving.
+inline std::uint64_t fleet_job_seed(std::uint64_t fleet_seed, int job_id) {
+  return fleet_seed ^ fleet_hash_name("job" + std::to_string(job_id));
+}
 
 namespace fleet {
 
@@ -124,7 +144,7 @@ class FleetSimulator {
   FleetSimulator(std::vector<FleetJobSpec> jobs, FleetSimOptions options);
 
   // Arbiter regime: FleetArbiter leases, then one full Parcae run per
-  // job over its lease view.
+  // job over its lease.
   FleetSimResult run(const SpotTrace& pool_trace);
 
   // Static-partitioning baseline over the same pool and jobs.

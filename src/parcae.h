@@ -36,7 +36,6 @@
 #include "core/scheduler_core.h"           // IWYU pragma: export
 #include "core/telemetry.h"                // IWYU pragma: export
 #include "migration/cost_model.h"          // IWYU pragma: export
-#include "migration/exact_preemption.h"    // IWYU pragma: export
 #include "migration/planner.h"             // IWYU pragma: export
 #include "migration/preemption.h"          // IWYU pragma: export
 

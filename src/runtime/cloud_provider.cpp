@@ -1,17 +1,12 @@
 #include "runtime/cloud_provider.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 
 namespace parcae {
 
 TraceCloudProvider::TraceCloudProvider(SpotTrace trace, std::uint64_t seed,
-                                       double grace_s, double price_per_hour)
-    : trace_(std::move(trace)),
-      rng_(seed),
-      grace_s_(grace_s),
-      price_(price_per_hour) {
+                                       double grace_s)
+    : trace_(std::move(trace)), rng_(seed), grace_s_(grace_s) {
   // Instances present at t=0 are granted immediately once requested.
 }
 
@@ -67,78 +62,6 @@ std::vector<CloudEvent> TraceCloudProvider::advance(double until_s) {
                      return a.time_s < b.time_s;
                    });
   return events;
-}
-
-// ---------------------------------------------------------------------------
-
-MarketCloudProvider::MarketCloudProvider(SpotMarketOptions options,
-                                         std::uint64_t seed, double grace_s)
-    : options_(options),
-      rng_(seed),
-      grace_s_(grace_s),
-      price_(options.mean_price) {}
-
-void MarketCloudProvider::request_instances(int count) {
-  requested_ = std::min(count, options_.capacity);
-}
-
-double MarketCloudProvider::spot_price_per_hour(double time_s) const {
-  if (price_history_.empty()) return price_;
-  const auto idx = std::min(
-      price_history_.size() - 1,
-      static_cast<std::size_t>(std::max(0.0, time_s / options_.interval_s)));
-  return price_history_[idx];
-}
-
-void MarketCloudProvider::step_interval() {
-  price_ += options_.reversion * (options_.mean_price - price_) +
-            options_.volatility * rng_.normal();
-  price_ = std::max(0.1 * options_.mean_price, price_);
-  price_history_.push_back(price_);
-  const double t = now_;
-
-  if (price_ > options_.bid && !held_.empty()) {
-    const double excess = (price_ - options_.bid) / options_.bid;
-    const double fraction =
-        std::min(1.0, options_.reclaim_aggressiveness * excess / 0.1);
-    int reclaim = static_cast<int>(
-        std::ceil(fraction * static_cast<double>(held_.size())));
-    reclaim = std::clamp(reclaim, 1, static_cast<int>(held_.size()));
-    for (int i = 0; i < reclaim; ++i) {
-      const auto victim = rng_.uniform_int(held_.size());
-      CloudEvent event;
-      event.kind = CloudEvent::Kind::kPreemptionNotice;
-      event.time_s = t;
-      event.instance_id = held_[victim];
-      event.grace_s = grace_s_;
-      held_.erase(held_.begin() + static_cast<std::ptrdiff_t>(victim));
-      pending_.push_back(event);
-    }
-  } else if (price_ <= options_.bid &&
-             static_cast<int>(held_.size()) < requested_) {
-    const int granted = static_cast<int>(std::min<std::uint64_t>(
-        rng_.poisson(options_.grant_rate),
-        static_cast<std::uint64_t>(requested_ -
-                                   static_cast<int>(held_.size()))));
-    for (int i = 0; i < granted; ++i) {
-      CloudEvent event;
-      event.kind = CloudEvent::Kind::kInstanceGranted;
-      event.time_s = t;
-      event.instance_id = next_instance_id_++;
-      held_.push_back(event.instance_id);
-      pending_.push_back(event);
-    }
-  }
-}
-
-std::vector<CloudEvent> MarketCloudProvider::advance(double until_s) {
-  while (now_ + options_.interval_s <= until_s) {
-    now_ += options_.interval_s;
-    step_interval();
-  }
-  std::vector<CloudEvent> out;
-  out.swap(pending_);
-  return out;
 }
 
 }  // namespace parcae

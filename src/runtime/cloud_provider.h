@@ -1,21 +1,18 @@
-// Cloud-provider interface (§9's boundary between ParcaeScheduler and
-// the cloud).
+// The cloud as the spot driver sees it (§9's boundary between
+// ParcaeScheduler and the cloud).
 //
 // The scheduler never sees a trace — it sees instance-level events: a
 // preemption *notice* arrives with a grace period (30 s on Azure, 120 s
 // on AWS) before the instance disappears; allocation requests are
-// asynchronous and may be partially filled. Two implementations ship:
-// TraceCloudProvider replays a SpotTrace, MarketCloudProvider runs the
-// Ornstein-Uhlenbeck price market live. A real cloud backend would
-// implement the same interface.
+// asynchronous and may be partially filled. TraceCloudProvider derives
+// those events from a SpotTrace. A real cloud backend replaces its two
+// calls, request_instances() and advance().
 #pragma once
 
-#include <memory>
-#include <optional>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
-#include "trace/spot_market.h"
 #include "trace/spot_trace.h"
 
 namespace parcae {
@@ -29,78 +26,34 @@ struct CloudEvent {
   double grace_s = 0.0;
 };
 
-class CloudProvider {
- public:
-  virtual ~CloudProvider() = default;
-
-  // Advances simulated time to `until_s` and returns the events that
-  // occurred since the previous call, in time order.
-  virtual std::vector<CloudEvent> advance(double until_s) = 0;
-
-  // Registers interest in holding `count` instances in total; grants
-  // arrive (if capacity allows) through advance().
-  virtual void request_instances(int count) = 0;
-
-  // Instances currently held (granted and not yet reclaimed).
-  virtual int held() const = 0;
-
-  virtual double spot_price_per_hour(double time_s) const = 0;
-
-  virtual double grace_period_s() const { return 30.0; }
-};
-
 // Replays a SpotTrace: availability drops preempt uniformly chosen
 // held instances (with the provider's grace period), rises grant new
 // instances up to the outstanding request.
-class TraceCloudProvider final : public CloudProvider {
+class TraceCloudProvider {
  public:
   TraceCloudProvider(SpotTrace trace, std::uint64_t seed = 1,
-                     double grace_s = 30.0, double price_per_hour = 0.918);
+                     double grace_s = 30.0);
 
-  std::vector<CloudEvent> advance(double until_s) override;
-  void request_instances(int count) override;
-  int held() const override { return static_cast<int>(held_.size()); }
-  double spot_price_per_hour(double) const override { return price_; }
-  double grace_period_s() const override { return grace_s_; }
+  // Advances simulated time to `until_s` and returns the events that
+  // occurred since the previous call, in time order.
+  std::vector<CloudEvent> advance(double until_s);
+
+  // Registers interest in holding `count` instances in total; grants
+  // arrive (if capacity allows) through advance().
+  void request_instances(int count);
+
+  // Instances currently held (granted and not yet reclaimed).
+  int held() const { return static_cast<int>(held_.size()); }
 
  private:
   SpotTrace trace_;
   Rng rng_;
   double grace_s_;
-  double price_;
   double now_ = 0.0;
   std::size_t next_event_ = 0;
   int requested_ = 0;
   std::vector<int> held_;
   int next_instance_id_ = 0;
-};
-
-// Runs the spot market live: price evolves per interval; preemptions
-// and grants derive from price vs bid exactly as simulate_spot_market.
-class MarketCloudProvider final : public CloudProvider {
- public:
-  MarketCloudProvider(SpotMarketOptions options, std::uint64_t seed = 1,
-                      double grace_s = 30.0);
-
-  std::vector<CloudEvent> advance(double until_s) override;
-  void request_instances(int count) override;
-  int held() const override { return static_cast<int>(held_.size()); }
-  double spot_price_per_hour(double time_s) const override;
-  double grace_period_s() const override { return grace_s_; }
-
- private:
-  void step_interval();
-
-  SpotMarketOptions options_;
-  Rng rng_;
-  double grace_s_;
-  double now_ = 0.0;
-  double price_;
-  std::vector<double> price_history_;
-  int requested_ = 0;
-  std::vector<int> held_;
-  int next_instance_id_ = 0;
-  std::vector<CloudEvent> pending_;
 };
 
 }  // namespace parcae

@@ -13,16 +13,10 @@ namespace parcae {
 
 SimulationResult simulate(SpotTrainingPolicy& policy, const SpotTrace& trace,
                           const SimulationOptions& options) {
-  return simulate(policy, TracePoolView(&trace), options);
-}
-
-SimulationResult simulate(SpotTrainingPolicy& policy,
-                          const InstancePoolView& pool,
-                          const SimulationOptions& options) {
   SimulationResult result;
   result.policy = policy.name();
-  result.trace = pool.name();
-  result.duration_s = pool.duration_s();
+  result.trace = trace.name();
+  result.duration_s = trace.duration_s();
 
   obs::MetricsRegistry local_metrics;
   obs::MetricsRegistry* metrics =
@@ -34,7 +28,7 @@ SimulationResult simulate(SpotTrainingPolicy& policy,
   policy.reset();
 
   const std::vector<int> series =
-      pool.availability_series(options.interval_s);
+      trace.availability_series(options.interval_s);
   // Metric names with the prefix applied, built once per run.
   const std::string n_unpredicted = mp + "sim.unpredicted_preempts";
   const std::string n_span = mp + "execute-interval";

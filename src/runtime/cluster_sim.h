@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "fleet/instance_pool.h"
 #include "obs/metrics.h"
 #include "parallel/parallel_config.h"
 #include "runtime/pricing.h"
@@ -143,16 +142,9 @@ struct SimulationOptions {
   std::string metric_prefix;
 };
 
-// Runs `policy` over the instances `pool` grants it and returns the
-// integrated result. The pool is the whole trace for a single job
-// (TracePoolView) or an arbiter-granted lease slice for a fleet job
-// (SeriesPoolView).
-SimulationResult simulate(SpotTrainingPolicy& policy,
-                          const InstancePoolView& pool,
-                          const SimulationOptions& options);
-
-// Trace-backed convenience: wraps `trace` in a TracePoolView
-// (bit-identical to the historical direct-trace path).
+// Runs `policy` over the instances `trace` makes available and returns
+// the integrated result. The trace is the whole pool for a single job
+// or, for a fleet job, its lease (the arbiter's per-interval grants).
 SimulationResult simulate(SpotTrainingPolicy& policy, const SpotTrace& trace,
                           const SimulationOptions& options);
 

@@ -14,13 +14,6 @@ ParcaePolicy::ParcaePolicy(ModelProfile model, ParcaePolicyOptions options,
                           options_.metric_prefix + "policy." + name());
 }
 
-ParcaePolicy::ParcaePolicy(ModelProfile model, ParcaePolicyOptions options,
-                           const InstancePoolView* oracle)
-    : options_(options), core_(std::move(model), options, oracle) {
-  accountant_.set_metrics(&core_.metrics(),
-                          options_.metric_prefix + "policy." + name());
-}
-
 std::string ParcaePolicy::name() const {
   switch (options_.mode) {
     case PredictionMode::kProactive:

@@ -24,14 +24,11 @@ struct ParcaePolicyOptions : SchedulerCoreOptions {
 
 class ParcaePolicy final : public SpotTrainingPolicy {
  public:
-  // `oracle` must outlive the policy when mode == kOracle (it supplies
-  // the true future availability).
+  // `oracle` supplies the true future availability in kOracle mode
+  // (the whole pool for a single job, its lease for a fleet job); the
+  // core copies its series at construction.
   ParcaePolicy(ModelProfile model, ParcaePolicyOptions options,
                const SpotTrace* oracle = nullptr);
-  // Lease-view oracle: the instances this job may use (a fleet job's
-  // lease, or the whole pool through TracePoolView).
-  ParcaePolicy(ModelProfile model, ParcaePolicyOptions options,
-               const InstancePoolView* oracle);
 
   std::string name() const override;
   void reset() override;

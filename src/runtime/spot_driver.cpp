@@ -8,6 +8,7 @@
 #include "core/slo.h"
 #include "obs/profile_span.h"
 #include "obs/trace_context.h"
+#include "runtime/cloud_provider.h"
 
 namespace parcae {
 
@@ -110,26 +111,12 @@ ParallelConfig SpotTrainingDriver::clamp_to_alive(ParallelConfig advice,
 }
 
 SpotDriverReport SpotTrainingDriver::run(const SpotTrace& trace) {
-  TraceCloudProvider cloud(trace, options_.seed ^ 0x9e1ull);
-  return run(cloud, trace.duration_s());
-}
-
-SpotDriverReport SpotTrainingDriver::run(const InstancePoolView& pool) {
-  if (const SpotTrace* trace = pool.backing_trace(); trace != nullptr)
-    return run(*trace);
-  const SpotTrace lease_trace = SpotTrace::from_minute_series(
-      pool.name(), pool.availability_series(options_.interval_s),
-      pool.capacity(), options_.interval_s);
-  return run(lease_trace);
-}
-
-SpotDriverReport SpotTrainingDriver::run(CloudProvider& cloud,
-                                         double duration_s) {
   SpotDriverReport report;
   core_.reset();
 
+  TraceCloudProvider cloud(trace, options_.seed ^ 0x9e1ull);
   const auto intervals =
-      static_cast<int>(duration_s / options_.interval_s + 0.5);
+      static_cast<int>(trace.duration_s() / options_.interval_s + 0.5);
 
   cloud.request_instances(options_.requested_instances);
   // Cloud instance id -> cluster agent id.

@@ -20,9 +20,7 @@
 
 #include "common/fault.h"
 #include "core/scheduler_core.h"
-#include "fleet/instance_pool.h"
 #include "nn/dataset.h"
-#include "runtime/cloud_provider.h"
 #include "runtime/training_cluster.h"
 #include "trace/spot_trace.h"
 
@@ -111,21 +109,12 @@ class SpotTrainingDriver {
                      const nn::Dataset* dataset,
                      SpotDriverOptions options = {});
 
-  // Runs against any cloud backend for `duration_s`: instance grants
-  // become cluster agents, preemption notices (after their grace
-  // period) remove them, and Algorithm 1 runs every interval.
-  SpotDriverReport run(CloudProvider& cloud, double duration_s);
-
-  // Convenience: replay `trace` through a TraceCloudProvider.
+  // Runs over `trace` (the whole pool, a fleet job's lease, or a
+  // simulate_spot_market trace), replayed through a TraceCloudProvider:
+  // instance grants become cluster agents, preemption notices (after
+  // their grace period) remove them, and Algorithm 1 runs every
+  // interval.
   SpotDriverReport run(const SpotTrace& trace);
-
-  // Replays the instances `pool` grants this job. A trace-backed view
-  // (TracePoolView) replays the original event-level trace —
-  // bit-identical with run(trace), sub-interval event timing included;
-  // an arbiter lease view (SeriesPoolView) replays the grant series
-  // with changes at interval boundaries (§5.2's quantization, which is
-  // exact for leases: the arbiter only resizes at boundaries).
-  SpotDriverReport run(const InstancePoolView& pool);
 
   TrainingCluster& cluster() { return cluster_; }
   // The decision engine (exposed for the sim-vs-real equivalence

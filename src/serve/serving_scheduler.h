@@ -94,7 +94,8 @@ class GoodputObjective : public SchedulingObjective {
 class ServingScheduler {
  public:
   // `arrivals` supplies the rate forecasts and must outlive the
-  // scheduler; `oracle` is required for kOracle.
+  // scheduler; `oracle` is required for kOracle, whose core copies its
+  // availability series at construction.
   ServingScheduler(ModelProfile model, ServingSchedulerOptions options,
                    const ArrivalGenerator* arrivals,
                    const SpotTrace* oracle = nullptr);

@@ -38,15 +38,14 @@ SpotTrace::SpotTrace(std::string name, int initial_instances, int capacity,
 SpotTrace SpotTrace::from_minute_series(std::string name,
                                         const std::vector<int>& series,
                                         int capacity, double interval_s) {
-  assert(!series.empty());
   std::vector<TraceEvent> events;
   for (std::size_t i = 1; i < series.size(); ++i) {
     const int delta = series[i] - series[i - 1];
     if (delta != 0)
       events.push_back({static_cast<double>(i) * interval_s, delta});
   }
-  return SpotTrace(std::move(name), series.front(), capacity,
-                   static_cast<double>(series.size()) * interval_s,
+  return SpotTrace(std::move(name), series.empty() ? 0 : series.front(),
+                   capacity, static_cast<double>(series.size()) * interval_s,
                    std::move(events));
 }
 

@@ -40,6 +40,15 @@ struct TraceStats {
   double duration_s = 0.0;
 };
 
+// Availability change observed at an interval boundary (the cloud-side
+// inputs of Algorithm 1). Executor backends translate their own event
+// streams (trace diffs, preemption notices, lease resizes) into this.
+struct AvailabilityObservation {
+  int available = 0;    // instances available this interval
+  int preempted = 0;    // instances lost at this interval boundary
+  int allocated = 0;    // instances gained at this interval boundary
+};
+
 class SpotTrace {
  public:
   SpotTrace() = default;
@@ -52,7 +61,8 @@ class SpotTrace {
 
   // Builds a trace from a per-minute availability series N_0..N_{k-1}
   // (the paper's interval model with T = 60 s): N changes exactly at
-  // minute boundaries.
+  // minute boundaries. A fleet job's lease is built this way from its
+  // grant series; an empty series gives an empty trace.
   static SpotTrace from_minute_series(std::string name,
                                       const std::vector<int>& series,
                                       int capacity = 32,

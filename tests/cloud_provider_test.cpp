@@ -1,13 +1,11 @@
-// Tests for the cloud-provider abstraction (trace replay and live
-// market backends) and its use by the SpotTrainingDriver.
+// Tests for TraceCloudProvider, the spot driver's replay of a trace as
+// grants and preemption notices.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "baselines/ondemand_policy.h"
-#include "nn/dataset.h"
 #include "runtime/cloud_provider.h"
-#include "runtime/spot_driver.h"
 
 namespace parcae {
 namespace {
@@ -64,52 +62,6 @@ TEST(TraceCloudProvider, InstanceIdsAreUniqueAcrossLifetimes) {
     }
   }
   EXPECT_GE(granted.size(), 8u);  // 4 initial + regrants
-}
-
-TEST(MarketCloudProvider, GrantsWhilePriceBelowBid) {
-  SpotMarketOptions options;
-  options.bid = 100.0;  // never preempt
-  options.grant_rate = 4.0;
-  options.capacity = 10;
-  MarketCloudProvider cloud(options, 4);
-  cloud.request_instances(10);
-  cloud.advance(15 * 60.0);
-  EXPECT_EQ(cloud.held(), 10);
-  EXPECT_GT(cloud.spot_price_per_hour(5 * 60.0), 0.0);
-}
-
-TEST(MarketCloudProvider, LowBidCausesNotices) {
-  SpotMarketOptions options;
-  options.bid = options.mean_price * 0.98;  // very tight bid
-  options.volatility = 0.08;
-  MarketCloudProvider cloud(options, 5);
-  cloud.request_instances(options.capacity);
-  int notices = 0;
-  for (const auto& e : cloud.advance(60 * 60.0))
-    notices += e.kind == CloudEvent::Kind::kPreemptionNotice ? 1 : 0;
-  EXPECT_GT(notices, 0);
-}
-
-TEST(SpotTrainingDriver, RunsAgainstLiveMarketProvider) {
-  const auto ds = nn::make_blobs(192, 12, 4, 0.5, 91);
-  TrainingClusterOptions cluster;
-  cluster.layer_sizes = {12, 32, 4};
-  cluster.epoch_size = ds.size();
-  cluster.batch_size = 32;
-  cluster.initial_instances = 0;
-
-  SpotMarketOptions market;
-  market.capacity = 6;
-  market.grant_rate = 3.0;
-  MarketCloudProvider cloud(market, 6);
-
-  SpotDriverOptions options;
-  options.requested_instances = 6;
-  SpotTrainingDriver driver(cluster, &ds, options);
-  const SpotDriverReport report = driver.run(cloud, 30 * 60.0);
-  EXPECT_EQ(report.intervals, 30);
-  EXPECT_GT(report.iterations, 0);
-  EXPECT_TRUE(report.replicas_always_consistent);
 }
 
 }  // namespace

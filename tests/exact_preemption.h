@@ -1,12 +1,32 @@
-#include "migration/exact_preemption.h"
+// Exact preemption-mapping distributions: the closed forms the
+// Monte-Carlo sampler of §7.3 approximates, kept as a test oracle
+// (exact_preemption_test checks the sampler against them).
+//
+// With k preemptions drawn uniformly without replacement from a D x P
+// grid plus `idle` spares, the per-stage kill counts follow a
+// multivariate hypergeometric distribution with P groups of size D and
+// one group of size `idle`. This header computes, exactly:
+//   - P(every stage keeps >= d replicas)      (survival_at_least)
+//   - P(intra-stage-recoverable pipelines = d) (intra_pipelines_pmf)
+//   - P(some stage is wiped out)               (stage_wipeout_probability)
+//   - E[sum_s max(0, d' - alive_s)]            (expected_inter_moves)
+// Sizes here are tiny (<= 64 instances), so plain double-precision
+// binomials are exact to rounding.
+#pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
+#include <utility>
+#include <vector>
+
+#include "parallel/parallel_config.h"
 
 namespace parcae {
 
-double binomial(int n, int k) {
+// C(n, k) as a double (0 for invalid arguments).
+inline double binomial(int n, int k) {
   if (k < 0 || n < 0 || k > n) return 0.0;
   if (k == 0 || k == n) return 1.0;
   // lgamma keeps this exact to double rounding for our tiny sizes.
@@ -14,12 +34,12 @@ double binomial(int n, int k) {
                   std::lgamma(n - k + 1.0));
 }
 
-namespace {
+namespace exact_detail {
 
 // Number of weighted ways to spread `kills` over the P stages with at
 // most `cap` kills per stage: the coefficient-convolution
 //   [x^kills] (sum_{j=0..cap} C(D, j) x^j)^P.
-double ways_with_cap(int stages, int group, int cap, int kills) {
+inline double ways_with_cap(int stages, int group, int cap, int kills) {
   if (kills < 0) return 0.0;
   std::vector<double> poly(static_cast<std::size_t>(kills) + 1, 0.0);
   poly[0] = 1.0;
@@ -38,9 +58,12 @@ double ways_with_cap(int stages, int group, int cap, int kills) {
   return poly[static_cast<std::size_t>(kills)];
 }
 
-}  // namespace
+}  // namespace exact_detail
 
-double survival_at_least(ParallelConfig config, int idle, int k, int d) {
+// P(all stages keep at least `d` alive replicas) after `k` uniform
+// preemptions on config.dp x config.pp + idle instances.
+inline double survival_at_least(ParallelConfig config, int idle, int k,
+                                int d) {
   assert(config.valid());
   const int D = config.dp;
   const int P = config.pp;
@@ -51,13 +74,16 @@ double survival_at_least(ParallelConfig config, int idle, int k, int d) {
   const int cap = D - d;  // max kills a stage can absorb
   double numer = 0.0;
   for (int ki = 0; ki <= std::min(idle, k); ++ki)
-    numer += binomial(idle, ki) * ways_with_cap(P, D, cap, k - ki);
+    numer += binomial(idle, ki) *
+             exact_detail::ways_with_cap(P, D, cap, k - ki);
   const double denom = binomial(total, k);
   return denom > 0.0 ? numer / denom : 1.0;
 }
 
-std::vector<double> intra_pipelines_pmf(ParallelConfig config, int idle,
-                                        int k) {
+// PMF over d = 0..D of min_s alive_s (the pipelines recoverable by
+// intra-stage migration alone).
+inline std::vector<double> intra_pipelines_pmf(ParallelConfig config,
+                                               int idle, int k) {
   std::vector<double> pmf(static_cast<std::size_t>(config.dp) + 1, 0.0);
   for (int d = 0; d <= config.dp; ++d) {
     const double at_least = survival_at_least(config, idle, k, d);
@@ -67,12 +93,16 @@ std::vector<double> intra_pipelines_pmf(ParallelConfig config, int idle,
   return pmf;
 }
 
-double stage_wipeout_probability(ParallelConfig config, int idle, int k) {
+// P(min_s alive_s == 0).
+inline double stage_wipeout_probability(ParallelConfig config, int idle,
+                                        int k) {
   return 1.0 - survival_at_least(config, idle, k, 1);
 }
 
-double expected_inter_moves(ParallelConfig config, int idle, int k,
-                            int d_target) {
+// E[sum_s max(0, d_target - alive_s)]: expected inter-stage moves to
+// assemble d_target pipelines.
+inline double expected_inter_moves(ParallelConfig config, int idle, int k,
+                                   int d_target) {
   assert(config.valid());
   const int D = config.dp;
   const int total = config.instances() + idle;

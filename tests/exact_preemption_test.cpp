@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "migration/exact_preemption.h"
+#include "exact_preemption.h"
 #include "migration/preemption.h"
 
 namespace parcae {

@@ -1,8 +1,8 @@
-// Fleet layer: InstancePoolView lease views, the FleetArbiter's
-// fairness/arbitration/swap machinery, lease ledger audit trail,
-// deterministic seed forking, and the headline property that
-// liveput-arbitrated leasing beats static partitioning on aggregate
-// weighted liveput for a heterogeneous 10-job fleet.
+// Fleet layer: the FleetArbiter's fairness/arbitration/swap machinery,
+// lease ledger audit trail, deterministic seed forking, and the
+// headline property that liveput-arbitrated leasing beats static
+// partitioning on aggregate weighted liveput for a heterogeneous
+// 10-job fleet.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +12,6 @@
 #include "common/table.h"
 #include "fleet/fleet_arbiter.h"
 #include "fleet/fleet_sim.h"
-#include "fleet/instance_pool.h"
 #include "fleet/lease.h"
 #include "model/model_profile.h"
 #include "obs/metrics.h"
@@ -34,55 +33,6 @@ using fleet::FleetSimResult;
 using fleet::FleetSimulator;
 using fleet::JobValueTable;
 using fleet::LeaseChangeReason;
-
-// ---------------------------------------------------------------------------
-// Pool views.
-
-TEST(InstancePool, TracePoolViewMatchesTheTraceExactly) {
-  const SpotTrace trace = SpotTrace::from_minute_series(
-      "view-test", {4, 6, 6, 2, 0, 8}, 8);
-  const TracePoolView view(&trace);
-  EXPECT_EQ(view.name(), trace.name());
-  EXPECT_EQ(view.capacity(), trace.capacity());
-  EXPECT_DOUBLE_EQ(view.duration_s(), trace.duration_s());
-  EXPECT_EQ(view.availability_series(60.0),
-            trace.availability_series(60.0));
-  EXPECT_EQ(view.backing_trace(), &trace);
-}
-
-TEST(InstancePool, SeriesPoolViewHasNoBackingTrace) {
-  const SeriesPoolView view("lease:job0", {1, 2, 3}, 8, 60.0);
-  EXPECT_EQ(view.backing_trace(), nullptr);
-  EXPECT_EQ(view.capacity(), 8);
-  EXPECT_DOUBLE_EQ(view.duration_s(), 180.0);
-  EXPECT_EQ(view.availability_series(60.0), (std::vector<int>{1, 2, 3}));
-  // Resampling at half the interval repeats each sample.
-  EXPECT_EQ(view.availability_series(30.0),
-            (std::vector<int>{1, 1, 2, 2, 3, 3}));
-}
-
-TEST(InstancePool, SimulatorIsBitIdenticalThroughTheTraceView) {
-  // The trace overload of simulate() and the explicit TracePoolView
-  // must produce the same committed samples — the refactor moved the
-  // plumbing, not the numbers.
-  const SpotTrace trace = canonical_segment(TraceSegment::kHighAvailDense);
-  ParcaePolicyOptions options;
-  options.lookahead = 4;
-  options.history = 6;
-  options.mc_trials = 8;
-  options.seed = 11;
-
-  ParcaePolicy direct(gpt2_profile(), options);
-  const SimulationResult via_trace = simulate(direct, trace, {});
-
-  ParcaePolicy viewed(gpt2_profile(), options);
-  const TracePoolView view(&trace);
-  const SimulationResult via_view = simulate(viewed, view, {});
-
-  EXPECT_DOUBLE_EQ(via_trace.committed_samples, via_view.committed_samples);
-  EXPECT_DOUBLE_EQ(via_trace.total_cost_usd, via_view.total_cost_usd);
-  EXPECT_DOUBLE_EQ(via_trace.gpu_hours.effective, via_view.gpu_hours.effective);
-}
 
 // ---------------------------------------------------------------------------
 // Seed forking (the FaultInjector FNV-1a scheme).
@@ -294,7 +244,8 @@ TEST(FleetMetrics, PrefixedJobsShareOneRegistryWithoutCollisions) {
   const std::vector<int> series{4, 4, 3, 4, 2, 4};
   for (int j = 0; j < 2; ++j) {
     const std::string prefix = "job" + std::to_string(j) + ".";
-    SeriesPoolView lease("lease:" + prefix + "GPT-2", series, 8, 60.0);
+    const SpotTrace lease = SpotTrace::from_minute_series(
+        "lease:" + prefix + "GPT-2", series, 8, 60.0);
     ParcaePolicyOptions popt;
     popt.lookahead = 3;
     popt.history = 4;
@@ -350,6 +301,22 @@ TEST(FleetSim, ReplaysBitForBit) {
     EXPECT_EQ(a.per_job[j].grants, b.per_job[j].grants);
     EXPECT_DOUBLE_EQ(a.per_job[j].committed_samples,
                      b.per_job[j].committed_samples);
+  }
+}
+
+TEST(FleetSim, PoolShorterThanOneIntervalRuns) {
+  // Too short to sample one interval: every job's lease is an empty
+  // series, and both regimes still run (to nothing).
+  const SpotTrace pool("blip", 8, 32, 20.0, {});
+  ASSERT_TRUE(pool.availability_series(60.0).empty());
+  FleetSimulator sim(fleet::standard_fleet(3), smoke_options());
+  for (const FleetSimResult& r : {sim.run(pool), sim.run_static(pool)}) {
+    EXPECT_EQ(r.intervals, 0);
+    ASSERT_EQ(r.per_job.size(), 3u);
+    for (const fleet::FleetJobResult& job : r.per_job) {
+      EXPECT_TRUE(job.grants.empty());
+      EXPECT_EQ(job.committed_samples, 0.0);
+    }
   }
 }
 

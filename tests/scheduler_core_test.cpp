@@ -7,6 +7,8 @@
 // the refactor must not move.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "baselines/bamboo_policy.h"
 #include "baselines/varuna_policy.h"
 #include "core/scheduler_core.h"
@@ -149,6 +151,34 @@ TEST(SchedulerCore, OracleModeReadsTheTrueFuture) {
   options.lookahead = 4;
   SchedulerCore core(gpt2_profile(), options, &trace);
   const std::vector<int> series = trace.availability_series(60.0);
+  int prev = 0;
+  for (int i = 0; i < 6; ++i) {
+    const int a = series[static_cast<std::size_t>(i)];
+    const AvailabilityObservation observed{a, std::max(0, prev - a),
+                                           std::max(0, a - prev)};
+    prev = a;
+    const SchedulerDecision d = core.step(i, observed, 60.0);
+    ASSERT_EQ(d.forecast.size(), 4u);
+    for (int h = 1; h <= 4; ++h) {
+      const std::size_t idx = std::min(series.size() - 1,
+                                       static_cast<std::size_t>(i + h));
+      EXPECT_EQ(d.forecast[static_cast<std::size_t>(h - 1)], series[idx])
+          << "interval " << i << " horizon " << h;
+    }
+  }
+}
+
+TEST(SchedulerCore, OracleMayDieAfterConstruction) {
+  // The core copies the oracle's series when it is built, so the trace
+  // may be destroyed before the first step.
+  const std::vector<int> series{12, 12, 10, 8, 14, 14, 9, 12, 12, 12};
+  SchedulerCoreOptions options = small_options();
+  options.mode = PredictionMode::kOracle;
+  options.lookahead = 4;
+  auto trace = std::make_unique<SpotTrace>(
+      SpotTrace::from_minute_series("oracle", series, 16));
+  SchedulerCore core(gpt2_profile(), options, trace.get());
+  trace.reset();
   int prev = 0;
   for (int i = 0; i < 6; ++i) {
     const int a = series[static_cast<std::size_t>(i)];

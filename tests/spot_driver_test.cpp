@@ -173,6 +173,7 @@ TEST(SpotTrainingDriver, MarketTraceEndToEnd) {
   SpotTrainingDriver driver(cluster, &ds, {});
   const SpotDriverReport report = driver.run(m.trace);
   EXPECT_EQ(report.intervals, 30);
+  EXPECT_GT(report.iterations, 0);
   EXPECT_TRUE(report.replicas_always_consistent);
 }
 

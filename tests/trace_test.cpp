@@ -35,6 +35,23 @@ TEST(SpotTrace, FromMinuteSeriesRoundTrips) {
   EXPECT_EQ(t.availability_series(60.0), series);
   EXPECT_EQ(t.initial_instances(), 5);
   EXPECT_DOUBLE_EQ(t.duration_s(), 480.0);
+
+  // Resampling at half the interval repeats each sample (a fleet lease
+  // read at a finer interval).
+  const SpotTrace lease =
+      SpotTrace::from_minute_series("lease:job0", {1, 2, 3}, 8, 60.0);
+  EXPECT_EQ(lease.capacity(), 8);
+  EXPECT_DOUBLE_EQ(lease.duration_s(), 180.0);
+  EXPECT_EQ(lease.availability_series(60.0), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(lease.availability_series(30.0),
+            (std::vector<int>{1, 1, 2, 2, 3, 3}));
+
+  // A series that ends at 0 keeps its last interval.
+  const std::vector<int> drained{4, 2, 0};
+  const SpotTrace d = SpotTrace::from_minute_series("drained", drained, 8);
+  EXPECT_EQ(d.availability_series(60.0), drained);
+  EXPECT_DOUBLE_EQ(d.duration_s(), 180.0);
+  EXPECT_EQ(d.instances_at(179.0), 0);
 }
 
 TEST(SpotTrace, StatsCountsInstancesAndEvents) {

@@ -1,8 +1,10 @@
 #include "cli.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <exception>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "rpc/obs_service.h"
@@ -15,6 +17,15 @@ namespace {
 
 // Width of the `name=form` column in the generated usage.
 constexpr std::size_t kFormColumn = 24;
+
+// Reads all of `text` as a T; false when it does not parse or any of it
+// is left over.
+template <typename T>
+bool parse_whole(std::string_view text, T& value) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  return ec == std::errc{} && ptr == end;
+}
 
 }  // namespace
 
@@ -51,6 +62,38 @@ std::string Args::get(std::string_view key, std::string_view fallback) const {
   const auto it = values_.find(key);
   return it == values_.end() ? std::string(fallback) : it->second;
 }
+
+template <typename T>
+T Args::number(std::string_view key, T fallback) const {
+  const std::string text = get(key);
+  if (!has(key)) return fallback;
+  T value{};
+  if (!parse_whole(text, value))
+    fail("bad value for '" + std::string(key) + "': '" + text + "'");
+  return value;
+}
+
+template <typename T>
+std::vector<T> Args::numbers(std::string_view key, char sep) const {
+  const std::string text = get(key);
+  std::vector<T> values;
+  if (!has(key)) return values;
+  for (std::size_t pos = 0;;) {
+    const std::size_t next = text.find(sep, pos);
+    const std::string_view part =
+        std::string_view(text).substr(pos, next - pos);
+    if (!parse_whole(part, values.emplace_back()))
+      fail("bad value for '" + std::string(key) + "': '" + text + "'");
+    if (next == std::string::npos) return values;
+    pos = next + 1;
+  }
+}
+
+template int Args::number(std::string_view, int) const;
+template std::uint64_t Args::number(std::string_view, std::uint64_t) const;
+template double Args::number(std::string_view, double) const;
+template std::vector<int> Args::numbers(std::string_view, char) const;
+template std::vector<double> Args::numbers(std::string_view, char) const;
 
 void Args::fail(const std::string& message) const {
   std::fprintf(stderr, "%s\n\n", message.c_str());
@@ -89,8 +132,7 @@ std::string env_fault_spec(std::string_view fallback) {
 
 bool arm_faults(const Args& args, std::uint64_t default_seed,
                 FaultInjector& faults) {
-  faults = FaultInjector(std::stoull(
-      args.get("faults_seed", std::to_string(default_seed))));
+  faults = FaultInjector(args.number("faults_seed", default_seed));
   std::string spec = args.get("faults");
   if (spec.empty()) spec = env_fault_spec();
   std::string error;
@@ -181,9 +223,8 @@ void write_events_jsonl(const Args& args, const EventLog& events) {
 Exporter::Exporter(const Args& args,
                    std::function<obs::MetricsSnapshot()> provider,
                    FaultInjector* faults, std::string_view what) {
-  const std::string port = args.get("export_port");
-  if (port.empty()) return;
-  transport_ = rpc::make_tcp_transport(std::stoi(port));
+  if (args.get("export_port").empty()) return;
+  transport_ = rpc::make_tcp_transport(args.number("export_port", 0));
   service_ = std::make_unique<rpc::ObsService>(std::move(provider));
   service_->set_fault_injector(faults);
   server_ = std::make_unique<rpc::RpcServer>(*transport_);

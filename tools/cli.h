@@ -56,6 +56,19 @@ class Args {
   // key the table does not declare throws std::logic_error.
   std::string get(std::string_view key, std::string_view fallback = "") const;
 
+  // The value of `key` read as a number (T is int, std::uint64_t or
+  // double), or `fallback` when the key is absent. The whole value must
+  // parse, integers in decimal; otherwise fail("bad value for '<key>':
+  // '<value>'").
+  template <typename T>
+  T number(std::string_view key, T fallback) const;
+
+  // The value of `key` split at `sep`, each part read as number() reads
+  // a whole value (replicas=8x2, replay_rps=40,60); empty when the key
+  // is absent.
+  template <typename T>
+  std::vector<T> numbers(std::string_view key, char sep) const;
+
   // Prints `message` and the usage to stderr and exits 2.
   [[noreturn]] void fail(const std::string& message) const;
 

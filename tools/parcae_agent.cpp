@@ -63,13 +63,13 @@ int main(int argc, char** argv) {
   const cli::Args args(argc, argv, kAbout, kKeys);
   if (!args.has("port") || !args.has("id"))
     args.fail("port= and id= are required");
-  const int port = std::stoi(args.get("port"));
+  const int port = args.number("port", 0);
   const std::string id = args.get("id");
   const std::string ns = args.get("ns", "parcae/");
-  const double ttl_s = std::stod(args.get("ttl", "5.0"));
-  const int heartbeat_ms = std::stoi(args.get("heartbeat_ms", "30"));
-  const double max_wall_s = std::stod(args.get("max_wall_s", "120"));
-  const double deadline_s = std::stod(args.get("deadline_s", "0.25"));
+  const double ttl_s = args.number("ttl", 5.0);
+  const int heartbeat_ms = args.number("heartbeat_ms", 30);
+  const double max_wall_s = args.number("max_wall_s", 120.0);
+  const double deadline_s = args.number("deadline_s", 0.25);
 
   auto transport = rpc::make_tcp_dial_transport(port, /*connect_timeout_s=*/1.0);
 

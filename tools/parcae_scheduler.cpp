@@ -62,17 +62,17 @@ int main(int argc, char** argv) {
 
   SchedulerProcessOptions options;
   options.wal_path = args.get("wal");
-  options.port = std::stoi(args.get("port"));
-  options.intervals = std::stoi(args.get("intervals", "16"));
-  options.interval_s = std::stod(args.get("interval_s", "2.0"));
-  options.tick_wall_ms = std::stoi(args.get("tick_ms", "100"));
-  options.seat_ttl_s = std::stod(args.get("seat_ttl", "6.0"));
-  options.takeover_after_s = std::stod(args.get("takeover_s", "0.75"));
-  options.probe_interval_ms = std::stoi(args.get("probe_ms", "50"));
-  options.requested_instances = std::stoi(args.get("agents", "4"));
+  options.port = args.number("port", 0);
+  options.intervals = args.number("intervals", 16);
+  options.interval_s = args.number("interval_s", 2.0);
+  options.tick_wall_ms = args.number("tick_ms", 100);
+  options.seat_ttl_s = args.number("seat_ttl", 6.0);
+  options.takeover_after_s = args.number("takeover_s", 0.75);
+  options.probe_interval_ms = args.number("probe_ms", 50);
+  options.requested_instances = args.number("agents", 4);
   options.kv_namespace = args.get("ns", "parcae/");
   options.name = args.get("name", role);
-  options.seed = std::stoull(args.get("seed", "123"));
+  options.seed = args.number("seed", std::uint64_t{123});
   options.report_path = args.get("report");
 
   FaultInjector faults;
