@@ -5,7 +5,8 @@
 
 #include "bench/bench_util.h"
 #include "common/table.h"
-#include "core/liveput_optimizer.h"
+#include "core/interval_dp.h"
+#include "core/objective.h"
 
 using namespace parcae;
 
@@ -23,10 +24,10 @@ int main() {
 
     // Wall-clock of one optimization at this trial count.
     const ThroughputModel tm(model, {});
-    LiveputOptimizer optimizer(
-        &tm, CostEstimator(model),
-        LiveputOptimizerOptions{
-            .interval_s = 60.0, .mc_trials = trials, .seed = 17});
+    const LiveputObjective objective(&tm);
+    IntervalDp optimizer(
+        &objective, CostEstimator(model),
+        IntervalDpOptions{.interval_s = 60.0, .mc_trials = trials, .seed = 17});
     const std::vector<int> predicted(12, 26);
     const auto t0 = std::chrono::steady_clock::now();
     optimizer.optimize(tm.best_config(27), 27, predicted);

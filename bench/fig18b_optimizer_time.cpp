@@ -7,7 +7,8 @@
 #include <cstdint>
 #include <optional>
 
-#include "core/liveput_optimizer.h"
+#include "core/interval_dp.h"
+#include "core/objective.h"
 #include "migration/cost_model.h"
 #include "model/model_profile.h"
 #include "obs/metrics.h"
@@ -20,12 +21,13 @@ namespace {
 void optimize_on_segment(benchmark::State& state, TraceSegment segment) {
   const ModelProfile model = gpt2_profile();
   const ThroughputModel tm(model, {});
+  const LiveputObjective objective(&tm);
   obs::MetricsRegistry registry;
-  LiveputOptimizer optimizer(&tm, CostEstimator(model),
-                             LiveputOptimizerOptions{.interval_s = 60.0,
-                                                     .mc_trials = 256,
-                                                     .seed = 17,
-                                                     .metrics = &registry});
+  IntervalDp optimizer(&objective, CostEstimator(model),
+                       IntervalDpOptions{.interval_s = 60.0,
+                                         .mc_trials = 256,
+                                         .seed = 17,
+                                         .metrics = &registry});
   const SpotTrace trace = canonical_segment(segment);
   const std::vector<int> series = trace.availability_series();
   const ParallelConfig current = tm.best_config(series.front());
@@ -39,7 +41,7 @@ void optimize_on_segment(benchmark::State& state, TraceSegment segment) {
       predicted.push_back(
           series[(origin + static_cast<std::size_t>(h)) % series.size()]);
     origin = (origin + 1) % series.size();
-    const LiveputPlan plan =
+    const IntervalPlan plan =
         optimizer.optimize(current, series[origin], predicted);
     benchmark::DoNotOptimize(plan.expected_value);
   }
@@ -88,13 +90,14 @@ void optimize_at_scale(benchmark::State& state, int n, int lookahead,
                        int mc_trials, bool cold, bool churn) {
   const ModelProfile model = gpt2_profile();
   const ThroughputModel tm(model, {});
+  const LiveputObjective objective(&tm);
   obs::MetricsRegistry registry;
-  LiveputOptimizerOptions options;
+  IntervalDpOptions options;
   options.interval_s = 60.0;
   options.mc_trials = mc_trials;
   options.seed = 17;
   options.metrics = &registry;
-  LiveputOptimizer optimizer(&tm, CostEstimator(model), options);
+  IntervalDp optimizer(&objective, CostEstimator(model), options);
   const ParallelConfig current = tm.best_config(n);
   std::vector<int> predicted(static_cast<std::size_t>(lookahead), n);
 
@@ -111,7 +114,7 @@ void optimize_at_scale(benchmark::State& state, int n, int lookahead,
   for (auto _ : state) {
     predicted[at] = predicted[at] == n ? n - 1 : n;
     if (cold) optimizer.invalidate();
-    const LiveputPlan plan = optimizer.optimize(current, n, predicted);
+    const IntervalPlan plan = optimizer.optimize(current, n, predicted);
     benchmark::DoNotOptimize(plan.expected_value);
   }
   state.counters["configs"] =
@@ -168,18 +171,19 @@ void BM_LiveputOptimize_N1024_React(benchmark::State& state) {
   const ParallelConfig live = tm.best_config(kN);
   const std::vector<int> steady(12, kN);
   const std::vector<int> lost_two(12, kN - 2);
-  LiveputOptimizerOptions options;
+  const LiveputObjective objective(&tm);
+  IntervalDpOptions options;
   options.mc_trials = 32;
   options.seed = 17;
-  std::optional<LiveputOptimizer> optimizer;
+  std::optional<IntervalDp> optimizer;
   double edges_priced = 0.0;
   for (auto _ : state) {
     state.PauseTiming();
-    optimizer.emplace(&tm, CostEstimator(model), options);
+    optimizer.emplace(&objective, CostEstimator(model), options);
     optimizer->optimize(live, kN, steady);
     const std::uint64_t warm_edges = optimizer->edges_priced();
     state.ResumeTiming();
-    const LiveputPlan plan = optimizer->optimize(live, kN, lost_two);
+    const IntervalPlan plan = optimizer->optimize(live, kN, lost_two);
     benchmark::DoNotOptimize(plan.expected_value);
     edges_priced +=
         static_cast<double>(optimizer->edges_priced() - warm_edges);
@@ -195,10 +199,10 @@ BENCHMARK(BM_LiveputOptimize_N1024_React)->Unit(benchmark::kMillisecond);
 void BM_FullSchedulerStep(benchmark::State& state) {
   const ModelProfile model = gpt2_profile();
   const ThroughputModel tm(model, {});
-  LiveputOptimizer optimizer(
-      &tm, CostEstimator(model),
-      LiveputOptimizerOptions{
-          .interval_s = 60.0, .mc_trials = 256, .seed = 17});
+  const LiveputObjective objective(&tm);
+  IntervalDp optimizer(
+      &objective, CostEstimator(model),
+      IntervalDpOptions{.interval_s = 60.0, .mc_trials = 256, .seed = 17});
   const std::vector<int> predicted(12, 26);
   // Alternate the observed availability so every step re-expands at
   // least the first DP column (static inputs would reuse everything

@@ -6,8 +6,9 @@
 #include <cstdio>
 
 #include "common/table.h"
+#include "core/interval_dp.h"
 #include "core/liveput.h"
-#include "core/liveput_optimizer.h"
+#include "core/objective.h"
 #include "migration/cost_model.h"
 #include "model/memory_model.h"
 #include "model/model_profile.h"
@@ -69,10 +70,12 @@ int main() {
   std::printf("%s\n", lp.to_string().c_str());
 
   // 5. A liveput-optimal plan for a predicted availability decline.
-  LiveputOptimizer optimizer(&tm, CostEstimator(model));
+  // The §7 look-ahead DP, maximizing the training objective.
+  const LiveputObjective objective(&tm);
+  IntervalDp optimizer(&objective, CostEstimator(model));
   const std::vector<int> forecast{30, 28, 26, 26, 24, 24, 26, 28, 30, 30};
-  const LiveputPlan plan = optimizer.optimize(tm.best_config(30), 30,
-                                              forecast);
+  const IntervalPlan plan = optimizer.optimize(tm.best_config(30), 30,
+                                               forecast);
   std::printf("liveput-optimal plan for forecast availability:\n");
   for (std::size_t i = 0; i < plan.configs.size(); ++i)
     std::printf("  interval %zu: N=%d -> %s\n", i, forecast[i],

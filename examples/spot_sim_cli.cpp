@@ -215,7 +215,7 @@ int main(int argc, char** argv) {
     };
     std::printf("faults:           %llu injected, %.0f unpredicted preempts\n",
                 static_cast<unsigned long long>(faults.total_fired()),
-                counter("sim.unpredicted_preempts"));
+                counter("fault.injected.sim.unpredicted_preempt"));
     std::printf("  armed points:   %s\n", faults.describe().c_str());
   }
 

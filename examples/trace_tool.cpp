@@ -26,6 +26,7 @@
 // `serve_sim_cli requests_jsonl=` (docs/serving.md): request count,
 // latency percentiles, SLO violations, and drops.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "obs/trace_merge.h"
 #include "runtime/parcae_policy.h"
 #include "runtime/wal.h"
@@ -107,6 +109,18 @@ int usage() {
                "  trace_tool wal <file.wal>\n"
                "  trace_tool requests <file.jsonl>\n");
   return 2;
+}
+
+// Positional argument `text`, named `name` in the usage, read whole as
+// a number; anything else prints "bad value for '<name>'" and exits 2.
+template <typename T>
+T number_arg(const char* text, const char* name) {
+  T value{};
+  if (!cli::parse_whole(text, value)) {
+    std::fprintf(stderr, "bad value for '%s': '%s'\n", name, text);
+    std::exit(2);
+  }
+  return value;
 }
 
 int dump_wal(const char* path) {
@@ -339,10 +353,10 @@ int main(int argc, char** argv) {
     SpotTrace trace;
     if (kind == "synthetic") {
       if (argc < 6) return usage();
-      Rng rng(argc > 6 ? std::strtoull(argv[6], nullptr, 10) : 1);
+      Rng rng(argc > 6 ? number_arg<std::uint64_t>(argv[6], "seed") : 1);
       SyntheticTraceOptions options;
-      options.preemption_events = std::atoi(argv[3]);
-      options.target_availability = std::atof(argv[4]);
+      options.preemption_events = number_arg<int>(argv[3], "events");
+      options.target_availability = number_arg<double>(argv[4], "avg");
       trace = synthesize_trace(options, rng);
       if (!save_trace(argv[5], trace)) return 1;
       print_stats(trace);
@@ -350,9 +364,9 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (kind == "market") {
-      Rng rng(argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 1);
+      Rng rng(argc > 5 ? number_arg<std::uint64_t>(argv[5], "seed") : 1);
       SpotMarketOptions options;
-      options.bid = std::atof(argv[3]);
+      options.bid = number_arg<double>(argv[3], "bid");
       const SpotMarketResult result = simulate_spot_market(options, rng);
       trace = result.trace;
       if (!save_trace(argv[4], trace)) return 1;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
-
 namespace parcae {
 
 int bamboo_table5_depth(const ModelProfile& model) {
@@ -27,9 +25,7 @@ BambooPolicy::BambooPolicy(ModelProfile model, BambooOptions options)
                     return t;
                   }()),
       depth_(options.fixed_depth > 0 ? options.fixed_depth
-                                     : bamboo_table5_depth(model_)) {
-  accountant_.set_metrics(&obs::default_registry(), "policy.Bamboo");
-}
+                                     : bamboo_table5_depth(model_)) {}
 
 void BambooPolicy::reset() {
   current_ = kIdleConfig;

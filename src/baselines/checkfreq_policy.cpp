@@ -9,7 +9,6 @@ VarunaOptions CheckFreqPolicy::checkfreq_options() {
   options.save_stall_fraction = 0.04;
   // Restores still come from object storage: a preempted instance's
   // local snapshot cache disappears with it.
-  options.metric_prefix = "policy.CheckFreq";
   return options;
 }
 

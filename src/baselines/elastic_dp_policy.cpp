@@ -2,16 +2,12 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
-
 namespace parcae {
 
 ElasticDpPolicy::ElasticDpPolicy(ModelProfile model, ElasticDpOptions options)
     : model_(std::move(model)),
       options_(options),
-      throughput_(model_, options.throughput) {
-  accountant_.set_metrics(&obs::default_registry(), "policy.ElasticDP");
-}
+      throughput_(model_, options.throughput) {}
 
 void ElasticDpPolicy::reset() {
   current_ = kIdleConfig;

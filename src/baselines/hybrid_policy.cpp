@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
 #include "runtime/pricing.h"
 
 namespace parcae {
@@ -13,9 +12,7 @@ HybridSpotPolicy::HybridSpotPolicy(ModelProfile model, HybridOptions options)
       throughput_(model_, options.throughput),
       core_depth_(options.core_depth > 0
                       ? options.core_depth
-                      : std::max(1, throughput_.min_pipeline_depth())) {
-  accountant_.set_metrics(&obs::default_registry(), "policy.HybridSpot");
-}
+                      : std::max(1, throughput_.min_pipeline_depth())) {}
 
 void HybridSpotPolicy::reset() {
   current_ = kIdleConfig;

@@ -1,6 +1,5 @@
 #include "baselines/ondemand_policy.h"
 
-#include "obs/metrics.h"
 #include "runtime/interval_accountant.h"
 
 namespace parcae {
@@ -22,7 +21,6 @@ IntervalDecision OnDemandPolicy::on_interval(int interval_index,
   const ParallelConfig config = throughput_.best_config(event.available);
   IntervalAccountant::settle(decision, config, throughput_.throughput(config),
                              0.0, interval_s);
-  obs::default_registry().counter("policy.OnDemand.intervals").inc();
   return decision;
 }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.h"
-
 namespace parcae {
 
 OobleckPolicy::OobleckPolicy(ModelProfile model, OobleckOptions options)
@@ -24,7 +22,6 @@ OobleckPolicy::OobleckPolicy(ModelProfile model, OobleckOptions options)
       if (p >= min_depth && p <= model_.partition_units)
         templates_.push_back(p);
   }
-  accountant_.set_metrics(&obs::default_registry(), "policy.Oobleck");
 }
 
 void OobleckPolicy::reset() {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.h"
 #include "runtime/pricing.h"
 
 namespace parcae {
@@ -11,9 +10,7 @@ namespace parcae {
 VarunaPolicy::VarunaPolicy(ModelProfile model, VarunaOptions options)
     : model_(std::move(model)),
       options_(options),
-      throughput_(model_, options.throughput) {
-  accountant_.set_metrics(&obs::default_registry(), options_.metric_prefix);
-}
+      throughput_(model_, options.throughput) {}
 
 void VarunaPolicy::reset() {
   current_ = kIdleConfig;

@@ -33,9 +33,6 @@ struct VarunaOptions {
   // Bytes of training state checkpointed per parameter (fp16 weights
   // + fp32 master + Adam moments).
   double checkpoint_bytes_per_param = 14.0;
-  // Prefix for the stall instruments in obs::default_registry();
-  // CheckFreq reuses this policy under its own name.
-  std::string metric_prefix = "policy.Varuna";
   ThroughputModelOptions throughput{
       NetworkModel{}, MemorySpec::varuna(), 0.5, 0.0, 1};
 };

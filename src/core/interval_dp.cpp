@@ -22,14 +22,12 @@ IntervalDp::IntervalDp(const SchedulingObjective* objective,
     : objective_(objective),
       options_(std::move(options)),
       migration_(std::move(estimator), options_.mc_trials, options_.seed) {
-  const std::string family =
-      options_.metric_prefix + objective_->traits().dp_family;
+  const std::string family = objective_->traits().dp_family;
   name_runs_ = family + ".runs";
   name_states_reused_ = family + ".states_reused";
   name_states_re_expanded_ = family + ".states_re_expanded";
   name_space_evictions_ = family + ".space_cache_evictions";
   migration_.sampler().set_metrics(options_.metrics);
-  migration_.sampler().set_metric_prefix(options_.metric_prefix);
 }
 
 void IntervalDp::invalidate() { warm_ = WarmState{}; }

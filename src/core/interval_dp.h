@@ -63,9 +63,6 @@ struct IntervalDpOptions {
   // Optional metrics sink (non-owning): DP run counters here, MC
   // sampling latency in the PreemptionSampler.
   obs::MetricsRegistry* metrics = nullptr;
-  // Prepended to every metric name (fleet jobs sharing a registry);
-  // "" keeps the historical names. Applied once at construction.
-  std::string metric_prefix = "";
 };
 
 struct IntervalPlan {
@@ -199,7 +196,7 @@ class IntervalDp {
 
   const SchedulingObjective* objective_;
   IntervalDpOptions options_;
-  // Prefixed metric names, precomputed (see options_.metric_prefix).
+  // Metric names in the objective's dp_family, precomputed.
   std::string name_runs_, name_states_reused_, name_states_re_expanded_,
       name_space_evictions_;
   MigrationExpectation migration_;

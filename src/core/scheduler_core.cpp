@@ -19,15 +19,13 @@ SchedulerCore::SchedulerCore(ModelProfile model, SchedulerCoreOptions options,
       throughput_(model_, options.throughput),
       liveput_(&throughput_),
       objective_(objective != nullptr ? objective : &liveput_),
-      names_(make_names(options.metric_prefix, objective_->traits())),
-      planner_(CostEstimator(model_), metrics_, options.metric_prefix),
+      names_(make_names(objective_->traits())),
+      planner_(CostEstimator(model_), metrics_),
       optimizer_(objective_, CostEstimator(model_),
-                 IntervalDpOptions{
-                     .interval_s = options.interval_s,
-                     .mc_trials = options.mc_trials,
-                     .seed = options.seed,
-                     .metrics = metrics_,
-                     .metric_prefix = options.metric_prefix}),
+                 IntervalDpOptions{.interval_s = options.interval_s,
+                                   .mc_trials = options.mc_trials,
+                                   .seed = options.seed,
+                                   .metrics = metrics_}),
       predictor_(make_parcae_predictor(
           static_cast<double>(options.max_instances))) {
   if (options_.mode == PredictionMode::kOracle && oracle != nullptr)
@@ -42,8 +40,8 @@ SchedulerCore::SchedulerCore(ModelProfile model, SchedulerCoreOptions options,
 }
 
 SchedulerCore::MetricNames SchedulerCore::make_names(
-    const std::string& prefix, const ObjectiveTraits& traits) {
-  const std::string family = prefix + traits.scheduler_family + ".";
+    const ObjectiveTraits& traits) {
+  const std::string family = std::string(traits.scheduler_family) + ".";
   // One allocation per name (family + leaf would copy, then grow).
   const auto s = [&family](std::string_view leaf) {
     std::string name;
@@ -63,9 +61,6 @@ SchedulerCore::MetricNames SchedulerCore::make_names(
           s("reoptimizations"),
           s(traits.plan_value),
           s("step"),
-          prefix + "plan-migration",
-          prefix + "predict",
-          prefix + "optimize",
           s("events_enqueued"),
           s("events_coalesced"),
           s("event_reoptimizations"),
@@ -269,7 +264,7 @@ SchedulerDecision SchedulerCore::step(int interval_index,
   const ClusterSnapshot snapshot = observe_damage(observed, prev_available_);
   MigrationPlan plan;
   {
-    obs::ProfileSpan plan_span(names_.span_plan_migration, metrics_,
+    obs::ProfileSpan plan_span("plan-migration", metrics_,
                                options_.tracer, "scheduler");
     plan = planner_.plan(snapshot, adapted);
   }
@@ -340,13 +335,13 @@ SchedulerDecision SchedulerCore::step(int interval_index,
                               options_.tracer, "scheduler");
       std::vector<double> load_forecast;
       {
-        obs::ProfileSpan predict_span(names_.span_predict, metrics_,
+        obs::ProfileSpan predict_span("predict", metrics_,
                                       options_.tracer, "scheduler");
         decision.forecast = predict(interval_index);
         load_forecast =
             objective_->forecast_load(interval_index, options_.lookahead);
       }
-      obs::ProfileSpan optimize_span(names_.span_optimize, metrics_,
+      obs::ProfileSpan optimize_span("optimize", metrics_,
                                      options_.tracer, "scheduler");
       const IntervalPlan next = optimizer_.optimize(
           current_, available, decision.forecast, load_forecast);

@@ -107,14 +107,6 @@ struct SchedulerCoreOptions {
   // Chrome trace events.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceWriter* tracer = nullptr;
-  // Prepended to every metric and span name this core (and its
-  // optimizer/planner/sampler) records — "job3." turns
-  // "scheduler.intervals" into "job3.scheduler.intervals", so N cores
-  // sharing one registry (a fleet) never collide. The default empty
-  // prefix keeps every historical name bit-identical. Names are
-  // precomputed at construction; a non-empty prefix adds no per-step
-  // allocation.
-  std::string metric_prefix;
   // kStatic: the fixed provisioning.
   ParallelConfig static_config = kIdleConfig;
 };
@@ -207,18 +199,17 @@ class SchedulerCore {
   int min_depth() const;
   int max_depth() const;
 
-  // Metric/span names with options_.metric_prefix and the objective's
-  // families applied, built once at construction so the hot path never
-  // concatenates.
+  // Metric/span names in the objective's family ("scheduler" or
+  // "serve.scheduler"), built once at construction so the hot path
+  // never concatenates.
   struct MetricNames {
     std::string intervals, available, preemptions_seen, allocations_seen,
         hysteresis_suppressions, config_changes, migrations_planned,
         migration_stall_s, drain_s, reoptimizations, plan_value, span_step,
-        span_plan_migration, span_predict, span_optimize, events_enqueued,
-        events_coalesced, event_reoptimizations, span_event_latency;
+        events_enqueued, events_coalesced, event_reoptimizations,
+        span_event_latency;
   };
-  static MetricNames make_names(const std::string& prefix,
-                                const ObjectiveTraits& traits);
+  static MetricNames make_names(const ObjectiveTraits& traits);
 
   ModelProfile model_;
   SchedulerCoreOptions options_;

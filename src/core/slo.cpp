@@ -201,8 +201,8 @@ std::vector<SloAlert> SloEngine::evaluate(int interval, double time_s) {
     // delivery is dropped from every sink.
     if (faults_ != nullptr && faults_->should_fire("obs.alert")) {
       ++suppressed_;
-      if (alert_metrics_ != nullptr)
-        alert_metrics_->counter("obs.alerts_suppressed").inc();
+      if (metrics_ != nullptr)
+        metrics_->counter("obs.alerts_suppressed").inc();
       continue;
     }
 
@@ -213,9 +213,9 @@ std::vector<SloAlert> SloEngine::evaluate(int interval, double time_s) {
     alert.metric = state.rule.metric;
     alert.value = value;
     alert.threshold = state.rule.threshold;
-    if (alert_metrics_ != nullptr) {
-      alert_metrics_->counter("obs.alerts_fired").inc();
-      alert_metrics_->counter("obs.alerts_fired." + state.rule.name).inc();
+    if (metrics_ != nullptr) {
+      metrics_->counter("obs.alerts_fired").inc();
+      metrics_->counter("obs.alerts_fired." + state.rule.name).inc();
     }
     if (events_ != nullptr) {
       char value_text[40], threshold_text[40];

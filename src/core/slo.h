@@ -89,14 +89,14 @@ class SloEngine {
   // interval), serve-queue-growth (admission queues >32 deep, 3
   // intervals), serve-drops (any admission drop), serve-goodput-drop
   // (series column "goodput_rps" falls >50% from its trailing max,
-  // 2 intervals). Prefix-aware sims should pass explicit specs.
+  // 2 intervals).
   static std::vector<SloRule> default_serving_rules();
 
   // Observation sources and sinks, all non-owning and optional;
-  // absent sources make their rules evaluate as not-breached.
-  void set_metrics(const obs::MetricsRegistry* metrics) {
-    metrics_ = metrics;
-  }
+  // absent sources make their rules evaluate as not-breached. Rules
+  // read counters and gauges from `metrics`, and alert delivery counts
+  // into it (obs.alerts_fired[.rule], obs.alerts_suppressed).
+  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
   // A snapshot source overriding the live registry for counter/gauge
   // rules — how the fleet evaluates rules against FleetAggregator
   // rollups ("fleet.*" names that exist in no registry). Non-owning;
@@ -108,10 +108,6 @@ class SloEngine {
     series_ = series;
   }
   void set_event_log(EventLog* events) { events_ = events; }
-  // Alert-delivery counters (obs.alerts_fired[.rule], _suppressed).
-  void set_alert_metrics(obs::MetricsRegistry* metrics) {
-    alert_metrics_ = metrics;
-  }
   // Arms the "obs.alert" suppression point.
   void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
 
@@ -150,11 +146,10 @@ class SloEngine {
   std::vector<RuleState> rules_;
   std::vector<SloAlert> alerts_;
   std::uint64_t suppressed_ = 0;
-  const obs::MetricsRegistry* metrics_ = nullptr;
+  obs::MetricsRegistry* metrics_ = nullptr;
   const obs::MetricsSnapshot* snapshot_ = nullptr;
   const obs::TimeSeriesRecorder* series_ = nullptr;
   EventLog* events_ = nullptr;
-  obs::MetricsRegistry* alert_metrics_ = nullptr;
   FaultInjector* faults_ = nullptr;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "common/table.h"
 #include "core/slo.h"
@@ -206,12 +207,16 @@ FleetSimResult FleetSimulator::integrate(
     }
   }
 
-  // One full Parcae stack per job over its lease.
-  const double duration_s = pool_trace.duration_s();
+  // One full Parcae stack per job over its lease, recording through a
+  // "job<j>." view of the shared registry.
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
     const FleetJobSpec& job = jobs_[j];
     const std::string prefix = "job" + std::to_string(job.job_id) + ".";
     const ModelProfile profile = model_by_name(job.model);
+    std::optional<obs::MetricsRegistry> job_metrics;
+    if (options_.metrics != nullptr)
+      job_metrics.emplace(*options_.metrics, prefix);
+    obs::MetricsRegistry* metrics = job_metrics ? &*job_metrics : nullptr;
 
     const SpotTrace lease = SpotTrace::from_minute_series(
         "lease:" + prefix + job.model, grant_series[j], options_.capacity,
@@ -225,8 +230,7 @@ FleetSimResult FleetSimulator::integrate(
     policy_options.seed = fleet_job_seed(options_.fleet_seed, job.job_id);
     policy_options.interval_s = options_.interval_s;
     policy_options.max_instances = options_.capacity;
-    policy_options.metrics = options_.metrics;
-    policy_options.metric_prefix = prefix;
+    policy_options.metrics = metrics;
     policy_options.event_driven = options_.event_driven;
     policy_options.debounce_ms = options_.debounce_ms;
     ParcaePolicy policy(profile, policy_options, &lease);
@@ -234,8 +238,7 @@ FleetSimResult FleetSimulator::integrate(
     SimulationOptions sim_options;
     sim_options.interval_s = options_.interval_s;
     sim_options.record_timeline = false;
-    sim_options.metrics = options_.metrics;
-    sim_options.metric_prefix = prefix;
+    sim_options.metrics = metrics;
     const SimulationResult sim = simulate(policy, lease, sim_options);
 
     FleetJobResult job_result;
@@ -246,9 +249,9 @@ FleetSimResult FleetSimulator::integrate(
     job_result.committed_samples = sim.committed_samples;
     const double reference =
         reference_throughput(profile, options_.capacity);
-    if (reference > 0.0 && duration_s > 0.0)
+    if (reference > 0.0 && sim.duration_s > 0.0)
       job_result.normalized_liveput =
-          sim.committed_samples / duration_s / reference;
+          sim.committed_samples / sim.duration_s / reference;
     double grant_sum = 0.0;
     for (const int g : grant_series[j]) grant_sum += g;
     job_result.mean_grant =
@@ -258,8 +261,8 @@ FleetSimResult FleetSimulator::integrate(
     result.weighted_liveput += job.weight * job_result.normalized_liveput;
     result.per_job.push_back(std::move(job_result));
 
-    if (options_.metrics != nullptr)
-      options_.metrics->gauge(prefix + "fleet.normalized_liveput")
+    if (metrics != nullptr)
+      metrics->gauge("fleet.normalized_liveput")
           .set(result.per_job.back().normalized_liveput);
   }
   if (options_.metrics != nullptr) {

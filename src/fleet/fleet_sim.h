@@ -24,8 +24,10 @@
 // Determinism: job j's scheduler seed is fleet_job_seed(fleet_seed, j)
 // (the FaultInjector forking scheme), so a fleet run replays
 // bit-for-bit and adding a job never perturbs the streams of the
-// others. Per-job metrics land in a shared registry under the
-// "job<j>." prefix; arbiter decisions under "fleet.*".
+// others. Each job records through a "job<j>." view of the shared
+// registry (obs::MetricsRegistry's prefixing view), so its
+// instruments keep their fixed names; arbiter decisions land under
+// "fleet.*".
 #pragma once
 
 #include <cstdint>
@@ -107,8 +109,9 @@ struct FleetJobResult {
   // Instances granted per interval (the job's lease series).
   std::vector<int> grants;
   double committed_samples = 0.0;
-  // Liveput normalized by the job's throughput at pool capacity (the
-  // value-table currency) — comparable across models.
+  // Committed samples per second of the intervals run, normalized by
+  // the job's throughput at pool capacity (the value-table currency) —
+  // comparable across models. 0 when no whole interval ran.
   double normalized_liveput = 0.0;
   double mean_grant = 0.0;
 };

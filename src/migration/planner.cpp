@@ -43,11 +43,12 @@ MigrationPlan MigrationPlanner::plan(const ClusterSnapshot& snapshot,
                                      ParallelConfig target) const {
   MigrationPlan result = plan_impl(snapshot, target);
   if (metrics_) {
-    metrics_->counter(name_plans_).inc();
-    metrics_->counter(name_plans_dot_ + migration_kind_name(result.kind))
+    metrics_->counter("planner.plans").inc();
+    metrics_->counter(std::string("planner.plans.") +
+                      migration_kind_name(result.kind))
         .inc();
     if (result.kind != MigrationKind::kNone)
-      metrics_->histogram(name_stall_).observe(result.stall_s());
+      metrics_->histogram("planner.stall_estimate_s").observe(result.stall_s());
   }
   return result;
 }

@@ -63,17 +63,10 @@ class MigrationPlanner {
  public:
   // `metrics`, when given, receives per-kind plan counters
   // ("planner.plans.<kind>") and the histogram of estimated stalls
-  // ("planner.stall_estimate_s"). `metric_prefix` is prepended to
-  // every name (fleet jobs sharing one registry); "" keeps the
-  // historical names.
+  // ("planner.stall_estimate_s").
   explicit MigrationPlanner(CostEstimator estimator,
-                            obs::MetricsRegistry* metrics = nullptr,
-                            const std::string& metric_prefix = "")
-      : estimator_(std::move(estimator)),
-        metrics_(metrics),
-        name_plans_(metric_prefix + "planner.plans"),
-        name_plans_dot_(metric_prefix + "planner.plans."),
-        name_stall_(metric_prefix + "planner.stall_estimate_s") {}
+                            obs::MetricsRegistry* metrics = nullptr)
+      : estimator_(std::move(estimator)), metrics_(metrics) {}
 
   // Plans the transition from `snapshot` to `target`. `target` must
   // satisfy target.instances() <= snapshot.alive_total(); callers
@@ -90,8 +83,6 @@ class MigrationPlanner {
 
   CostEstimator estimator_;
   obs::MetricsRegistry* metrics_ = nullptr;
-  // Prefixed metric names, precomputed at construction.
-  std::string name_plans_, name_plans_dot_, name_stall_;
 };
 
 // The §8 parallelization-adaptation step: adjusts a desired target to

@@ -50,19 +50,13 @@ const PreemptionSummary& PreemptionSampler::summarize(ParallelConfig config,
   const auto key = std::make_tuple(config.dp, config.pp, idle, k);
   auto it = cache_.find(key);
   if (it == cache_.end()) {
-    obs::ProfileSpan span(name_span_, metrics_);
+    obs::ProfileSpan span("mc_sampler.sample", metrics_);
     it = cache_.emplace(key, compute(config, idle, k)).first;
-    if (metrics_) metrics_->counter(name_samples_).inc();
+    if (metrics_) metrics_->counter("mc_sampler.samples").inc();
   } else if (metrics_) {
-    metrics_->counter(name_cache_hits_).inc();
+    metrics_->counter("mc_sampler.cache_hits").inc();
   }
   return it->second;
-}
-
-void PreemptionSampler::set_metric_prefix(const std::string& prefix) {
-  name_span_ = prefix + "mc_sampler.sample";
-  name_samples_ = prefix + "mc_sampler.samples";
-  name_cache_hits_ = prefix + "mc_sampler.cache_hits";
 }
 
 PreemptionSummary PreemptionSampler::compute(ParallelConfig config, int idle,

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <tuple>
 #include <vector>
 
@@ -97,20 +96,12 @@ class PreemptionSampler {
   // step), hits/misses in counters.
   void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
 
-  // Prepends `prefix` to every metric name (fleet jobs sharing one
-  // registry); "" keeps the historical names.
-  void set_metric_prefix(const std::string& prefix);
-
  private:
   PreemptionSummary compute(ParallelConfig config, int idle, int k);
 
   Rng rng_;
   int trials_;
   obs::MetricsRegistry* metrics_ = nullptr;
-  // Prefixed metric names, precomputed by set_metric_prefix.
-  std::string name_span_ = "mc_sampler.sample";
-  std::string name_samples_ = "mc_sampler.samples";
-  std::string name_cache_hits_ = "mc_sampler.cache_hits";
   // Reused across compute() calls: no per-summary heap allocation
   // once the histograms reach their steady-state capacity.
   PreemptionBatchScratch batch_;

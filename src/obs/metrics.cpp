@@ -289,7 +289,18 @@ std::string MetricsSnapshot::to_json() const {
   return out;
 }
 
+MetricsRegistry::MetricsRegistry(MetricsRegistry& parent, std::string prefix)
+    : parent_(&parent), prefix_(std::move(prefix)) {}
+
+std::string MetricsRegistry::prefixed(std::string_view name) const {
+  std::string full;
+  full.reserve(prefix_.size() + name.size());
+  full.append(prefix_).append(name);
+  return full;
+}
+
 Counter& MetricsRegistry::counter(std::string_view name) {
+  if (parent_ != nullptr) return parent_->counter(prefixed(name));
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = counters_.find(name);
   if (it != counters_.end()) return it->second;
@@ -297,6 +308,7 @@ Counter& MetricsRegistry::counter(std::string_view name) {
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
+  if (parent_ != nullptr) return parent_->gauge(prefixed(name));
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = gauges_.find(name);
   if (it != gauges_.end()) return it->second;
@@ -304,6 +316,7 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name) {
+  if (parent_ != nullptr) return parent_->histogram(prefixed(name));
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = histograms_.find(name);
   if (it != histograms_.end()) return it->second;
@@ -311,18 +324,21 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
 }
 
 double MetricsRegistry::counter_value(std::string_view name) const {
+  if (parent_ != nullptr) return parent_->counter_value(prefixed(name));
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = counters_.find(name);
   return it == counters_.end() ? 0.0 : it->second.value();
 }
 
 double MetricsRegistry::gauge_value(std::string_view name) const {
+  if (parent_ != nullptr) return parent_->gauge_value(prefixed(name));
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = gauges_.find(name);
   return it == gauges_.end() ? 0.0 : it->second.value();
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
+  if (parent_ != nullptr) return parent_->snapshot();
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap;
   for (const auto& [name, c] : counters_) snap.counters[name] = c.value();
@@ -332,15 +348,11 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 }
 
 void MetricsRegistry::clear() {
+  if (parent_ != nullptr) return parent_->clear();
   std::lock_guard<std::mutex> lock(mu_);
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
-}
-
-MetricsRegistry& default_registry() {
-  static MetricsRegistry registry;
-  return registry;
 }
 
 }  // namespace parcae::obs

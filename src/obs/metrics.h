@@ -11,11 +11,13 @@
 // a batch of observations (a span of values) takes the lock once.
 // Cheap enough to leave compiled in and enabled by default.
 //
-// There is one process-wide default_registry() for code without an
-// injected registry (the baselines' stall accounting); SchedulerCore
-// and the CLI tools use per-run instances so concurrent runs do not
-// mix. Recording only *observes* — it never feeds back into
-// decisions, so golden outputs are bit-identical with metrics on.
+// Every registry belongs to a run: SchedulerCore, the simulators and
+// the CLI tools record into the one they are handed (or one they own),
+// so concurrent runs do not mix, and every recording site uses one
+// fixed name. Runs sharing a registry (a fleet's jobs) each get a
+// prefixing view of it. Recording only *observes* — it never feeds
+// back into decisions, so golden outputs are bit-identical with
+// metrics on.
 #pragma once
 
 #include <array>
@@ -176,6 +178,11 @@ struct MetricsSnapshot {
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
+  // A view of `parent` (which must outlive it) that owns no
+  // instruments: every lookup goes to the parent under `prefix` + name,
+  // and snapshot() and clear() are the parent's. A fleet hands each job
+  // a "job<j>." view of its shared registry, so jobs never collide.
+  MetricsRegistry(MetricsRegistry& parent, std::string prefix);
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -192,13 +199,14 @@ class MetricsRegistry {
   void clear();
 
  private:
+  std::string prefixed(std::string_view name) const;
+
+  MetricsRegistry* parent_ = nullptr;  // non-null for a view
+  std::string prefix_;
   mutable std::mutex mu_;
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;
 };
-
-// The process-wide registry used when no per-run instance is injected.
-MetricsRegistry& default_registry();
 
 }  // namespace parcae::obs

@@ -31,8 +31,9 @@
 #include "predict/predictor.h"             // IWYU pragma: export
 
 // Migration and the liveput core.
+#include "core/interval_dp.h"              // IWYU pragma: export
 #include "core/liveput.h"                  // IWYU pragma: export
-#include "core/liveput_optimizer.h"        // IWYU pragma: export
+#include "core/objective.h"                // IWYU pragma: export
 #include "core/scheduler_core.h"           // IWYU pragma: export
 #include "core/telemetry.h"                // IWYU pragma: export
 #include "migration/cost_model.h"          // IWYU pragma: export

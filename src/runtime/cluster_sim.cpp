@@ -16,28 +16,19 @@ SimulationResult simulate(SpotTrainingPolicy& policy, const SpotTrace& trace,
   SimulationResult result;
   result.policy = policy.name();
   result.trace = trace.name();
-  result.duration_s = trace.duration_s();
 
   obs::MetricsRegistry local_metrics;
   obs::MetricsRegistry* metrics =
       options.metrics != nullptr ? options.metrics : &local_metrics;
   obs::TraceWriter* tracer = options.tracer;
   obs::TimeSeriesRecorder* series_out = options.timeseries;
-  const std::string& mp = options.metric_prefix;
 
   policy.reset();
 
   const std::vector<int> series =
       trace.availability_series(options.interval_s);
-  // Metric names with the prefix applied, built once per run.
-  const std::string n_unpredicted = mp + "sim.unpredicted_preempts";
-  const std::string n_span = mp + "execute-interval";
-  const std::string n_intervals = mp + "sim.intervals";
-  const std::string n_preemptions = mp + "sim.preemptions";
-  const std::string n_allocations = mp + "sim.allocations";
-  const std::string n_stall = mp + "sim.stall_s";
-  const std::string n_liveput = mp + "scheduler.liveput_expected_samples";
   const double T = options.interval_s;
+  result.duration_s = static_cast<double>(series.size()) * T;
   const double gpu_price_per_s =
       options.instances_are_ondemand
           ? options.pricing.ondemand_gpu_usd_per_second()
@@ -47,41 +38,26 @@ SimulationResult simulate(SpotTrainingPolicy& policy, const SpotTrace& trace,
   if (options.slo != nullptr) {
     options.slo->set_metrics(metrics);
     options.slo->set_timeseries(series_out);
-    options.slo->set_alert_metrics(metrics);
     options.slo->set_fault_injector(options.faults);
   }
 
   double committed = 0.0;
-  int prev_available = series.empty() ? 0 : series.front();
+  AvailabilityEvent event;
 
   for (std::size_t i = 0; i < series.size(); ++i) {
-    int avail = series[i];
-    if (options.faults != nullptr) {
-      options.faults->set_interval(static_cast<int>(i));
-      // An unpredicted preemption: one instance beyond the trace
-      // disappears at this boundary, blind-siding the forecaster.
-      if (avail > 0 &&
-          options.faults->should_fire("sim.unpredicted_preempt")) {
-        --avail;
-        metrics->counter(n_unpredicted).inc();
-      }
-    }
-    AvailabilityEvent event;
-    event.available = avail;
-    event.preempted = std::max(0, prev_available - avail);
-    event.allocated = std::max(0, avail - prev_available);
-    prev_available = avail;
+    event = observe_interval(series, i, event, options.faults);
 
     IntervalDecision d;
     {
-      obs::ProfileSpan interval_span(n_span, metrics, tracer, "sim");
+      obs::ProfileSpan interval_span("execute-interval", metrics, tracer,
+                                     "sim");
       d = policy.on_interval(static_cast<int>(i), event, T);
     }
-    metrics->counter(n_intervals).inc();
+    metrics->counter("sim.intervals").inc();
     if (event.preempted > 0)
-      metrics->counter(n_preemptions).add(event.preempted);
+      metrics->counter("sim.preemptions").add(event.preempted);
     if (event.allocated > 0)
-      metrics->counter(n_allocations).add(event.allocated);
+      metrics->counter("sim.allocations").add(event.allocated);
 
     // Clamp to physical limits.
     d.stall_s = std::clamp(d.stall_s, 0.0, T);
@@ -128,7 +104,7 @@ SimulationResult simulate(SpotTrainingPolicy& policy, const SpotTrace& trace,
       rec.note = d.note;
       result.timeline.push_back(std::move(rec));
     }
-    metrics->counter(n_stall).add(d.stall_s);
+    metrics->counter("sim.stall_s").add(d.stall_s);
     if (tracer != nullptr) {
       tracer->counter("available", static_cast<double>(event.available));
       tracer->counter("live_instances",
@@ -142,8 +118,9 @@ SimulationResult simulate(SpotTrainingPolicy& policy, const SpotTrace& trace,
       series_out->set("live_instances", d.config.instances());
       // Populated only when the policy's SchedulerCore shares the
       // injected registry; 0 otherwise (the query never creates it).
-      series_out->set("liveput_expected_samples",
-                      metrics->gauge_value(n_liveput));
+      series_out->set(
+          "liveput_expected_samples",
+          metrics->gauge_value("scheduler.liveput_expected_samples"));
       series_out->set("throughput",
                       (d.samples_committed - d.samples_lost) / T);
       series_out->set("stall_s", d.stall_s);
@@ -171,8 +148,8 @@ SimulationResult simulate(SpotTrainingPolicy& policy, const SpotTrace& trace,
       result.committed_units > 0.0
           ? result.total_cost_usd / result.committed_units
           : std::numeric_limits<double>::infinity();
-  metrics->gauge(mp + "sim.committed_samples").set(result.committed_samples);
-  metrics->gauge(mp + "sim.total_cost_usd").set(result.total_cost_usd);
+  metrics->gauge("sim.committed_samples").set(result.committed_samples);
+  metrics->gauge("sim.total_cost_usd").set(result.total_cost_usd);
   result.metrics = metrics->snapshot();
   return result;
 }

@@ -89,7 +89,7 @@ struct IntervalRecord {
 struct SimulationResult {
   std::string policy;
   std::string trace;
-  double duration_s = 0.0;
+  double duration_s = 0.0;  // intervals run x interval_s
   double committed_samples = 0.0;
   double committed_units = 0.0;     // tokens or images
   double avg_sample_throughput = 0.0;
@@ -122,24 +122,19 @@ struct SimulationOptions {
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceWriter* tracer = nullptr;
   obs::TimeSeriesRecorder* timeseries = nullptr;
-  // Fault injection (non-owning, optional). Each interval where the
-  // "sim.unpredicted_preempt" point fires, one instance vanishes
-  // beyond what the trace says — a preemption no forecaster saw
-  // coming. The injector is rewired to the run's registry so its
-  // fault.* counters land in the result snapshot.
+  // Fault injection (non-owning, optional). The trace is observed
+  // through observe_interval (trace/spot_trace.h), so each interval
+  // where the "sim.unpredicted_preempt" point fires, one instance
+  // vanishes beyond what the trace says. The injector is rewired to
+  // the run's registry so its fault.* counters land in the result
+  // snapshot.
   FaultInjector* faults = nullptr;
   // SLO rule engine (non-owning, optional). simulate() points it at
   // the run's registry, time series, and fault injector, then
   // evaluates every rule at the end of each interval (after the
-  // series row is recorded), so alerts carry the interval they fired
-  // in. With a metric_prefix, rules naming counters/gauges must use
-  // the prefixed names; series columns are unprefixed.
+  // series row is recorded), stamped with the interval's start, so
+  // alerts carry the interval they fired in.
   SloEngine* slo = nullptr;
-  // Prepended to every sim.* metric name and to the scheduler gauge
-  // the time-series recorder reads — set it to the same per-job prefix
-  // as the policy's SchedulerCoreOptions::metric_prefix when many
-  // simulations share a registry. "" keeps the historical names.
-  std::string metric_prefix;
 };
 
 // Runs `policy` over the instances `trace` makes available and returns

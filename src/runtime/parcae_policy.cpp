@@ -11,7 +11,7 @@ ParcaePolicy::ParcaePolicy(ModelProfile model, ParcaePolicyOptions options,
                            const SpotTrace* oracle)
     : options_(options), core_(std::move(model), options, oracle) {
   accountant_.set_metrics(&core_.metrics(),
-                          options_.metric_prefix + "policy." + name());
+                          std::string("policy.").append(name()));
 }
 
 std::string ParcaePolicy::name() const {
@@ -69,11 +69,9 @@ IntervalDecision ParcaePolicy::on_interval(int interval_index,
 
   if (advice.plan.kind != MigrationKind::kNone &&
       advice.plan.kind != MigrationKind::kSuspend) {
+    core_.metrics().counter("scheduler.migrations_executed").inc();
     core_.metrics()
-        .counter(options_.metric_prefix + "scheduler.migrations_executed")
-        .inc();
-    core_.metrics()
-        .counter(options_.metric_prefix + "scheduler.migrations_executed." +
+        .counter(std::string("scheduler.migrations_executed.") +
                  migration_kind_name(advice.plan.kind))
         .inc();
   }

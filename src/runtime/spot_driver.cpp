@@ -57,7 +57,6 @@ SpotTrainingDriver::SpotTrainingDriver(TrainingClusterOptions cluster_options,
   if (options_.slo != nullptr) {
     options_.slo->set_metrics(&core_.metrics());
     options_.slo->set_event_log(&core_.event_log());
-    options_.slo->set_alert_metrics(&core_.metrics());
     options_.slo->set_fault_injector(options_.faults);
   }
 }
@@ -116,7 +115,7 @@ SpotDriverReport SpotTrainingDriver::run(const SpotTrace& trace) {
 
   TraceCloudProvider cloud(trace, options_.seed ^ 0x9e1ull);
   const auto intervals =
-      static_cast<int>(trace.duration_s() / options_.interval_s + 0.5);
+      static_cast<int>(trace.interval_count(options_.interval_s));
 
   cloud.request_instances(options_.requested_instances);
   // Cloud instance id -> cluster agent id.

@@ -123,8 +123,8 @@ class SpotTrainingDriver {
   const ModelProfile& profile() const { return profile_; }
 
  private:
-  // A ModelProfile describing the actual MLP, so ThroughputModel /
-  // LiveputOptimizer reason about the real workload. Calibrated to
+  // A ModelProfile describing the actual MLP, so ThroughputModel and
+  // the liveput DP reason about the real workload. Calibrated to
   // "seconds per iteration" scale; only relative throughputs matter
   // for configuration choice.
   ModelProfile derive_profile() const;

@@ -47,7 +47,7 @@ std::string slot_name(const ParcaeAgent& agent) {
 TrainingCluster::TrainingCluster(TrainingClusterOptions options,
                                  const nn::Dataset* dataset)
     : options_(std::move(options)),
-      agent_key_prefix_(options_.kv_namespace + "agent/"),
+      agent_key_prefix_("agent/"),
       dataset_(dataset),
       samples_(options_.epoch_size, options_.seed ^ 0x5511ull),
       rng_(options_.seed ^ 0xc1u) {
@@ -361,7 +361,7 @@ std::vector<TrainingCluster::StageState> TrainingCluster::collect_stage_states(
 }
 
 void TrainingCluster::publish_assignments() {
-  kv_put_retried(options_.kv_namespace + "cluster/config",
+  kv_put_retried("cluster/config",
                  config_.valid() ? config_.to_string() : "suspended");
   for (const auto& agent : agents_) {
     if (!agent.alive) continue;

@@ -100,11 +100,6 @@ struct TrainingClusterOptions {
   // Per-call response deadline for the RpcClient (only throttles tcp
   // waits; inproc delivery is synchronous).
   double rpc_deadline_s = 0.25;
-  // Prefix for the cluster's KvStore coordination keys ("agent/<id>"
-  // becomes "<kv_namespace>agent/<id>") so many clusters can share one
-  // store without colliding (a fleet of jobs: "job3/"). The default
-  // empty namespace keeps the historical keys bit-identical.
-  std::string kv_namespace;
   // Transport-level resend schedule (same-correlation-id retries on
   // dropped/timed-out frames). Deeper than the application `retry`
   // budget so a single logical call survives an rpc.drop chaos run.
@@ -181,8 +176,8 @@ class TrainingCluster {
   std::vector<float> assembled_parameters() const;
   SampleManager& samples() { return samples_; }
   KvStore& kv() { return kv_; }
-  // The namespaced "agent/" key prefix this cluster registers agents
-  // under — the prefix drivers must watch/list/get through.
+  // The "agent/" key prefix this cluster registers agents under — the
+  // prefix drivers must watch/list/get through.
   const std::string& agent_key_prefix() const { return agent_key_prefix_; }
   const std::vector<ParcaeAgent>& agents() const { return agents_; }
   long long rollbacks() const { return rollbacks_; }

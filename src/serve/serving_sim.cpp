@@ -52,22 +52,20 @@ ServingSimResult simulate_serving(ServingScheduler& scheduler,
   obs::MetricsRegistry local_metrics;
   obs::MetricsRegistry* metrics =
       options.metrics != nullptr ? options.metrics : &local_metrics;
-  const std::string& prefix = options.metric_prefix;
-  auto& c_requests = metrics->counter(prefix + "serve.requests");
-  auto& c_served = metrics->counter(prefix + "serve.served");
-  auto& c_violations = metrics->counter(prefix + "serve.slo_violations");
-  auto& c_dropped = metrics->counter(prefix + "serve.dropped");
-  auto& g_goodput = metrics->gauge(prefix + "serve.goodput");
-  auto& g_p99 = metrics->gauge(prefix + "serve.p99_latency_ms");
-  auto& g_queue = metrics->gauge(prefix + "serve.queue_depth");
-  auto& g_replicas = metrics->gauge(prefix + "serve.replicas");
-  auto& h_latency = metrics->histogram(prefix + "serve.latency_ms");
+  auto& c_requests = metrics->counter("serve.requests");
+  auto& c_served = metrics->counter("serve.served");
+  auto& c_violations = metrics->counter("serve.slo_violations");
+  auto& c_dropped = metrics->counter("serve.dropped");
+  auto& g_goodput = metrics->gauge("serve.goodput");
+  auto& g_p99 = metrics->gauge("serve.p99_latency_ms");
+  auto& g_queue = metrics->gauge("serve.queue_depth");
+  auto& g_replicas = metrics->gauge("serve.replicas");
+  auto& h_latency = metrics->histogram("serve.latency_ms");
 
   if (options.faults != nullptr) options.faults->set_metrics(metrics);
   if (options.slo != nullptr) {
     options.slo->set_metrics(metrics);
     options.slo->set_timeseries(options.timeseries);
-    options.slo->set_alert_metrics(metrics);
     options.slo->set_fault_injector(options.faults);
   }
 
@@ -83,7 +81,7 @@ ServingSimResult simulate_serving(ServingScheduler& scheduler,
 
   std::vector<Replica> replicas;
   ParallelConfig running = kIdleConfig;
-  int prev_avail = 0;
+  AvailabilityObservation observed;
   std::uint64_t rr = 0;  // round-robin admission cursor
 
   std::vector<double> offsets;          // reused arrival buffer
@@ -98,18 +96,9 @@ ServingSimResult simulate_serving(ServingScheduler& scheduler,
   for (int i = 0; i < I; ++i) {
     const double t0 = i * T;
     const double t_end = t0 + T;
-    int avail = std::max(0, series[static_cast<std::size_t>(i)]);
-    if (options.faults != nullptr) {
-      options.faults->set_interval(i);
-      if (options.faults->should_fire("sim.unpredicted_preempt"))
-        avail = std::max(0, avail - 1);
-    }
-
-    AvailabilityObservation observed;
-    observed.available = avail;
-    observed.preempted = std::max(0, prev_avail - avail);
-    observed.allocated = std::max(0, avail - prev_avail);
-    prev_avail = avail;
+    observed = observe_interval(series, static_cast<std::size_t>(i),
+                                observed, options.faults);
+    const int avail = observed.available;
 
     const SchedulerDecision decision = scheduler.step(i, observed, T);
     const ParallelConfig config = decision.config;
@@ -278,7 +267,7 @@ ServingSimResult simulate_serving(ServingScheduler& scheduler,
 
     if (options.timeseries != nullptr) {
       options.timeseries->begin_row();
-      options.timeseries->set("time_s", t0);
+      options.timeseries->set("t_s", t0);
       options.timeseries->set("available", avail);
       options.timeseries->set("replicas", D);
       options.timeseries->set("pipeline_depth", config.valid() ? config.pp : 0);
@@ -289,7 +278,7 @@ ServingSimResult simulate_serving(ServingScheduler& scheduler,
       options.timeseries->set("dropped", static_cast<double>(dropped_i));
       options.timeseries->set("stall_s", decision.stall_s);
     }
-    if (options.slo != nullptr) options.slo->evaluate(i, t_end);
+    if (options.slo != nullptr) options.slo->evaluate(i, t0);
 
     if (options.record_timeline) {
       ServingIntervalRecord rec;

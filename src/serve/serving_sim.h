@@ -4,9 +4,10 @@
 // serving workload; docs/serving.md).
 //
 // Each scheduling interval:
-//   1. the trace (plus the "sim.unpredicted_preempt" fault point)
-//      fixes the available instances; the scheduler's decision fixes
-//      the serving configuration and its reconfiguration stall,
+//   1. the trace, observed by simulate()'s rule (observe_interval in
+//      trace/spot_trace.h, with the "sim.unpredicted_preempt" fault
+//      point), fixes the available instances; the scheduler's decision
+//      fixes the serving configuration and its reconfiguration stall,
 //   2. the arrival generator's requests for the interval are admitted
 //      round-robin into per-replica bounded queues (the
 //      "serve.admission" fault point force-drops individual requests),
@@ -90,12 +91,12 @@ struct ServingSimOptions {
   bool record_timeline = true;
   // Observability sinks, all non-owning and optional — wired exactly
   // like SimulationOptions (cluster_sim.h): the SLO engine is pointed
-  // at the registry/series/injector and evaluated once per interval.
+  // at the registry/series/injector and evaluated once per interval,
+  // stamped with the interval's start.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TimeSeriesRecorder* timeseries = nullptr;
   FaultInjector* faults = nullptr;
   SloEngine* slo = nullptr;
-  std::string metric_prefix;
   // Per-request JSONL sink (latency audit; trace_tool requests reads
   // it). One line per completion {"t":..,"latency_ms":..,"ok":0|1} or
   // drop {"t":..,"dropped":1}. Empty = off.

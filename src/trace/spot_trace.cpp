@@ -4,7 +4,24 @@
 #include <cassert>
 #include <cmath>
 
+#include "common/fault.h"
+
 namespace parcae {
+
+AvailabilityObservation observe_interval(const std::vector<int>& series,
+                                         std::size_t i,
+                                         const AvailabilityObservation& prev,
+                                         FaultInjector* faults) {
+  int available = series[i];
+  if (faults != nullptr) {
+    faults->set_interval(static_cast<int>(i));
+    if (available > 0 && faults->should_fire("sim.unpredicted_preempt"))
+      --available;
+  }
+  const int before = i == 0 ? series.front() : prev.available;
+  return {available, std::max(0, before - available),
+          std::max(0, available - before)};
+}
 
 SpotTrace::SpotTrace(std::string name, int initial_instances, int capacity,
                      double duration_s, std::vector<TraceEvent> events)
@@ -58,8 +75,12 @@ int SpotTrace::instances_at(double t) const {
   return n;
 }
 
+std::size_t SpotTrace::interval_count(double interval_s) const {
+  return static_cast<std::size_t>(duration_s_ / interval_s + 1e-6);
+}
+
 std::vector<int> SpotTrace::availability_series(double interval_s) const {
-  const auto k = static_cast<std::size_t>(duration_s_ / interval_s + 0.5);
+  const std::size_t k = interval_count(interval_s);
   std::vector<int> out;
   out.reserve(k);
   int n = initial_;

@@ -9,6 +9,7 @@
 // preemption-intensity sweeps (Figure 14).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -16,6 +17,8 @@
 #include "common/rng.h"
 
 namespace parcae {
+
+class FaultInjector;
 
 // One availability-change event. `delta` is the signed change in the
 // number of available instances: negative = preemptions, positive =
@@ -49,6 +52,18 @@ struct AvailabilityObservation {
   int allocated = 0;    // instances gained at this interval boundary
 };
 
+// Interval i's observation of `series` (a trace's availability_series),
+// by the one rule every trace-replaying executor shares. The
+// "sim.unpredicted_preempt" fault point, asked only while an instance
+// is available, takes one instance beyond the trace: a preemption no
+// forecaster saw coming. `prev` is interval i - 1's observation;
+// interval 0 diffs against series[0], so the pool a run starts with is
+// neither preempted nor allocated. Sets the injector's interval to i.
+AvailabilityObservation observe_interval(const std::vector<int>& series,
+                                         std::size_t i,
+                                         const AvailabilityObservation& prev,
+                                         FaultInjector* faults);
+
 class SpotTrace {
  public:
   SpotTrace() = default;
@@ -78,8 +93,13 @@ class SpotTrace {
   // their timestamp; t before 0 returns the initial count).
   int instances_at(double t) const;
 
+  // Whole intervals of `interval_s` in the trace: a last partial
+  // interval does not count, short of rounding error (1e-6 of an
+  // interval). Every executor runs this many.
+  std::size_t interval_count(double interval_s = 60.0) const;
+
   // Availability sampled at interval starts: N_i = instances at
-  // i * interval_s, for i in [0, floor(duration / interval_s)).
+  // i * interval_s, for i in [0, interval_count(interval_s)).
   std::vector<int> availability_series(double interval_s = 60.0) const;
 
   // The same series as doubles (predictor input).

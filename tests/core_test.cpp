@@ -9,7 +9,8 @@
 #include <limits>
 
 #include "core/liveput.h"
-#include "core/liveput_optimizer.h"
+#include "core/interval_dp.h"
+#include "core/objective.h"
 #include "model/model_profile.h"
 
 namespace parcae {
@@ -20,12 +21,12 @@ ThroughputModel gpt2_model() {
                          {NetworkModel{}, MemorySpec::parcae(), 0.5, 0.0, 1});
 }
 
-LiveputOptimizer make_optimizer(const ThroughputModel* tm,
-                                int trials = 128) {
-  return LiveputOptimizer(
-      tm, CostEstimator(tm->model()),
-      LiveputOptimizerOptions{
-          .interval_s = 60.0, .mc_trials = trials, .seed = 17});
+// The §7 DP over the training objective; `objective` must outlive it.
+IntervalDp make_optimizer(const LiveputObjective& objective,
+                          const ThroughputModel& tm, int trials = 128) {
+  return IntervalDp(&objective, CostEstimator(tm.model()),
+                    IntervalDpOptions{
+                        .interval_s = 60.0, .mc_trials = trials, .seed = 17});
 }
 
 TEST(Liveput, EqualsThroughputWithoutPreemptions) {
@@ -82,13 +83,15 @@ TEST(Liveput, Figure3ShorterPipelinesMoreRobust) {
 
 TEST(LiveputOptimizer, MigrationCostZeroForStableConfig) {
   const auto tm = gpt2_model();
-  auto opt = make_optimizer(&tm);
+  const LiveputObjective objective(&tm);
+  auto opt = make_optimizer(objective, tm);
   EXPECT_DOUBLE_EQ(opt.expected_migration_cost({4, 6}, 26, {4, 6}, 0), 0.0);
 }
 
 TEST(LiveputOptimizer, DepthChangeChargesPipelineMigration) {
   const auto tm = gpt2_model();
-  auto opt = make_optimizer(&tm);
+  const LiveputObjective objective(&tm);
+  auto opt = make_optimizer(objective, tm);
   CostEstimator est(gpt2_profile());
   const double cost = opt.expected_migration_cost({2, 13}, 26, {4, 6}, 0);
   EXPECT_NEAR(cost, est.pipeline_migration({2, 13}, {4, 6}).total(), 1e-9);
@@ -96,7 +99,8 @@ TEST(LiveputOptimizer, DepthChangeChargesPipelineMigration) {
 
 TEST(LiveputOptimizer, PreemptionsRaiseExpectedCost) {
   const auto tm = gpt2_model();
-  auto opt = make_optimizer(&tm, 512);
+  const LiveputObjective objective(&tm);
+  auto opt = make_optimizer(objective, tm, 512);
   const double calm = opt.expected_migration_cost({4, 6}, 26, {4, 6}, 0);
   const double rough = opt.expected_migration_cost({4, 6}, 26, {4, 6}, 3);
   EXPECT_GT(rough, calm);
@@ -104,7 +108,8 @@ TEST(LiveputOptimizer, PreemptionsRaiseExpectedCost) {
 
 TEST(LiveputOptimizer, ResumeFromSuspensionCostsRollback) {
   const auto tm = gpt2_model();
-  auto opt = make_optimizer(&tm);
+  const LiveputObjective objective(&tm);
+  auto opt = make_optimizer(objective, tm);
   const double cost =
       opt.expected_migration_cost(kIdleConfig, 10, {2, 5}, 0);
   EXPECT_GT(cost, 5.0);
@@ -112,9 +117,10 @@ TEST(LiveputOptimizer, ResumeFromSuspensionCostsRollback) {
 
 TEST(LiveputOptimizer, PlanCoversAllIntervalsAndRespectsResources) {
   const auto tm = gpt2_model();
-  auto opt = make_optimizer(&tm);
+  const LiveputObjective objective(&tm);
+  auto opt = make_optimizer(objective, tm);
   const std::vector<int> predicted{26, 24, 24, 20, 20, 22};
-  const LiveputPlan plan = opt.optimize({3, 9}, 27, predicted);
+  const IntervalPlan plan = opt.optimize({3, 9}, 27, predicted);
   ASSERT_EQ(plan.configs.size(), predicted.size());
   for (std::size_t i = 0; i < plan.configs.size(); ++i) {
     if (plan.configs[i].valid()) {
@@ -126,8 +132,9 @@ TEST(LiveputOptimizer, PlanCoversAllIntervalsAndRespectsResources) {
 
 TEST(LiveputOptimizer, EmptyPredictionGivesEmptyPlan) {
   const auto tm = gpt2_model();
-  auto opt = make_optimizer(&tm);
-  const LiveputPlan plan = opt.optimize({2, 8}, 20, {});
+  const LiveputObjective objective(&tm);
+  auto opt = make_optimizer(objective, tm);
+  const IntervalPlan plan = opt.optimize({2, 8}, 20, {});
   EXPECT_TRUE(plan.configs.empty());
   EXPECT_EQ(plan.next(), kIdleConfig);
 }
@@ -136,10 +143,11 @@ TEST(LiveputOptimizer, StableForecastKeepsThroughputOptimalConfig) {
   // With a flat forecast and no preemptions, the best plan is to sit
   // at the throughput-optimal configuration for that instance count.
   const auto tm = gpt2_model();
-  auto opt = make_optimizer(&tm);
+  const LiveputObjective objective(&tm);
+  auto opt = make_optimizer(objective, tm);
   const ParallelConfig best = tm.best_config(24);
   const std::vector<int> flat(8, 24);
-  const LiveputPlan plan = opt.optimize(best, 24, flat);
+  const IntervalPlan plan = opt.optimize(best, 24, flat);
   for (const auto& c : plan.configs) EXPECT_EQ(c, best);
 }
 
@@ -150,10 +158,11 @@ TEST(LiveputOptimizer, AvoidsDepthFlappingUnderChurn) {
   // that while committing at least as much in expectation.
   const auto tm = gpt2_model();
   ASSERT_NE(tm.best_config(26).pp, tm.best_config(27).pp);
-  auto opt = make_optimizer(&tm, 256);
+  const LiveputObjective objective(&tm);
+  auto opt = make_optimizer(objective, tm, 256);
   std::vector<int> churn;
   for (int i = 0; i < 10; ++i) churn.push_back(i % 2 ? 27 : 26);
-  const LiveputPlan plan = opt.optimize(tm.best_config(26), 26, churn);
+  const IntervalPlan plan = opt.optimize(tm.best_config(26), 26, churn);
   int depth_changes = 0;
   for (std::size_t i = 1; i < plan.configs.size(); ++i)
     if (plan.configs[i].pp != plan.configs[i - 1].pp) ++depth_changes;
@@ -163,7 +172,8 @@ TEST(LiveputOptimizer, AvoidsDepthFlappingUnderChurn) {
 // Brute-force check of DP optimality on a small instance.
 TEST(LiveputOptimizer, MatchesBruteForceOnSmallInstance) {
   const auto tm = gpt2_model();
-  auto opt = make_optimizer(&tm, 64);
+  const LiveputObjective objective(&tm);
+  auto opt = make_optimizer(objective, tm, 64);
   const std::vector<int> predicted{8, 6, 8};
   const ParallelConfig start{2, 3};
   const int n_now = 8;
@@ -195,16 +205,17 @@ TEST(LiveputOptimizer, MatchesBruteForceOnSmallInstance) {
       };
   recurse(0, start, n_now, 0.0);
 
-  const LiveputPlan plan = opt.optimize(start, n_now, predicted);
+  const IntervalPlan plan = opt.optimize(start, n_now, predicted);
   EXPECT_NEAR(plan.expected_value, best_value,
               1e-6 * std::max(1.0, best_value));
 }
 
 TEST(LiveputOptimizer, AdviseReturnsFirstStep) {
   const auto tm = gpt2_model();
-  auto opt = make_optimizer(&tm);
+  const LiveputObjective objective(&tm);
+  auto opt = make_optimizer(objective, tm);
   const std::vector<int> predicted{20, 20, 20};
-  const LiveputPlan plan = opt.optimize({2, 8}, 20, predicted);
+  const IntervalPlan plan = opt.optimize({2, 8}, 20, predicted);
   EXPECT_EQ(opt.advise({2, 8}, 20, predicted), plan.configs.front());
 }
 

@@ -12,7 +12,8 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/liveput_optimizer.h"
+#include "core/interval_dp.h"
+#include "core/objective.h"
 #include "migration/preemption.h"
 #include "model/model_profile.h"
 #include "obs/metrics.h"
@@ -174,7 +175,8 @@ TEST(Determinism, PrunedScanTiesMatchNaiveReferenceDp) {
   const RateTableObjective objective(
       a, b, {{u, 0}, {u, 3 * u}, {u, 0}, {2 * u, 3 * u}, {0, 0}});
   // Every migration, resumes included, must stall past the interval.
-  LiveputOptimizer probe(&tm, CostEstimator(model), options);
+  const LiveputObjective liveput(&tm);
+  IntervalDp probe(&liveput, CostEstimator(model), options);
   for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a},
                                  std::pair{kIdleConfig, a},
                                  std::pair{kIdleConfig, b}})
@@ -223,11 +225,12 @@ TEST(Determinism, EdgePriceDoesNotDependOnEarlierQueries) {
   // price as it would on a fresh engine.
   const ModelProfile model = gpt2_profile();
   const ThroughputModel tm(model, {});
-  LiveputOptimizerOptions options;
+  const LiveputObjective objective(&tm);
+  IntervalDpOptions options;
   options.mc_trials = 128;
   options.seed = 17;
-  LiveputOptimizer engine(&tm, CostEstimator(model), options);
-  LiveputOptimizer fresh(&tm, CostEstimator(model), options);
+  IntervalDp engine(&objective, CostEstimator(model), options);
+  IntervalDp fresh(&objective, CostEstimator(model), options);
   const ParallelConfig from{1, 1};
   const double stay = engine.expected_migration_cost(from, 8, {1, 1}, 2);
   const double wide = engine.expected_migration_cost(from, 8, {1025, 1}, 2);

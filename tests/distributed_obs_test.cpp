@@ -418,7 +418,6 @@ TEST(Slo, AlertsLandInEventLogCountersAndJsonl) {
   SloEngine engine(SloEngine::parse_rules("paused:rate:paused:>0"));
   engine.set_metrics(&metrics);
   engine.set_event_log(&events);
-  engine.set_alert_metrics(&metrics);
 
   metrics.counter("paused").add(1);
   ASSERT_EQ(engine.evaluate(4, 240.0).size(), 1u);
@@ -454,7 +453,6 @@ TEST(Slo, AlertFaultPointSuppressesDeliveryButCountsIt) {
   obs::MetricsRegistry metrics;
   SloEngine engine(SloEngine::parse_rules("r:rate:c:>0"));
   engine.set_metrics(&metrics);
-  engine.set_alert_metrics(&metrics);
   FaultInjector faults(3);
   FaultTrigger trigger;
   trigger.nth = 1;

@@ -237,13 +237,14 @@ TEST(FleetArbiter, ElectionGuardsTheSeat) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-job metric prefixes.
+// Per-job metric prefixes: each job records through a prefixing view.
 
 TEST(FleetMetrics, PrefixedJobsShareOneRegistryWithoutCollisions) {
   obs::MetricsRegistry registry;
   const std::vector<int> series{4, 4, 3, 4, 2, 4};
   for (int j = 0; j < 2; ++j) {
     const std::string prefix = "job" + std::to_string(j) + ".";
+    obs::MetricsRegistry job_metrics(registry, prefix);
     const SpotTrace lease = SpotTrace::from_minute_series(
         "lease:" + prefix + "GPT-2", series, 8, 60.0);
     ParcaePolicyOptions popt;
@@ -252,13 +253,11 @@ TEST(FleetMetrics, PrefixedJobsShareOneRegistryWithoutCollisions) {
     popt.mc_trials = 4;
     popt.seed = fleet_job_seed(42, j);
     popt.max_instances = 8;
-    popt.metrics = &registry;
-    popt.metric_prefix = prefix;
+    popt.metrics = &job_metrics;
     ParcaePolicy policy(gpt2_profile(), popt, &lease);
     SimulationOptions sopt;
     sopt.record_timeline = false;
-    sopt.metrics = &registry;
-    sopt.metric_prefix = prefix;
+    sopt.metrics = &job_metrics;
     simulate(policy, lease, sopt);
   }
   const obs::MetricsSnapshot snap = registry.snapshot();
@@ -304,19 +303,66 @@ TEST(FleetSim, ReplaysBitForBit) {
   }
 }
 
+TEST(FleetSim, JobsRecordThroughPrefixedViews) {
+  // Every job's scheduler and simulator record under "job<j>.", and
+  // nothing lands under the fixed names themselves.
+  obs::MetricsRegistry registry;
+  FleetSimOptions options = smoke_options();
+  options.metrics = &registry;
+  const SpotTrace pool = canonical_segment(TraceSegment::kHighAvailSparse);
+  FleetSimulator sim(fleet::standard_fleet(3), options);
+  const FleetSimResult r = sim.run(pool);
+  ASSERT_GT(r.intervals, 0);
+  for (int j = 0; j < 3; ++j) {
+    const std::string job = "job" + std::to_string(j) + ".";
+    EXPECT_EQ(r.metrics.counter_or(job + "scheduler.intervals"), r.intervals);
+    EXPECT_EQ(r.metrics.counter_or(job + "sim.intervals"), r.intervals);
+  }
+  const auto unprefixed = [](const std::string& name) {
+    return name.rfind("scheduler.", 0) == 0 || name.rfind("sim.", 0) == 0;
+  };
+  for (const auto& [name, value] : r.metrics.counters)
+    EXPECT_FALSE(unprefixed(name)) << name;
+  for (const auto& [name, value] : r.metrics.gauges)
+    EXPECT_FALSE(unprefixed(name)) << name;
+  for (const auto& [name, stats] : r.metrics.histograms)
+    EXPECT_FALSE(unprefixed(name)) << name;
+}
+
 TEST(FleetSim, PoolShorterThanOneIntervalRuns) {
-  // Too short to sample one interval: every job's lease is an empty
-  // series, and both regimes still run (to nothing).
-  const SpotTrace pool("blip", 8, 32, 20.0, {});
-  ASSERT_TRUE(pool.availability_series(60.0).empty());
+  // Too short to sample one whole interval: every job's lease is an
+  // empty series, and both regimes still run (to nothing).
+  for (const double duration_s : {20.0, 30.0}) {
+    const SpotTrace pool("blip", 8, 32, duration_s, {});
+    ASSERT_TRUE(pool.availability_series(60.0).empty());
+    FleetSimulator sim(fleet::standard_fleet(3), smoke_options());
+    for (const FleetSimResult& r : {sim.run(pool), sim.run_static(pool)}) {
+      EXPECT_EQ(r.intervals, 0);
+      EXPECT_EQ(r.weighted_liveput, 0.0);
+      ASSERT_EQ(r.per_job.size(), 3u);
+      for (const fleet::FleetJobResult& job : r.per_job) {
+        EXPECT_TRUE(job.grants.empty());
+        EXPECT_EQ(job.committed_samples, 0.0);
+        EXPECT_EQ(job.normalized_liveput, 0.0);
+      }
+    }
+  }
+  // A last partial interval does not count: a 90 s pool runs one
+  // interval, and each job's liveput is normalized over its 60 s.
+  const SpotTrace pool("blip", 8, 32, 90.0, {});
   FleetSimulator sim(fleet::standard_fleet(3), smoke_options());
   for (const FleetSimResult& r : {sim.run(pool), sim.run_static(pool)}) {
-    EXPECT_EQ(r.intervals, 0);
-    ASSERT_EQ(r.per_job.size(), 3u);
+    EXPECT_EQ(r.intervals, 1);
+    double committed = 0.0;
     for (const fleet::FleetJobResult& job : r.per_job) {
-      EXPECT_TRUE(job.grants.empty());
-      EXPECT_EQ(job.committed_samples, 0.0);
+      ASSERT_EQ(job.grants.size(), 1u);
+      const ThroughputModel tm(model_by_name(job.model), {});
+      const double reference = tm.throughput(tm.best_config(32));
+      EXPECT_DOUBLE_EQ(job.normalized_liveput,
+                       job.committed_samples / 60.0 / reference);
+      committed += job.committed_samples;
     }
+    EXPECT_GT(committed, 0.0);
   }
 }
 

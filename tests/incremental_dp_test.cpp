@@ -16,7 +16,8 @@
 
 #include "common/fault.h"
 #include "common/rng.h"
-#include "core/liveput_optimizer.h"
+#include "core/interval_dp.h"
+#include "core/objective.h"
 #include "core/scheduler_core.h"
 #include "migration/preemption.h"
 #include "model/model_profile.h"
@@ -95,7 +96,7 @@ TEST(IncrementalDp, BitIdenticalPlansAcrossChurnSchedules) {
   for (const auto& forecast : schedule) {
     const std::uint64_t states =
         dp.warm().states_reused() + dp.warm().states_re_expanded();
-    const LiveputPlan plan = dp.optimize(current, n_now, forecast);
+    const IntervalPlan plan = dp.optimize(current, n_now, forecast);
     // Every DP state is either reused or re-expanded, never both.
     std::size_t total_states = 0;
     for (const int n : forecast)
@@ -131,7 +132,8 @@ TEST(IncrementalDp, DegenerateAllChangedScheduleReusesNothing) {
 TEST(IncrementalDp, StatesReusedAccountingIsPinned) {
   const ModelProfile model = gpt2_profile();
   const ThroughputModel tm(model, {});
-  LiveputOptimizer optimizer(&tm, CostEstimator(model), optimizer_options());
+  const LiveputObjective objective(&tm);
+  IntervalDp optimizer(&objective, CostEstimator(model), optimizer_options());
   const ParallelConfig current = tm.best_config(24);
   const std::uint64_t s24 = tm.enumerate_configs(24).size() + 1;
   const std::uint64_t s20 = tm.enumerate_configs(20).size() + 1;
@@ -181,8 +183,8 @@ TEST(IncrementalDp, SpaceCacheLruIsBoundedAndPlansUnchanged) {
 
   const ParallelConfig current = tm.best_config(24);
   for (std::size_t s = 0; s < schedule.size(); ++s) {
-    const LiveputPlan got = dp.optimize(current, 24, schedule[s]);
-    const LiveputPlan want = reference.optimize(current, 24, schedule[s], {});
+    const IntervalPlan got = dp.optimize(current, 24, schedule[s]);
+    const IntervalPlan want = reference.optimize(current, 24, schedule[s], {});
     EXPECT_EQ(got.configs, want.configs) << "step " << s;
     EXPECT_EQ(got.expected_value, want.expected_value) << "step " << s;
     EXPECT_LE(dp.warm().space_cache_size(), IntervalDp::kSpaceCacheCapacity);

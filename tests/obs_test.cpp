@@ -167,6 +167,32 @@ TEST(Metrics, SnapshotRendersAndExportsCsv) {
   EXPECT_NE(csv.find("histogram"), std::string::npos);
 }
 
+TEST(Metrics, PrefixedViewRecordsIntoItsParent) {
+  obs::MetricsRegistry parent;
+  parent.counter("fleet.runs").inc();
+  obs::MetricsRegistry view(parent, "job3.");
+  view.counter("scheduler.intervals").add(2.0);
+  view.gauge("sim.committed_samples").set(7.0);
+  view.histogram("optimize.ms").observe(1.5);
+  // Everything recorded through the view lands in the parent, prefixed.
+  EXPECT_EQ(parent.counter_value("job3.scheduler.intervals"), 2.0);
+  EXPECT_EQ(parent.gauge_value("job3.sim.committed_samples"), 7.0);
+  EXPECT_EQ(&view.histogram("optimize.ms"),
+            &parent.histogram("job3.optimize.ms"));
+  // The view reads its own names back, and no one else's.
+  EXPECT_EQ(view.counter_value("scheduler.intervals"), 2.0);
+  EXPECT_EQ(view.gauge_value("sim.committed_samples"), 7.0);
+  EXPECT_EQ(view.counter_value("fleet.runs"), 0.0);
+  // Its snapshot is the parent's, and nothing landed unprefixed.
+  const obs::MetricsSnapshot snap = view.snapshot();
+  EXPECT_EQ(snap.to_json(), parent.snapshot().to_json());
+  EXPECT_EQ(snap.counters.size(), 2u);
+  EXPECT_EQ(snap.counters.count("scheduler.intervals"), 0u);
+  EXPECT_EQ(snap.gauges.count("sim.committed_samples"), 0u);
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  EXPECT_EQ(snap.histograms.at("job3.optimize.ms").count, 1u);
+}
+
 TEST(ProfileSpan, NestedSpansEmitWellFormedBeginEndPairs) {
   obs::MetricsRegistry registry;
   obs::TraceWriter tracer;

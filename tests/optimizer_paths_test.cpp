@@ -3,7 +3,8 @@
 // plan prefixes, and cost-model interactions.
 #include <gtest/gtest.h>
 
-#include "core/liveput_optimizer.h"
+#include "core/interval_dp.h"
+#include "core/objective.h"
 #include "model/model_profile.h"
 
 namespace parcae {
@@ -13,11 +14,12 @@ ThroughputModel gpt3_model() {
   return ThroughputModel(gpt3_profile(), {});
 }
 
-LiveputOptimizer make_optimizer(const ThroughputModel* tm) {
-  return LiveputOptimizer(
-      tm, CostEstimator(tm->model()),
-      LiveputOptimizerOptions{
-          .interval_s = 60.0, .mc_trials = 128, .seed = 17});
+// The §7 DP over the training objective; `objective` must outlive it.
+IntervalDp make_optimizer(const LiveputObjective& objective,
+                          const ThroughputModel& tm) {
+  return IntervalDp(&objective, CostEstimator(tm.model()),
+                    IntervalDpOptions{
+                        .interval_s = 60.0, .mc_trials = 128, .seed = 17});
 }
 
 TEST(OptimizerPaths, PlansThroughACapacityGap) {
@@ -25,9 +27,10 @@ TEST(OptimizerPaths, PlansThroughACapacityGap) {
   // recovers. The only feasible plan suspends in the gap and resumes,
   // and the DP must find it rather than dead-ending.
   const auto tm = gpt3_model();
-  auto opt = make_optimizer(&tm);
+  const LiveputObjective objective(&tm);
+  auto opt = make_optimizer(objective, tm);
   const std::vector<int> predicted{12, 6, 6, 12, 12, 12};
-  const LiveputPlan plan = opt.optimize({1, 12}, 12, predicted);
+  const IntervalPlan plan = opt.optimize({1, 12}, 12, predicted);
   ASSERT_EQ(plan.configs.size(), 6u);
   EXPECT_FALSE(plan.configs[1].valid());  // suspended
   EXPECT_FALSE(plan.configs[2].valid());
@@ -38,31 +41,34 @@ TEST(OptimizerPaths, PlansThroughACapacityGap) {
 
 TEST(OptimizerPaths, AllInfeasibleMeansFullySuspendedPlan) {
   const auto tm = gpt3_model();
-  auto opt = make_optimizer(&tm);
+  const LiveputObjective objective(&tm);
+  auto opt = make_optimizer(objective, tm);
   const std::vector<int> predicted{4, 5, 6};
-  const LiveputPlan plan = opt.optimize(kIdleConfig, 4, predicted);
+  const IntervalPlan plan = opt.optimize(kIdleConfig, 4, predicted);
   for (const auto& c : plan.configs) EXPECT_FALSE(c.valid());
   EXPECT_DOUBLE_EQ(plan.expected_value, 0.0);
 }
 
 TEST(OptimizerPaths, DeterministicAcrossIdenticalCalls) {
   const auto tm = ThroughputModel(gpt2_profile(), {});
-  auto a = make_optimizer(&tm);
-  auto b = make_optimizer(&tm);
+  const LiveputObjective objective(&tm);
+  auto a = make_optimizer(objective, tm);
+  auto b = make_optimizer(objective, tm);
   const std::vector<int> predicted{26, 24, 27, 25, 26, 28};
-  const LiveputPlan pa = a.optimize({3, 9}, 27, predicted);
-  const LiveputPlan pb = b.optimize({3, 9}, 27, predicted);
+  const IntervalPlan pa = a.optimize({3, 9}, 27, predicted);
+  const IntervalPlan pb = b.optimize({3, 9}, 27, predicted);
   EXPECT_EQ(pa.configs, pb.configs);
   EXPECT_DOUBLE_EQ(pa.expected_value, pb.expected_value);
   // Re-running on the same instance hits the sampler cache and must
   // not drift.
-  const LiveputPlan pc = a.optimize({3, 9}, 27, predicted);
+  const IntervalPlan pc = a.optimize({3, 9}, 27, predicted);
   EXPECT_EQ(pa.configs, pc.configs);
 }
 
 TEST(OptimizerPaths, ResumingCostsMoreThanStayingSuspended) {
   const auto tm = gpt3_model();
-  auto opt = make_optimizer(&tm);
+  const LiveputObjective objective(&tm);
+  auto opt = make_optimizer(objective, tm);
   // Starting suspended, the first valid config pays the PS restore.
   const double resume = opt.expected_migration_cost(kIdleConfig, 12,
                                                     {1, 12}, 0);
@@ -77,7 +83,8 @@ TEST(OptimizerPaths, GrowingPipelinesUsesInterStageCost) {
   // the new instances: cheaper than a re-partition, pricier than
   // routing.
   const auto tm = ThroughputModel(gpt2_profile(), {});
-  auto opt = make_optimizer(&tm);
+  const LiveputObjective objective(&tm);
+  auto opt = make_optimizer(objective, tm);
   CostEstimator est(gpt2_profile());
   const double grow = opt.expected_migration_cost({2, 8}, 16, {3, 8}, 0);
   EXPECT_GT(grow, est.intra_stage({3, 8}).total() - 1e-9);
@@ -86,7 +93,8 @@ TEST(OptimizerPaths, GrowingPipelinesUsesInterStageCost) {
 
 TEST(OptimizerPaths, ShrinkingPipelinesIsRoutingOnly) {
   const auto tm = ThroughputModel(gpt2_profile(), {});
-  auto opt = make_optimizer(&tm);
+  const LiveputObjective objective(&tm);
+  auto opt = make_optimizer(objective, tm);
   CostEstimator est(gpt2_profile());
   const double shrink = opt.expected_migration_cost({3, 8}, 24, {2, 8}, 0);
   EXPECT_NEAR(shrink, est.intra_stage({2, 8}).total(), 1e-9);
@@ -96,12 +104,13 @@ TEST(OptimizerPaths, LongerHorizonNeverReducesExpectedSamples) {
   // More look-ahead can only add committed-sample mass to the plan
   // (the DP maximizes a sum of non-negative per-interval terms).
   const auto tm = ThroughputModel(gpt2_profile(), {});
-  auto opt = make_optimizer(&tm);
+  const LiveputObjective objective(&tm);
+  auto opt = make_optimizer(objective, tm);
   std::vector<int> predicted;
   double prev = 0.0;
   for (int i = 0; i < 8; ++i) {
     predicted.push_back(24 + (i % 3));
-    const LiveputPlan plan = opt.optimize({3, 8}, 24, predicted);
+    const IntervalPlan plan = opt.optimize({3, 8}, 24, predicted);
     EXPECT_GE(plan.expected_value, prev - 1e-6);
     prev = plan.expected_value;
   }
@@ -112,9 +121,10 @@ TEST(OptimizerPaths, PredictedCrashPrefersRobustConfigurations) {
   // chosen plan for that interval must fit the reduced fleet, and the
   // current interval should avoid configs that would strand work.
   const auto tm = ThroughputModel(gpt2_profile(), {});
-  auto opt = make_optimizer(&tm);
+  const LiveputObjective objective(&tm);
+  auto opt = make_optimizer(objective, tm);
   const std::vector<int> predicted{12, 12, 12, 12};
-  const LiveputPlan plan = opt.optimize(tm.best_config(24), 24, predicted);
+  const IntervalPlan plan = opt.optimize(tm.best_config(24), 24, predicted);
   for (const auto& c : plan.configs) {
     if (c.valid()) {
       EXPECT_LE(c.instances(), 12);
@@ -126,8 +136,9 @@ TEST(OptimizerPaths, MismatchedCurrentConfigStillPlans) {
   // The caller may pass a current config larger than n_now (damage
   // not yet adapted); the optimizer must still return a feasible plan.
   const auto tm = ThroughputModel(gpt2_profile(), {});
-  auto opt = make_optimizer(&tm);
-  const LiveputPlan plan = opt.optimize({4, 8}, 20, {20, 20});
+  const LiveputObjective objective(&tm);
+  auto opt = make_optimizer(objective, tm);
+  const IntervalPlan plan = opt.optimize({4, 8}, 20, {20, 20});
   for (const auto& c : plan.configs) {
     if (c.valid()) {
       EXPECT_LE(c.instances(), 20);

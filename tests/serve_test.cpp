@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +31,8 @@
 #include "obs/profile_span.h"
 #include "obs/timeseries.h"
 #include "parallel/throughput_model.h"
+#include "runtime/cluster_sim.h"
+#include "runtime/parcae_policy.h"
 #include "serve/arrival.h"
 #include "serve/queue_model.h"
 #include "serve/serving_scheduler.h"
@@ -369,17 +372,21 @@ ServingSimResult run_sim(ServingMode mode, std::uint64_t seed,
   ArrivalOptions a = mmpp_options(seed ^ 0xa221ull);
   ArrivalGenerator arrivals(a);
 
+  // A non-empty prefix records through a view of `metrics`, as a
+  // fleet job does.
+  std::optional<obs::MetricsRegistry> view;
+  if (metrics != nullptr && !prefix.empty())
+    metrics = &view.emplace(*metrics, prefix);
+
   ServingSchedulerOptions sopt;
   sopt.mode = mode;
   sopt.seed = seed;
   sopt.mc_trials = 64;
   sopt.metrics = metrics;
-  sopt.metric_prefix = prefix;
   ServingScheduler scheduler(model, sopt, &arrivals);
 
   ServingSimOptions sim;
   sim.metrics = metrics;
-  sim.metric_prefix = prefix;
   FaultInjector injector(seed ^ 0xfa017ull);
   if (!faults.empty()) {
     std::string error;
@@ -419,6 +426,55 @@ TEST(ServingSimTest, AccountingBalances) {
   // one observation per completed request.
   EXPECT_EQ(r.metrics.histograms.at("serve.latency_ms").count,
             r.requests_served);
+}
+
+TEST(ServingSimTest, ObservesAvailabilityBySimulateRules) {
+  // Training and serving observe a trace by one rule: the same
+  // instances per interval, the unpredicted-preemption point asked only
+  // while an instance is available (6 of these 8 intervals), and no
+  // allocation at interval 0.
+  const SpotTrace trace = SpotTrace::from_minute_series(
+      "dips", {4, 4, 0, 0, 3, 4, 4, 2}, 8, 60.0);
+  const std::string faults = "sim.unpredicted_preempt:prob=1";
+
+  obs::MetricsRegistry train_metrics;
+  FaultInjector train_faults(5);
+  ASSERT_TRUE(train_faults.arm_from_spec(faults));
+  ParcaePolicyOptions popt;
+  popt.mc_trials = 16;
+  popt.max_instances = 8;
+  popt.metrics = &train_metrics;
+  ParcaePolicy policy(gpt2_profile(), popt);
+  SimulationOptions sim;
+  sim.metrics = &train_metrics;
+  sim.faults = &train_faults;
+  const SimulationResult trained = simulate(policy, trace, sim);
+
+  obs::MetricsRegistry serve_metrics;
+  FaultInjector serve_faults(5);
+  ASSERT_TRUE(serve_faults.arm_from_spec(faults));
+  ArrivalGenerator arrivals(ArrivalOptions{});
+  ServingSchedulerOptions sopt;
+  sopt.mc_trials = 16;
+  sopt.max_instances = 8;
+  sopt.metrics = &serve_metrics;
+  ServingScheduler scheduler(gpt2_profile(), sopt, &arrivals);
+  ServingSimOptions serve;
+  serve.metrics = &serve_metrics;
+  serve.faults = &serve_faults;
+  const ServingSimResult served =
+      simulate_serving(scheduler, arrivals, trace, 8, serve);
+
+  ASSERT_EQ(trained.timeline.size(), 8u);
+  ASSERT_EQ(served.timeline.size(), 8u);
+  for (std::size_t i = 0; i < 8; ++i)
+    EXPECT_EQ(served.timeline[i].available, trained.timeline[i].available)
+        << "interval " << i;
+  const std::string fired = "fault.injected.sim.unpredicted_preempt";
+  EXPECT_EQ(train_metrics.counter_value(fired), 6.0);
+  EXPECT_EQ(serve_metrics.counter_value(fired), 6.0);
+  EXPECT_EQ(serve_metrics.counter_value("serve.scheduler.allocations_seen"),
+            train_metrics.counter_value("scheduler.allocations_seen"));
 }
 
 TEST(ServingSimTest, DeterministicAcrossReruns) {
@@ -530,7 +586,6 @@ TEST(ServingSchedulerTest, CoreKnobsReachTheCoreAsSet) {
   sopt.cost_noise_stddev = 0.05;
   sopt.min_depth_override = 2;
   sopt.max_depth_override = 6;
-  sopt.metric_prefix = "svc.";
   ServingScheduler reactive(model_by_name("GPT-2"), sopt, &arrivals);
   const SchedulerCoreOptions& c = reactive.core().options();
   EXPECT_EQ(c.mode, PredictionMode::kReactive);
@@ -539,7 +594,6 @@ TEST(ServingSchedulerTest, CoreKnobsReachTheCoreAsSet) {
   EXPECT_EQ(c.cost_noise_stddev, 0.05);
   EXPECT_EQ(c.min_depth_override, 2);
   EXPECT_EQ(c.max_depth_override, 6);
-  EXPECT_EQ(c.metric_prefix, "svc.");
   EXPECT_FALSE(c.static_config.valid());
 
   // Only kStatic fills in an unset static_config, and only in the

@@ -19,7 +19,8 @@ TEST(Umbrella, EndToEndSmoke) {
   EXPECT_EQ(forecast.size(), 4u);
 
   const ThroughputModel tm(model, {});
-  LiveputOptimizer optimizer(&tm, CostEstimator(model));
+  const LiveputObjective objective(&tm);
+  IntervalDp optimizer(&objective, CostEstimator(model));
   const ParallelConfig advice =
       optimizer.advise(tm.best_config(30), 30, {30, 30, 29, 29});
   EXPECT_TRUE(advice.valid());

@@ -18,8 +18,8 @@ namespace {
 // Width of the `name=form` column in the generated usage.
 constexpr std::size_t kFormColumn = 24;
 
-// Reads all of `text` as a T; false when it does not parse or any of it
-// is left over.
+}  // namespace
+
 template <typename T>
 bool parse_whole(std::string_view text, T& value) {
   const char* end = text.data() + text.size();
@@ -27,7 +27,9 @@ bool parse_whole(std::string_view text, T& value) {
   return ec == std::errc{} && ptr == end;
 }
 
-}  // namespace
+template bool parse_whole(std::string_view, int&);
+template bool parse_whole(std::string_view, std::uint64_t&);
+template bool parse_whole(std::string_view, double&);
 
 Args::Args(int argc, char** argv, std::string_view about,
            std::span<const Key> keys)

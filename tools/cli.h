@@ -40,6 +40,13 @@ struct Key {
   const char* help;
 };
 
+// Reads all of `text` as a T (int, std::uint64_t or double; integers
+// in decimal): false when it does not parse or any of it is left over.
+// Args::number reads every numeric value through it, and binaries with
+// positional arguments use it directly.
+template <typename T>
+bool parse_whole(std::string_view text, T& value);
+
 // A binary's key=value arguments, checked against its key table.
 class Args {
  public:
