@@ -14,7 +14,6 @@ using namespace parcae;
 
 int main() {
   bench::header("Ablation", "analytic pipeline model vs 1F1B simulation");
-  const NetworkModel net;
 
   TextTable table({"model", "config", "microbatches", "analytic (s)",
                    "simulated (s)", "error %", "bubble %"});
@@ -36,8 +35,8 @@ int main() {
       params.microbatches = static_cast<int>(m);
       params.fwd_time_s = t_total * 0.25;
       params.bwd_time_s = t_total * 0.75;
-      params.p2p_time_s = net.p2p_time(model.boundary_activation_bytes *
-                                       model.micro_batch);
+      params.p2p_time_s = NetworkModel::p2p_time(
+          model.boundary_activation_bytes * model.micro_batch);
       const ScheduleResult sim = simulate_1f1b(params);
       // Boundary transfers only exist with >= 2 stages (the
       // ThroughputModel makes the same distinction).

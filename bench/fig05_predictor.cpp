@@ -43,7 +43,7 @@ int main() {
   TextTable table(std::move(header));
 
   const SpotTrace day = full_day_trace();
-  const SpotTrace drift = synthesize_drift_trace({});
+  const SpotTrace drift = synthesize_drift_trace();
   for (const auto& predictor : predictors) {
     auto& row = table.row().add(predictor->name());
     for (const SpotTrace& trace : all_canonical_segments()) {

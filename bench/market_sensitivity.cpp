@@ -33,7 +33,7 @@ int main() {
       // Price the run at the market's mean paid price.
       SimulationOptions sim = bench::sim_options(model);
       sim.pricing.spot_gpu_usd_per_hour =
-          m.mean_paid_price > 0.0 ? m.mean_paid_price : market.mean_price;
+          m.mean_paid_price > 0.0 ? m.mean_paid_price : kSpotMarketMeanPrice;
       ParcaePolicy parcae(model, {});
       const SimulationResult rp = simulate(parcae, m.trace, sim);
       VarunaPolicy varuna(model);

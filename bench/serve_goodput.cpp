@@ -126,7 +126,7 @@ BENCHMARK(BM_ServeSim)->Unit(benchmark::kMillisecond);
 // The goodput objective on the shared interval DP.
 struct DpFixture {
   ModelProfile model = model_by_name("GPT-2");
-  GoodputObjective objective{model, {}, {}, nullptr, 32};
+  GoodputObjective objective{model, {}, nullptr, 32};
   IntervalDp dp{&objective, CostEstimator(model), [] {
                   IntervalDpOptions opt;
                   opt.mc_trials = 64;

@@ -11,7 +11,6 @@
 #include "cli.h"
 #include "fleet/fleet_sim.h"
 #include "obs/exporter.h"
-#include "runtime/kv_store.h"
 #include "trace/trace_io.h"
 
 using namespace parcae;
@@ -45,7 +44,6 @@ constexpr cli::Key kKeys[] = {
     {"swap_margin", "<float>", "arbiter swap hysteresis (default 0.05)"},
     {"static", "0|1",
      "also run static partitioning and compare (default 1)"},
-    {"election", "0|1", "KV-backed leader election for the arbiter"},
     {"metrics", "0|1", "print the metrics-registry snapshot"},
     {"rollup", "0|1", "print the per-job metrics folded into fleet.*"},
     {"alerts", "<spec>|default",
@@ -88,8 +86,6 @@ int main(int argc, char** argv) {
 
   obs::MetricsRegistry registry;
   options.metrics = &registry;
-  KvStore kv;
-  if (args.get("election", "0") == "1") options.kv = &kv;
 
   // Fleet SLOs: rules run against the FleetAggregator rollup once per
   // regime, so they can target fleet-wide names ("fleet.sim.preemptions",

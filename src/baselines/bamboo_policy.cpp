@@ -3,6 +3,17 @@
 #include <algorithm>
 
 namespace parcae {
+namespace {
+
+// Extra compute per stage from redundant forward(+backward) work that
+// pipeline bubbles cannot absorb, plus the synchronization between
+// redundant and normal modules. Calibrated so redundant work is >40%
+// of Bamboo's GPU hours, as the paper measures (Figure 12).
+constexpr double kRedundantComputeFraction = 0.65;
+constexpr double kRecoveryStallS = 12.0;  // per preemption event
+constexpr double kJoinStallS = 6.0;       // incorporate new instances
+
+}  // namespace
 
 int bamboo_table5_depth(const ModelProfile& model) {
   if (model.name == "ResNet-152") return 4;
@@ -14,18 +25,12 @@ int bamboo_table5_depth(const ModelProfile& model) {
   return 8;
 }
 
-BambooPolicy::BambooPolicy(ModelProfile model, BambooOptions options)
+BambooPolicy::BambooPolicy(ModelProfile model)
     : model_(std::move(model)),
-      options_(options),
-      throughput_(model_,
-                  [&] {
-                    auto t = options.throughput;
-                    t.redundant_compute_fraction =
-                        options.redundant_compute_fraction;
-                    return t;
-                  }()),
-      depth_(options.fixed_depth > 0 ? options.fixed_depth
-                                     : bamboo_table5_depth(model_)) {}
+      throughput_(model_, {.memory = MemorySpec::bamboo(),
+                           .redundant_compute_fraction =
+                               kRedundantComputeFraction}),
+      depth_(bamboo_table5_depth(model_)) {}
 
 void BambooPolicy::reset() {
   current_ = kIdleConfig;
@@ -43,14 +48,14 @@ IntervalDecision BambooPolicy::on_interval(int interval_index,
       std::max(1, model_.mini_batch / model_.micro_batch);
   const int d = std::min(event.available / depth_, max_pipelines);
   ParallelConfig target = d >= 1 ? ParallelConfig{d, depth_} : kIdleConfig;
-  // The fixed depth must itself be memory-feasible (it is for the
-  // Table-5 depths; a user-supplied shallower depth may not be).
+  // The fixed depth must itself be memory-feasible: it is for the
+  // Table-5 models, but the depth-8 fallback may not fit another one.
   if (target.valid() && !throughput_.feasible(target)) target = kIdleConfig;
 
   if (event.preempted > 0 && current_.valid())
-    accountant_.add_stall(options_.recovery_stall_s);
+    accountant_.add_stall(kRecoveryStallS);
   if ((event.allocated > 0 || target != current_) && target.valid())
-    accountant_.add_stall(options_.join_stall_s);
+    accountant_.add_stall(kJoinStallS);
   const double stall = accountant_.charge(T);
 
   IntervalAccountant::settle(decision, target,
@@ -59,7 +64,7 @@ IntervalDecision BambooPolicy::on_interval(int interval_index,
                              stall, T);
   if (target.valid()) {
     // Redundant share of the compute actually performed.
-    const double r = options_.redundant_compute_fraction;
+    const double r = kRedundantComputeFraction;
     decision.gpu_s_redundant = static_cast<double>(target.instances()) *
                                std::max(0.0, T - stall) * r / (1.0 + r);
   } else {

@@ -19,26 +19,12 @@
 
 namespace parcae {
 
-struct BambooOptions {
-  int fixed_depth = 0;  // 0 = use the Table-5 depth for the model
-  // Extra compute per stage from redundant forward(+backward) work
-  // that pipeline bubbles cannot absorb, plus the synchronization
-  // between redundant and normal modules. Calibrated so redundant
-  // work is >40% of Bamboo's GPU hours, as the paper measures
-  // (Figure 12).
-  double redundant_compute_fraction = 0.65;
-  double recovery_stall_s = 12.0;   // per preemption event
-  double join_stall_s = 6.0;        // incorporate new instances
-  ThroughputModelOptions throughput{
-      NetworkModel{}, MemorySpec::bamboo(), 0.5, 0.65, 1};
-};
-
 // Table 5 of the paper.
 int bamboo_table5_depth(const ModelProfile& model);
 
 class BambooPolicy final : public SpotTrainingPolicy {
  public:
-  explicit BambooPolicy(ModelProfile model, BambooOptions options = {});
+  explicit BambooPolicy(ModelProfile model);
 
   std::string name() const override { return "Bamboo"; }
   void reset() override;
@@ -51,7 +37,6 @@ class BambooPolicy final : public SpotTrainingPolicy {
 
  private:
   ModelProfile model_;
-  BambooOptions options_;
   ThroughputModel throughput_;
   int depth_;
   ParallelConfig current_ = kIdleConfig;

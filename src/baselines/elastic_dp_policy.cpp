@@ -3,11 +3,14 @@
 #include <algorithm>
 
 namespace parcae {
+namespace {
 
-ElasticDpPolicy::ElasticDpPolicy(ModelProfile model, ElasticDpOptions options)
-    : model_(std::move(model)),
-      options_(options),
-      throughput_(model_, options.throughput) {}
+constexpr double kRegroupStallS = 9.0;  // rendezvous + process-group rebuild
+
+}  // namespace
+
+ElasticDpPolicy::ElasticDpPolicy(ModelProfile model)
+    : model_(std::move(model)), throughput_(model_) {}
 
 void ElasticDpPolicy::reset() {
   current_ = kIdleConfig;
@@ -32,7 +35,7 @@ IntervalDecision ElasticDpPolicy::on_interval(int interval_index,
   double lost = 0.0;
   const double tput = target.valid() ? throughput_.throughput(target) : 0.0;
   if (target != current_ && target.valid()) {
-    accountant_.add_stall(options_.regroup_stall_s);
+    accountant_.add_stall(kRegroupStallS);
     if (event.preempted > 0 && current_.valid()) {
       // In-flight iteration is abandoned on a shrink.
       lost = static_cast<double>(model_.mini_batch);

@@ -12,15 +12,9 @@
 
 namespace parcae {
 
-struct ElasticDpOptions {
-  double regroup_stall_s = 9.0;  // rendezvous + process-group rebuild
-  ThroughputModelOptions throughput{
-      NetworkModel{}, MemorySpec::parcae(), 0.5, 0.0, 1};
-};
-
 class ElasticDpPolicy final : public SpotTrainingPolicy {
  public:
-  explicit ElasticDpPolicy(ModelProfile model, ElasticDpOptions options = {});
+  explicit ElasticDpPolicy(ModelProfile model);
 
   std::string name() const override { return "Elastic-DP"; }
   void reset() override;
@@ -33,7 +27,6 @@ class ElasticDpPolicy final : public SpotTrainingPolicy {
 
  private:
   ModelProfile model_;
-  ElasticDpOptions options_;
   ThroughputModel throughput_;
   ParallelConfig current_ = kIdleConfig;
   IntervalAccountant accountant_;

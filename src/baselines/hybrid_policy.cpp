@@ -5,14 +5,18 @@
 #include "runtime/pricing.h"
 
 namespace parcae {
+namespace {
 
-HybridSpotPolicy::HybridSpotPolicy(ModelProfile model, HybridOptions options)
+constexpr double kRegroupStallS = 8.0;  // adding/dropping spot pipelines
+
+}  // namespace
+
+// The on-demand core is one pipeline at the model's minimum feasible
+// depth.
+HybridSpotPolicy::HybridSpotPolicy(ModelProfile model)
     : model_(std::move(model)),
-      options_(options),
-      throughput_(model_, options.throughput),
-      core_depth_(options.core_depth > 0
-                      ? options.core_depth
-                      : std::max(1, throughput_.min_pipeline_depth())) {}
+      throughput_(model_),
+      core_depth_(std::max(1, throughput_.min_pipeline_depth())) {}
 
 void HybridSpotPolicy::reset() {
   current_ = kIdleConfig;
@@ -40,7 +44,7 @@ IntervalDecision HybridSpotPolicy::on_interval(int interval_index,
   if (current_.valid() && target.dp != current_.dp) {
     // Spot pipelines joined or left: process-group rebuild; the core
     // pipeline keeps the model state so nothing is ever lost.
-    accountant_.add_stall(options_.regroup_stall_s);
+    accountant_.add_stall(kRegroupStallS);
     decision.note = transition_note("regroup", target);
   }
   const double stall = accountant_.charge(T);

@@ -16,18 +16,9 @@
 
 namespace parcae {
 
-struct HybridOptions {
-  // On-demand instances reserved for the core pipeline; one pipeline
-  // of depth = max(min feasible depth, core_depth).
-  int core_depth = 0;  // 0 = use the model's minimum feasible depth
-  double regroup_stall_s = 8.0;  // adding/dropping spot pipelines
-  ThroughputModelOptions throughput{
-      NetworkModel{}, MemorySpec::parcae(), 0.5, 0.0, 1};
-};
-
 class HybridSpotPolicy final : public SpotTrainingPolicy {
  public:
-  explicit HybridSpotPolicy(ModelProfile model, HybridOptions options = {});
+  explicit HybridSpotPolicy(ModelProfile model);
 
   std::string name() const override { return "Hybrid(OD+spot)"; }
   void reset() override;
@@ -42,7 +33,6 @@ class HybridSpotPolicy final : public SpotTrainingPolicy {
 
  private:
   ModelProfile model_;
-  HybridOptions options_;
   ThroughputModel throughput_;
   int core_depth_;
   ParallelConfig current_ = kIdleConfig;

@@ -9,9 +9,8 @@ SpotTrace flat_trace(int instances, double duration_s,
   return SpotTrace(name, instances, instances, duration_s, {});
 }
 
-OnDemandPolicy::OnDemandPolicy(ModelProfile model,
-                               ThroughputModelOptions options)
-    : model_(std::move(model)), throughput_(model_, options) {}
+OnDemandPolicy::OnDemandPolicy(ModelProfile model)
+    : model_(std::move(model)), throughput_(model_) {}
 
 IntervalDecision OnDemandPolicy::on_interval(int interval_index,
                                              const AvailabilityEvent& event,

@@ -16,10 +16,7 @@ SpotTrace flat_trace(int instances, double duration_s,
 
 class OnDemandPolicy final : public SpotTrainingPolicy {
  public:
-  explicit OnDemandPolicy(ModelProfile model,
-                          ThroughputModelOptions options = {
-                              NetworkModel{}, MemorySpec::parcae(), 0.5, 0.0,
-                              1});
+  explicit OnDemandPolicy(ModelProfile model);
 
   std::string name() const override { return "On-Demand"; }
   void reset() override {}

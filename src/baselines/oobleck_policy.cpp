@@ -3,25 +3,26 @@
 #include <algorithm>
 #include <cmath>
 
-namespace parcae {
+#include "baselines/varuna_policy.h"
 
-OobleckPolicy::OobleckPolicy(ModelProfile model, OobleckOptions options)
-    : model_(std::move(model)),
-      options_(options),
-      throughput_(model_, options.throughput),
-      estimator_(model_) {
-  // Precompute templates: every memory-feasible depth (or the
-  // user-specified subset).
+namespace parcae {
+namespace {
+
+// Same-template recovery (borrow a replica / drop a pipeline): planned
+// ahead, peer-to-peer, no checkpoint round-trip.
+constexpr double kRecoveryStallS = 8.0;
+// Lineage only survives while another pipeline replica holds the
+// stage. Running a single pipeline, a preemption destroys state and
+// falls back to the periodic remote checkpoint.
+constexpr double kCheckpointPeriodS = 300.0;
+
+}  // namespace
+
+OobleckPolicy::OobleckPolicy(ModelProfile model)
+    : model_(std::move(model)), throughput_(model_), estimator_(model_) {
   const int min_depth = std::max(1, throughput_.min_pipeline_depth());
-  if (options_.template_depths.empty()) {
-    for (int p = min_depth;
-         p <= std::min(32, model_.partition_units); ++p)
-      templates_.push_back(p);
-  } else {
-    for (int p : options_.template_depths)
-      if (p >= min_depth && p <= model_.partition_units)
-        templates_.push_back(p);
-  }
+  for (int p = min_depth; p <= std::min(32, model_.partition_units); ++p)
+    templates_.push_back(p);
 }
 
 void OobleckPolicy::reset() {
@@ -61,9 +62,8 @@ IntervalDecision OobleckPolicy::on_interval(int interval_index,
   // lineage: fall back to the periodic remote checkpoint (reload and
   // lose the unsaved window).
   if (event.preempted > 0 && current_.valid() && current_.dp <= 1) {
-    accountant_.add_stall(model_.parameters *
-                          options_.checkpoint_bytes_per_param /
-                          options_.storage_bandwidth_bytes_per_s);
+    accountant_.add_stall(model_.parameters * kCheckpointBytesPerParam /
+                          kObjectStorageBandwidthBytesPerS);
     decision.samples_lost = unsaved_samples_;
     unsaved_samples_ = 0.0;
     train_since_save_s_ = 0.0;
@@ -76,7 +76,7 @@ IntervalDecision OobleckPolicy::on_interval(int interval_index,
           estimator_.pipeline_migration(current_, target).total());
       decision.note = transition_note("template switch", target);
     } else if (event.preempted > 0 || target != current_) {
-      accountant_.add_stall(options_.recovery_stall_s);
+      accountant_.add_stall(kRecoveryStallS);
     }
   }
   const double stall = accountant_.charge(T);
@@ -90,9 +90,9 @@ IntervalDecision OobleckPolicy::on_interval(int interval_index,
     const double train_s = std::max(0.0, T - stall);
     train_since_save_s_ += train_s;
     unsaved_samples_ += decision.samples_committed;
-    if (train_since_save_s_ >= options_.checkpoint_period_s) {
+    if (train_since_save_s_ >= kCheckpointPeriodS) {
       const double leftover =
-          std::fmod(train_since_save_s_, options_.checkpoint_period_s);
+          std::fmod(train_since_save_s_, kCheckpointPeriodS);
       unsaved_samples_ = decision.throughput * leftover;
       train_since_save_s_ = leftover;
     }

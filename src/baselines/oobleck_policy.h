@@ -21,26 +21,10 @@
 
 namespace parcae {
 
-struct OobleckOptions {
-  // Same-template recovery (borrow a replica / drop a pipeline):
-  // planned ahead, peer-to-peer, no checkpoint round-trip.
-  double recovery_stall_s = 8.0;
-  // Lineage only survives while another pipeline replica holds the
-  // stage. Running a single pipeline, a preemption destroys state and
-  // falls back to the periodic remote checkpoint.
-  double checkpoint_period_s = 300.0;
-  double storage_bandwidth_bytes_per_s = 600e6;
-  double checkpoint_bytes_per_param = 14.0;
-  // Templates precomputed at job start: one per depth in this list
-  // that is memory-feasible (empty = all feasible depths).
-  std::vector<int> template_depths;
-  ThroughputModelOptions throughput{
-      NetworkModel{}, MemorySpec::parcae(), 0.5, 0.0, 1};
-};
-
 class OobleckPolicy final : public SpotTrainingPolicy {
  public:
-  explicit OobleckPolicy(ModelProfile model, OobleckOptions options = {});
+  // Precomputes one template per memory-feasible depth up to 32.
+  explicit OobleckPolicy(ModelProfile model);
 
   std::string name() const override { return "Oobleck"; }
   void reset() override;
@@ -57,7 +41,6 @@ class OobleckPolicy final : public SpotTrainingPolicy {
   ParallelConfig best_instantiation(int available) const;
 
   ModelProfile model_;
-  OobleckOptions options_;
   ThroughputModel throughput_;
   CostEstimator estimator_;
   std::vector<int> templates_;

@@ -6,11 +6,18 @@
 #include "runtime/pricing.h"
 
 namespace parcae {
+namespace {
+
+// Fixed reconfiguration cost on top of the checkpoint load (process
+// respawn, rendezvous, model rebuild).
+constexpr double kReconfigureFixedS = 35.0;
+
+}  // namespace
 
 VarunaPolicy::VarunaPolicy(ModelProfile model, VarunaOptions options)
     : model_(std::move(model)),
       options_(options),
-      throughput_(model_, options.throughput) {}
+      throughput_(model_, {.memory = MemorySpec::varuna()}) {}
 
 void VarunaPolicy::reset() {
   current_ = kIdleConfig;
@@ -20,8 +27,8 @@ void VarunaPolicy::reset() {
 }
 
 double VarunaPolicy::checkpoint_save_time_s() const {
-  return model_.parameters * options_.checkpoint_bytes_per_param /
-         options_.storage_bandwidth_bytes_per_s;
+  return model_.parameters * kCheckpointBytesPerParam /
+         kObjectStorageBandwidthBytesPerS;
 }
 
 double VarunaPolicy::support_cost_usd_per_hour() const {
@@ -52,7 +59,7 @@ IntervalDecision VarunaPolicy::on_interval(int interval_index,
       if (target.valid()) {
         accountant_.add_stall(
             checkpoint_save_time_s()  // reload = same volume
-            + options_.reconfigure_fixed_s);
+            + kReconfigureFixedS);
       }
       current_ = target;
     }

@@ -20,21 +20,18 @@
 
 namespace parcae {
 
+// Bytes of training state a remote checkpoint holds per parameter
+// (fp16 weights + fp32 master + Adam moments).
+inline constexpr double kCheckpointBytesPerParam = 14.0;
+// S3-class aggregate bandwidth of the object store holding remote
+// checkpoints; shard loads are partially parallel across instances,
+// so the effective rate exceeds one connection.
+inline constexpr double kObjectStorageBandwidthBytesPerS = 600e6;
+
 struct VarunaOptions {
   double checkpoint_period_s = 300.0;  // training time between saves
-  // S3-class aggregate bandwidth; shard loads are partially parallel
-  // across instances, so the effective rate exceeds one connection.
-  double storage_bandwidth_bytes_per_s = 600e6;
   // Fraction of a save not hidden behind training.
   double save_stall_fraction = 0.25;
-  // Fixed reconfiguration cost on top of the checkpoint load
-  // (process respawn, rendezvous, model rebuild).
-  double reconfigure_fixed_s = 35.0;
-  // Bytes of training state checkpointed per parameter (fp16 weights
-  // + fp32 master + Adam moments).
-  double checkpoint_bytes_per_param = 14.0;
-  ThroughputModelOptions throughput{
-      NetworkModel{}, MemorySpec::varuna(), 0.5, 0.0, 1};
 };
 
 class VarunaPolicy final : public SpotTrainingPolicy {

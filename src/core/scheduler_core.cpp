@@ -16,7 +16,7 @@ SchedulerCore::SchedulerCore(ModelProfile model, SchedulerCoreOptions options,
     : model_(std::move(model)),
       options_(options),
       metrics_(options.metrics != nullptr ? options.metrics : &own_metrics_),
-      throughput_(model_, options.throughput),
+      throughput_(model_),
       liveput_(&throughput_),
       objective_(objective != nullptr ? objective : &liveput_),
       names_(make_names(objective_->traits())),

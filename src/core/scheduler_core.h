@@ -99,7 +99,6 @@ struct SchedulerCoreOptions {
   // overrides them with what its layers actually allow.
   int min_depth_override = 0;
   int max_depth_override = 0;
-  ThroughputModelOptions throughput;
   // Observability sinks (non-owning, both optional). With no registry
   // injected the core records into one it owns — metrics are always
   // on and metrics_snapshot() is never empty after a step. A tracer

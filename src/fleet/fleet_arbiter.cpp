@@ -6,7 +6,6 @@
 
 #include "obs/metrics.h"
 #include "parallel/throughput_model.h"
-#include "runtime/kv_store.h"
 
 namespace parcae::fleet {
 
@@ -81,9 +80,7 @@ JobValueTable value_table_from_model(const ThroughputModel& model,
 
 FleetArbiter::FleetArbiter(std::vector<ArbiterJobSpec> jobs,
                            FleetArbiterOptions options)
-    : jobs_(std::move(jobs)),
-      options_(options),
-      election_(options.kv, "fleet/arbiter", options.election_ttl_s) {
+    : jobs_(std::move(jobs)), options_(options) {
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
     if (jobs_[j].job_id != static_cast<int>(j))
       throw std::invalid_argument(
@@ -205,17 +202,6 @@ const std::vector<int>& FleetArbiter::rebalance(int interval,
   obs::MetricsRegistry* metrics = options_.metrics;
   pool_available = std::clamp(pool_available, 0, options_.capacity);
 
-  // Leadership: claim the seat once, renew every pass, re-campaign if
-  // the lease lapsed (e.g. the logical clock jumped past the TTL).
-  if (options_.kv != nullptr) {
-    if (!campaigned_ || !election_.renew()) {
-      if (election_.campaign("arbiter")) {
-        campaigned_ = true;
-        if (metrics) metrics->counter("fleet.elections_won").inc();
-      }
-    }
-  }
-
   int held = 0;
   for (const int g : grants_) held += g;
   int delta = pool_available - held;
@@ -292,10 +278,6 @@ const std::vector<int>& FleetArbiter::rebalance(int interval,
     metrics->histogram("fleet.decision_us").observe(wall_us(begin));
   }
   return grants_;
-}
-
-bool FleetArbiter::holds_leadership() const {
-  return options_.kv != nullptr && election_.is_holder();
 }
 
 }  // namespace parcae::fleet

@@ -41,12 +41,10 @@
 #include <string>
 #include <vector>
 
-#include "fleet/election.h"
 #include "fleet/lease.h"
 
 namespace parcae {
 
-class KvStore;
 class ThroughputModel;
 
 namespace obs {
@@ -85,12 +83,6 @@ struct FleetArbiterOptions {
   // Non-owning metric sink for the fleet.* instruments; nullptr keeps
   // the arbiter silent.
   obs::MetricsRegistry* metrics = nullptr;
-  // Optional election substrate: when set, the arbiter CAS-acquires
-  // the "fleet/arbiter" seat under a TTL lease before its first
-  // decision and renews it on every rebalance — the HA hook a standby
-  // arbiter would contest.
-  KvStore* kv = nullptr;
-  double election_ttl_s = 150.0;
   // A value swap must improve the weighted fleet objective by more
   // than this fraction of the loser's marginal loss (hysteresis
   // against churn between near-equal jobs).
@@ -121,7 +113,6 @@ class FleetArbiter {
 
   int jobs() const { return static_cast<int>(jobs_.size()); }
   int capacity() const { return options_.capacity; }
-  bool holds_leadership() const;
 
  private:
   // Amortized marginal gain of granting job j its (g+1)th instance /
@@ -138,8 +129,6 @@ class FleetArbiter {
   std::vector<std::vector<double>> hull_;
   std::vector<int> grants_;
   LeaseLedger ledger_;
-  LeaseElection election_;
-  bool campaigned_ = false;
 };
 
 }  // namespace fleet

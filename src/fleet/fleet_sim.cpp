@@ -89,7 +89,6 @@ FleetSimResult FleetSimulator::run(const SpotTrace& pool_trace) {
   arbiter_options.capacity = options_.capacity;
   arbiter_options.seed = options_.fleet_seed;
   arbiter_options.metrics = options_.metrics;
-  arbiter_options.kv = options_.kv;
   arbiter_options.swap_margin = options_.swap_margin;
   FleetArbiter arbiter(std::move(specs), arbiter_options);
 

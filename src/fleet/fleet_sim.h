@@ -41,7 +41,6 @@
 
 namespace parcae {
 
-class KvStore;
 class SloEngine;
 
 // Stable 64-bit FNV-1a hash (the FaultInjector per-point scheme: one
@@ -88,10 +87,8 @@ struct FleetSimOptions {
   // every tick (SchedulerCoreOptions::event_driven).
   bool event_driven = false;
   double debounce_ms = 250.0;
-  // Optional shared sinks. Metrics get fleet.* and job<j>.* names;
-  // `kv` arms the arbiter's leader election.
+  // Optional shared sink. Metrics get fleet.* and job<j>.* names.
   obs::MetricsRegistry* metrics = nullptr;
-  KvStore* kv = nullptr;
   double swap_margin = 0.05;
   // SLO rule engine (non-owning, optional; needs `metrics`). Evaluated
   // once per regime against the FleetAggregator rollup of the shared

@@ -6,7 +6,9 @@
 //   (0-10 s), data loading (0-10 s), model build (0-10 s), comm-group
 //   update (0-20 s), and model-state transfer (0-60 s, alpha-beta).
 // The transfer term uses the NetworkModel and accounts for link
-// contention when several instances receive state concurrently.
+// contention when several instances receive state concurrently. The
+// profiled constants live in cost_model.cpp; porting to another
+// cluster re-fits them there (docs/porting.md §2).
 #pragma once
 
 #include "model/model_profile.h"
@@ -33,36 +35,14 @@ struct MigrationCostTerms {
   }
 };
 
-struct CostModelParams {
-  NetworkModel network;
-  // GPU-resident training state per parameter (fp16 weights + grads,
-  // fp32 master + Adam moments) — what inter-stage migration moves.
-  double state_bytes_per_param = 16.0;
-  double start_process_s = 0.8;
-  double rendezvous_base_s = 1.5;
-  double rendezvous_per_instance_s = 0.12;
-  double cuda_init_s = 7.0;
-  double load_data_s = 3.0;
-  double build_model_base_s = 1.0;
-  double build_model_s_per_gb = 0.75;  // of per-stage state
-  double comm_group_base_s = 2.0;
-  double comm_group_per_instance_s = 0.35;
-  // Re-sharding to a different pipeline depth moves misaligned state
-  // shards (gather + scatter rounds, framework (de)serialization);
-  // profiled as a multiple of the raw all-to-all transfer time.
-  double pipeline_transfer_overhead = 8.0;
-  // Re-partitioned pipelines restart cold: optimizer/attention caches,
-  // NCCL warm-up, first-batch compilation.
-  double pipeline_warmup_s = 15.0;
-  // ParcaePS checkpoint pull bandwidth (aggregate, on-demand CPU
-  // instances' NICs).
-  double ps_bandwidth_bytes_per_s = 6e9;
-  double ps_fixed_s = 3.0;
-};
+// ParcaePS checkpoint pull bandwidth (aggregate, on-demand CPU
+// instances' NICs): what a rollback restore and the per-iteration
+// gradient push (runtime/parcae_ps.h) both move through.
+inline constexpr double kParcaePsBandwidthBytesPerS = 6e9;
 
 class CostEstimator {
  public:
-  CostEstimator(ModelProfile model, CostModelParams params = {});
+  CostEstimator(ModelProfile model);
 
   // Routing-only recovery: update communication groups.
   MigrationCostTerms intra_stage(ParallelConfig to) const;
@@ -85,7 +65,6 @@ class CostEstimator {
   MigrationCostTerms checkpoint_rollback(ParallelConfig to) const;
 
   const ModelProfile& model() const { return model_; }
-  const CostModelParams& params() const { return params_; }
 
   // Per-stage GPU state bytes at depth P.
   double stage_state_bytes(int pipeline_depth) const;
@@ -94,7 +73,6 @@ class CostEstimator {
   MigrationCostTerms base_reconfig(ParallelConfig to) const;
 
   ModelProfile model_;
-  CostModelParams params_;
 };
 
 }  // namespace parcae

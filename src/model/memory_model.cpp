@@ -4,20 +4,26 @@
 #include <limits>
 
 namespace parcae {
+namespace {
+
+// V100-16GB.
+constexpr double kGpuMemoryBytes = 16.0 * (1ull << 30);
+constexpr double kFrameworkOverheadBytes = 1.5 * (1ull << 30);
+
+}  // namespace
 
 MemoryModel::MemoryModel(ModelProfile model, MemorySpec spec)
     : model_(std::move(model)), spec_(spec) {}
 
 double MemoryModel::budget_bytes() const {
-  return spec_.gpu_memory_bytes * spec_.efficiency -
-         spec_.framework_overhead_bytes;
+  return kGpuMemoryBytes * spec_.efficiency - kFrameworkOverheadBytes;
 }
 
 double MemoryModel::stage_memory_bytes(int pipeline_depth) const {
   if (pipeline_depth <= 0 || pipeline_depth > model_.partition_units)
     return std::numeric_limits<double>::infinity();
   const double p = pipeline_depth;
-  const double states = model_.parameters * spec_.state_bytes_per_param / p *
+  const double states = model_.parameters * kStateBytesPerParam / p *
                         spec_.model_state_copies;
   const double micro = model_.micro_batch;
   double activations;

@@ -14,15 +14,15 @@
 
 namespace parcae {
 
+// GPU-resident training-state bytes per parameter: fp16 weights (2)
+// + fp16 grads (2) + fp32 master weights (4) + Adam m/v (8). Also what
+// inter-stage migration moves (migration/cost_model.cpp).
+inline constexpr double kStateBytesPerParam = 16.0;
+
 struct MemorySpec {
-  double gpu_memory_bytes = 16.0 * (1ull << 30);  // V100-16GB
-  double framework_overhead_bytes = 1.5 * (1ull << 30);
   // Usable fraction of physical memory after allocator fragmentation
   // and framework slack; calibrated per system (see DESIGN.md §2).
   double efficiency = 0.85;
-  // GPU-resident training-state bytes per parameter: fp16 weights (2)
-  // + fp16 grads (2) + fp32 master weights (4) + Adam m/v (8).
-  double state_bytes_per_param = 16.0;
   // Copies of model states held per instance (Bamboo: 2 — its own
   // stage plus its successor's redundant stage).
   int model_state_copies = 1;

@@ -1,5 +1,6 @@
 #include "model/model_profile.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace parcae {
@@ -100,6 +101,30 @@ ModelProfile gpt3_profile() {
 std::vector<ModelProfile> model_zoo() {
   return {resnet152_profile(), vgg19_profile(), bert_large_profile(),
           gpt2_profile(), gpt3_profile()};
+}
+
+ModelProfile mlp_profile(std::string name,
+                         const std::vector<std::size_t>& layer_sizes,
+                         std::size_t batch_size) {
+  ModelProfile profile;
+  profile.name = std::move(name);
+  double params = 0.0;
+  const auto& sizes = layer_sizes;
+  for (std::size_t i = 0; i + 1 < sizes.size(); ++i)
+    params += static_cast<double>(sizes[i] * sizes[i + 1] + sizes[i + 1]);
+  profile.parameters = params;
+  profile.partition_units = static_cast<int>(sizes.size()) - 1;
+  profile.mini_batch = static_cast<int>(batch_size);
+  profile.micro_batch = std::max(1, static_cast<int>(batch_size) / 8);
+  // fwd 1x, bwd 2x.
+  profile.fwd_flops_per_sample = params * 2.0;
+  profile.effective_flops = params * 2.0;
+  profile.boundary_activation_bytes =
+      static_cast<double>(sizes[1]) * sizeof(float);
+  profile.unit_activation_bytes = profile.boundary_activation_bytes * 3.0;
+  profile.activation_recompute = false;
+  profile.sample_unit = "sample";
+  return profile;
 }
 
 ModelProfile model_by_name(const std::string& name) {

@@ -9,6 +9,7 @@
 // rates (see DESIGN.md §2 for the calibration constants).
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,16 @@ ModelProfile gpt3_profile();   // GPT-3 6.7B
 
 // All five in the paper's order.
 std::vector<ModelProfile> model_zoo();
+
+// A fully connected MLP with `layer_sizes` widths trained on
+// mini-batches of `batch_size` — the real workload of the in-process
+// and multi-process runtimes. One partition unit per layer,
+// micro-batches of an eighth of the batch, ~3 flops per parameter per
+// sample, and a sustained rate calibrated to seconds per iteration:
+// only relative throughputs matter for configuration choice.
+ModelProfile mlp_profile(std::string name,
+                         const std::vector<std::size_t>& layer_sizes,
+                         std::size_t batch_size);
 
 // Lookup by name ("ResNet-152", "VGG-19", "BERT-Large", "GPT-2",
 // "GPT-3"); throws std::out_of_range on unknown names.

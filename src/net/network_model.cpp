@@ -1,61 +1,23 @@
 #include "net/network_model.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace parcae {
-namespace {
-int ceil_log2(int n) {
-  int bits = 0;
-  int v = 1;
-  while (v < n) {
-    v <<= 1;
-    ++bits;
-  }
-  return bits;
-}
-}  // namespace
 
-double NetworkModel::p2p_time(double bytes, bool same_node) const {
-  const LinkModel& link = same_node ? intra_node : inter_node;
-  return link.time(bytes);
+double NetworkModel::p2p_time(double bytes) {
+  return kInterNodeLink.time(bytes);
 }
 
-double NetworkModel::ring_allreduce_time(double bytes, int world,
-                                         bool same_node) const {
+double NetworkModel::ring_allreduce_time(double bytes, int world) {
   if (world <= 1 || bytes <= 0.0) return 0.0;
-  const LinkModel& link = same_node ? intra_node : inter_node;
   const double hops = 2.0 * (world - 1);
-  return hops * link.time(bytes / world);
+  return hops * kInterNodeLink.time(bytes / world);
 }
 
-double NetworkModel::broadcast_time(double bytes, int world,
-                                    bool same_node) const {
-  if (world <= 1 || bytes <= 0.0) return 0.0;
-  const LinkModel& link = same_node ? intra_node : inter_node;
-  return static_cast<double>(ceil_log2(world)) * link.time(bytes);
-}
-
-double NetworkModel::allgather_time(double bytes, int world,
-                                    bool same_node) const {
-  if (world <= 1 || bytes <= 0.0) return 0.0;
-  const LinkModel& link = same_node ? intra_node : inter_node;
-  return static_cast<double>(world - 1) * link.time(bytes / world);
-}
-
-double NetworkModel::scatter_time(double bytes, int world,
-                                  bool same_node) const {
-  if (world <= 1 || bytes <= 0.0) return 0.0;
-  const LinkModel& link = same_node ? intra_node : inter_node;
-  return static_cast<double>(world - 1) * link.time(bytes / world);
-}
-
-double NetworkModel::all_to_all_time(double bytes_per_rank, int world,
-                                     bool same_node) const {
+double NetworkModel::all_to_all_time(double bytes_per_rank, int world) {
   if (world <= 1 || bytes_per_rank <= 0.0) return 0.0;
-  const LinkModel& link = same_node ? intra_node : inter_node;
   return static_cast<double>(world - 1) *
-         link.time(bytes_per_rank / std::max(1, world - 1));
+         kInterNodeLink.time(bytes_per_rank / std::max(1, world - 1));
 }
 
 double NetworkModel::contention_factor(int flows) {

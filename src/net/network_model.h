@@ -3,12 +3,10 @@
 //
 // All costs are analytical: time(bytes) = α + β·bytes per hop, with
 // collective algorithms expressed in terms of hop counts and volume.
-// The cluster has two link classes: intra-node (NVLink, only relevant
-// for the multi-GPU-instance study, Fig 10) and inter-node (cloud VPC
-// networking between p3.2xlarge instances).
+// Every transfer crosses the cloud VPC network between p3.2xlarge
+// instances; a multi-GPU instance (Fig 10) is modeled as one faster
+// instance, so no stage boundary is ever intra-node.
 #pragma once
-
-#include <cstddef>
 
 namespace parcae {
 
@@ -19,36 +17,23 @@ struct LinkModel {
   double time(double bytes) const { return alpha_s + beta_s_per_byte * bytes; }
 };
 
-struct NetworkModel {
-  // Defaults model AWS p3.2xlarge: "up to 10 Gbps" network, ~1.25 GB/s
-  // sustained, ~0.2 ms effective message latency; NVLink ~150 GB/s.
-  LinkModel inter_node{200e-6, 1.0 / 1.25e9};
-  LinkModel intra_node{10e-6, 1.0 / 150e9};
+// AWS p3.2xlarge: "up to 10 Gbps" network, ~1.25 GB/s sustained,
+// ~0.2 ms effective message latency.
+inline constexpr LinkModel kInterNodeLink{200e-6, 1.0 / 1.25e9};
 
+struct NetworkModel {
   // Point-to-point transfer of `bytes` over one link.
-  double p2p_time(double bytes, bool same_node = false) const;
+  static double p2p_time(double bytes);
 
   // Ring all-reduce over `world` participants: 2(w-1) hops, each
   // moving bytes/w. Equals 0 for world <= 1.
-  double ring_allreduce_time(double bytes, int world,
-                             bool same_node = false) const;
-
-  // Binomial-tree broadcast: ceil(log2 w) sequential hops of the full
-  // payload. Equals 0 for world <= 1.
-  double broadcast_time(double bytes, int world, bool same_node = false) const;
-
-  // All-gather via ring: (w-1) hops of bytes/w each.
-  double allgather_time(double bytes, int world, bool same_node = false) const;
-
-  // Scatter of equal shards from one root: (w-1) sends of bytes/w.
-  double scatter_time(double bytes, int world, bool same_node = false) const;
+  static double ring_allreduce_time(double bytes, int world);
 
   // All-to-all exchange used by pipeline migration: every instance
   // re-shards its model states; each sends/receives ~bytes of state.
   // Modeled as (w-1) rounds of pairwise exchange of bytes/(w-1),
   // serialized on each instance's NIC.
-  double all_to_all_time(double bytes_per_rank, int world,
-                         bool same_node = false) const;
+  static double all_to_all_time(double bytes_per_rank, int world);
 
   // Effective slowdown when `flows` transfers share one link
   // (bandwidth is divided, latency unchanged). flows <= 1 -> 1.0.

@@ -5,6 +5,12 @@
 #include <limits>
 
 namespace parcae {
+namespace {
+
+// Fraction of the gradient all-reduce hidden under backward compute.
+constexpr double kAllreduceOverlap = 0.5;
+
+}  // namespace
 
 ThroughputModel::ThroughputModel(ModelProfile model,
                                  ThroughputModelOptions options)
@@ -34,13 +40,10 @@ double ThroughputModel::iteration_time(ParallelConfig config) const {
   t_stage *= 1.0 + options_.redundant_compute_fraction;
 
   // Boundary activations: forward send + backward gradient return.
-  // Stages within one multi-GPU instance communicate over NVLink.
   double t_p2p = 0.0;
-  if (config.pp > 1) {
-    const bool same_node = options_.gpus_per_instance >= config.pp;
-    t_p2p = 2.0 * options_.network.p2p_time(
-                      model_.boundary_activation_bytes * micro, same_node);
-  }
+  if (config.pp > 1)
+    t_p2p = 2.0 * NetworkModel::p2p_time(model_.boundary_activation_bytes *
+                                         micro);
 
   const double pipeline_time =
       (m + static_cast<double>(config.pp) - 1.0) * (t_stage + t_p2p);
@@ -49,8 +52,8 @@ double ThroughputModel::iteration_time(ParallelConfig config) const {
   // D replicas, partially overlapped with backward.
   const double shard_bytes = model_.weight_bytes() / config.pp;
   const double t_allreduce =
-      options_.network.ring_allreduce_time(shard_bytes, config.dp) *
-      (1.0 - options_.allreduce_overlap);
+      NetworkModel::ring_allreduce_time(shard_bytes, config.dp) *
+      (1.0 - kAllreduceOverlap);
 
   return pipeline_time + t_allreduce;
 }
@@ -78,24 +81,6 @@ std::vector<ParallelConfig> ThroughputModel::enumerate_configs(
       if (feasible(c)) out.push_back(c);
     }
   }
-  return out;
-}
-
-ServeBatchTime ThroughputModel::serve_batch_time(int pipeline_depth, int batch,
-                                                 double generation_factor) const {
-  ServeBatchTime out;
-  if (pipeline_depth < 1 || batch < 1 || generation_factor <= 0.0) return out;
-  const double total_compute = model_.fwd_flops_per_sample *
-                               generation_factor * batch /
-                               model_.effective_flops;
-  double t_p2p = 0.0;
-  if (pipeline_depth > 1) {
-    const bool same_node = options_.gpus_per_instance >= pipeline_depth;
-    t_p2p = options_.network.p2p_time(model_.boundary_activation_bytes * batch,
-                                      same_node);
-  }
-  out.occupancy_s = total_compute / pipeline_depth + t_p2p;
-  out.latency_s = total_compute + (pipeline_depth - 1.0) * t_p2p;
   return out;
 }
 

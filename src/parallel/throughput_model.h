@@ -26,17 +26,11 @@
 namespace parcae {
 
 struct ThroughputModelOptions {
-  NetworkModel network;
   MemorySpec memory = MemorySpec::parcae();
-  // Fraction of the gradient all-reduce hidden under backward compute.
-  double allreduce_overlap = 0.5;
   // Extra compute per stage for redundancy-based systems (Bamboo runs
   // its successor's forward+backward in pipeline bubbles; the paper
   // finds the overhead cannot be fully hidden for large models).
   double redundant_compute_fraction = 0.0;
-  // GPUs per instance (1 for p3.2xlarge; 4 for the Fig-10 study where
-  // intra-instance stage links ride NVLink).
-  int gpus_per_instance = 1;
 };
 
 // Forward-only execution of one request batch through a P-stage
@@ -75,7 +69,6 @@ class ThroughputModel {
   ParallelConfig best_config(int instances) const;
 
   const ModelProfile& model() const { return model_; }
-  const ThroughputModelOptions& options() const { return options_; }
   const MemoryModel& memory() const { return memory_; }
 
   // Smallest feasible pipeline depth under this system's memory spec.
@@ -96,5 +89,26 @@ class ThroughputModel {
   MemoryModel memory_;
   int min_depth_;
 };
+
+// Defined here so the serving estimator's batch interpolation
+// (serve/queue_model.cpp) inlines it. Called out of line, GCC 12 -O3 on
+// x86-64 packs the two returned doubles into one vector through the
+// stack (two 8-byte stores read back by one 16-byte load, which cannot
+// be store-forwarded) to add the constant batch overhead; that made
+// each serving decision ~20% slower on a 4-vCPU host.
+inline ServeBatchTime ThroughputModel::serve_batch_time(
+    int pipeline_depth, int batch, double generation_factor) const {
+  ServeBatchTime out;
+  if (pipeline_depth < 1 || batch < 1 || generation_factor <= 0.0) return out;
+  const double total_compute = model_.fwd_flops_per_sample *
+                               generation_factor * batch /
+                               model_.effective_flops;
+  double t_p2p = 0.0;
+  if (pipeline_depth > 1)
+    t_p2p = NetworkModel::p2p_time(model_.boundary_activation_bytes * batch);
+  out.occupancy_s = total_compute / pipeline_depth + t_p2p;
+  out.latency_s = total_compute + (pipeline_depth - 1.0) * t_p2p;
+  return out;
+}
 
 }  // namespace parcae

@@ -8,11 +8,18 @@
 #include "predict/guards.h"
 
 namespace parcae {
+namespace {
+
+// Tail length scored in the backtest (clamped to half the window).
+constexpr int kBacktestHorizon = 4;
+// Number of rolling origins evaluated.
+constexpr int kBacktestOrigins = 3;
+
+}  // namespace
 
 AdaptivePredictor::AdaptivePredictor(
-    std::vector<std::unique_ptr<AvailabilityPredictor>> members,
-    AdaptiveOptions options)
-    : members_(std::move(members)), options_(options) {}
+    std::vector<std::unique_ptr<AvailabilityPredictor>> members)
+    : members_(std::move(members)) {}
 
 std::vector<double> AdaptivePredictor::forecast(
     std::span<const double> history, int horizon) const {
@@ -21,14 +28,14 @@ std::vector<double> AdaptivePredictor::forecast(
                                history.empty() ? 0.0 : history.back());
   const auto n = history.size();
   const int h =
-      std::clamp<int>(options_.backtest_horizon, 1, static_cast<int>(n) / 2);
+      std::clamp<int>(kBacktestHorizon, 1, static_cast<int>(n) / 2);
   std::size_t best = 0;
   if (n >= static_cast<std::size_t>(2 * h + 2)) {
     double best_error = std::numeric_limits<double>::infinity();
     for (std::size_t m = 0; m < members_.size(); ++m) {
       double error = 0.0;
       int scored = 0;
-      for (int origin = 0; origin < options_.backtest_origins; ++origin) {
+      for (int origin = 0; origin < kBacktestOrigins; ++origin) {
         // Forecast from the window ending `h + origin` steps before
         // the end; score the h steps that followed.
         const std::size_t cut = static_cast<std::size_t>(h + origin);

@@ -18,18 +18,10 @@
 
 namespace parcae {
 
-struct AdaptiveOptions {
-  // Tail length scored in the backtest (clamped to half the window).
-  int backtest_horizon = 4;
-  // Number of rolling origins evaluated.
-  int backtest_origins = 3;
-};
-
 class AdaptivePredictor final : public AvailabilityPredictor {
  public:
-  AdaptivePredictor(
-      std::vector<std::unique_ptr<AvailabilityPredictor>> members,
-      AdaptiveOptions options = {});
+  explicit AdaptivePredictor(
+      std::vector<std::unique_ptr<AvailabilityPredictor>> members);
 
   std::vector<double> forecast(std::span<const double> history,
                                int horizon) const override;
@@ -42,7 +34,6 @@ class AdaptivePredictor final : public AvailabilityPredictor {
 
  private:
   std::vector<std::unique_ptr<AvailabilityPredictor>> members_;
-  AdaptiveOptions options_;
 };
 
 }  // namespace parcae

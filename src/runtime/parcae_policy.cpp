@@ -3,19 +3,26 @@
 #include <algorithm>
 #include <cmath>
 
+#include "runtime/parcae_ps.h"
 #include "runtime/pricing.h"
 
 namespace parcae {
+namespace {
+
+// On-demand c5.4xlarge instances hosting ParcaePS.
+constexpr int kPsHosts = 2;
+
+}  // namespace
 
 ParcaePolicy::ParcaePolicy(ModelProfile model, ParcaePolicyOptions options,
                            const SpotTrace* oracle)
-    : options_(options), core_(std::move(model), options, oracle) {
+    : core_(std::move(model), std::move(options), oracle) {
   accountant_.set_metrics(&core_.metrics(),
                           std::string("policy.").append(name()));
 }
 
 std::string ParcaePolicy::name() const {
-  switch (options_.mode) {
+  switch (core_.options().mode) {
     case PredictionMode::kProactive:
       return "Parcae";
     case PredictionMode::kOracle:
@@ -34,7 +41,7 @@ void ParcaePolicy::reset() {
 }
 
 double ParcaePolicy::support_cost_usd_per_hour() const {
-  return Pricing{}.ps_host_usd_per_hour * options_.ps_hosts;
+  return Pricing{}.ps_host_usd_per_hour * kPsHosts;
 }
 
 IntervalDecision ParcaePolicy::on_interval(int interval_index,
@@ -57,7 +64,7 @@ IntervalDecision ParcaePolicy::on_interval(int interval_index,
     const double iter = core_.throughput_model().iteration_time(config);
     if (std::isfinite(iter) && iter > 0.0) {
       const double iter_with_ps =
-          iter + ps_cost_.sync_stall_s(model.parameters);
+          iter + ps_sync_stall_s(model.parameters);
       tput = static_cast<double>(model.mini_batch) / iter_with_ps;
     }
   }

@@ -14,13 +14,11 @@
 #include "core/scheduler_core.h"
 #include "runtime/cluster_sim.h"
 #include "runtime/interval_accountant.h"
-#include "runtime/parcae_ps.h"
 
 namespace parcae {
 
-struct ParcaePolicyOptions : SchedulerCoreOptions {
-  int ps_hosts = 2;  // on-demand c5.4xlarge instances
-};
+// Every knob of the policy is the decision core's.
+using ParcaePolicyOptions = SchedulerCoreOptions;
 
 class ParcaePolicy final : public SpotTrainingPolicy {
  public:
@@ -48,9 +46,7 @@ class ParcaePolicy final : public SpotTrainingPolicy {
   const SchedulerCore& scheduler() const { return core_; }
 
  private:
-  ParcaePolicyOptions options_;
   SchedulerCore core_;
-  PsCostModel ps_cost_;
   IntervalAccountant accountant_;
 };
 

@@ -3,8 +3,22 @@
 #include <cassert>
 
 #include "common/fault.h"
+#include "migration/cost_model.h"
 
 namespace parcae {
+namespace {
+
+// Fraction of the push not hidden behind the next iteration's compute
+// (the paper partitions gradients into small pieces for overlapping;
+// a small residue remains).
+constexpr double kPsUnoverlappedFraction = 0.05;
+
+}  // namespace
+
+double ps_sync_stall_s(double parameters) {
+  return kPsUnoverlappedFraction * parameters * kPsGradBytesPerParam /
+         kParcaePsBandwidthBytesPerS;
+}
 
 ParcaePs::ParcaePs(std::vector<float> initial, float lr, float beta1,
                    float beta2, float eps)

@@ -9,9 +9,9 @@
 //   - ParcaePs: a real parameter server over flat float tensors with
 //     its own Adam replica; after n identical gradient pushes its
 //     parameters bit-match the trainer's (verified in tests),
-//   - PsCostModel: the traffic/time accounting the cluster simulator
-//     charges for the per-iteration gradient push and for rollback
-//     restores.
+//   - ps_sync_stall_s: the per-iteration gradient-push stall the
+//     cluster simulator charges (rollback restores are priced by
+//     CostEstimator::checkpoint_rollback).
 #pragma once
 
 #include <cstddef>
@@ -76,20 +76,11 @@ class ParcaePs {
   FaultInjector* faults_ = nullptr;
 };
 
-// Simulation-level cost accounting for ParcaePS traffic.
-struct PsCostModel {
-  double grad_bytes_per_param = 2.0;  // fp16 gradients (the 5x saving)
-  double aggregate_bandwidth_bytes_per_s = 6e9;
-  // Fraction of the push not hidden behind the next iteration's
-  // compute (the paper partitions gradients into small pieces for
-  // overlapping; a small residue remains).
-  double unoverlapped_fraction = 0.05;
+// fp16 gradients: the 5x saving over shipping fp16 Adam states.
+inline constexpr double kPsGradBytesPerParam = 2.0;
 
-  // Per-iteration stall charged to training.
-  double sync_stall_s(double parameters) const {
-    return unoverlapped_fraction * parameters * grad_bytes_per_param /
-           aggregate_bandwidth_bytes_per_s;
-  }
-};
+// Per-iteration stall the gradient push to ParcaePS charges to
+// training, for a model of `parameters` parameters.
+double ps_sync_stall_s(double parameters);
 
 }  // namespace parcae

@@ -28,32 +28,13 @@ void sleep_ms(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-}  // namespace
-
-ModelProfile make_multiproc_profile() {
-  ModelProfile profile;
-  profile.name = "mlp-multiproc";
-  // 8 partition units: pipeline depths up to 8 are real choices.
-  const int sizes[] = {64, 48, 48, 48, 48, 32, 32, 16, 8};
-  const int n = static_cast<int>(sizeof(sizes) / sizeof(sizes[0]));
-  double params = 0.0;
-  for (int i = 0; i + 1 < n; ++i)
-    params += static_cast<double>(sizes[i] * sizes[i + 1] + sizes[i + 1]);
-  profile.parameters = params;
-  profile.partition_units = n - 1;
-  profile.mini_batch = 32;
-  profile.micro_batch = 4;
-  // ~3 flops per parameter per sample (fwd 1x, bwd 2x); calibrated so
-  // relative throughput is what matters (as in the spot driver).
-  profile.fwd_flops_per_sample = params * 2.0;
-  profile.effective_flops = params * 2.0;
-  profile.boundary_activation_bytes =
-      static_cast<double>(sizes[1]) * sizeof(float);
-  profile.unit_activation_bytes = profile.boundary_activation_bytes * 3.0;
-  profile.activation_recompute = false;
-  profile.sample_unit = "sample";
-  return profile;
+// A tiny MLP sized so pipeline depths up to 8 are feasible: the
+// decision loop has real configuration choices without real training.
+ModelProfile multiproc_profile() {
+  return mlp_profile("mlp-multiproc", {64, 48, 48, 48, 48, 32, 32, 16, 8}, 32);
 }
+
+}  // namespace
 
 std::string AdvisedRecord::to_string() const {
   char buf[96];
@@ -98,7 +79,7 @@ SchedulerCoreOptions SchedulerProcess::core_options(
 SchedulerProcess::SchedulerProcess(SchedulerProcessOptions options)
     : options_(std::move(options)),
       metrics_(options_.metrics != nullptr ? options_.metrics : &own_metrics_),
-      core_(make_multiproc_profile(), core_options(options_, metrics_)),
+      core_(multiproc_profile(), core_options(options_, metrics_)),
       seat_(&kv_, options_.kv_namespace + "scheduler/primary",
             options_.seat_ttl_s),
       ns_(options_.kv_namespace) {

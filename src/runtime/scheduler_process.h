@@ -68,11 +68,6 @@ namespace parcae {
 
 class FaultInjector;
 
-// A tiny MLP profile (the spot driver's in-cluster derivation) sized
-// so pipeline depths up to 8 are feasible — the decision loop has
-// real configuration choices without real training.
-ModelProfile make_multiproc_profile();
-
 struct SchedulerProcessOptions {
   std::string name = "scheduler";  // seat candidate / report label
   // Append-only WAL shared by primary and standby (same filesystem —

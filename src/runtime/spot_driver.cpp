@@ -32,7 +32,10 @@ SpotTrainingDriver::SpotTrainingDriver(TrainingClusterOptions cluster_options,
     : cluster_options_(tuned_cluster_options(cluster_options, options)),
       options_(options),
       cluster_(cluster_options_, dataset),
-      profile_(derive_profile()),
+      // The actual MLP, so ThroughputModel and the liveput DP reason
+      // about the real workload.
+      profile_(mlp_profile("mlp-in-cluster", cluster_options_.layer_sizes,
+                           cluster_options_.batch_size)),
       core_(profile_, core_options()) {
   // The cluster shares the core's registry and event log so one
   // report/dashboard covers decisions and fault recoveries alike.
@@ -59,32 +62,6 @@ SpotTrainingDriver::SpotTrainingDriver(TrainingClusterOptions cluster_options,
     options_.slo->set_event_log(&core_.event_log());
     options_.slo->set_fault_injector(options_.faults);
   }
-}
-
-ModelProfile SpotTrainingDriver::derive_profile() const {
-  ModelProfile profile;
-  profile.name = "mlp-in-cluster";
-  // Count actual parameters from the layer sizes.
-  double params = 0.0;
-  const auto& sizes = cluster_options_.layer_sizes;
-  for (std::size_t i = 0; i + 1 < sizes.size(); ++i)
-    params += static_cast<double>(sizes[i] * sizes[i + 1] + sizes[i + 1]);
-  profile.parameters = params;
-  profile.partition_units = static_cast<int>(sizes.size()) - 1;
-  profile.mini_batch = static_cast<int>(cluster_options_.batch_size);
-  profile.micro_batch =
-      std::max(1, static_cast<int>(cluster_options_.batch_size) / 8);
-  // ~3 flops per parameter per sample (fwd 1x, bwd 2x).
-  profile.fwd_flops_per_sample = params * 2.0;
-  // Calibrated so one iteration is O(seconds): the optimizer's
-  // decisions depend only on relative throughput.
-  profile.effective_flops = params * 2.0;
-  profile.boundary_activation_bytes =
-      static_cast<double>(sizes[1]) * sizeof(float);
-  profile.unit_activation_bytes = profile.boundary_activation_bytes * 3.0;
-  profile.activation_recompute = false;
-  profile.sample_unit = "sample";
-  return profile;
 }
 
 SchedulerCoreOptions SpotTrainingDriver::core_options() const {

@@ -123,11 +123,6 @@ class SpotTrainingDriver {
   const ModelProfile& profile() const { return profile_; }
 
  private:
-  // A ModelProfile describing the actual MLP, so ThroughputModel and
-  // the liveput DP reason about the real workload. Calibrated to
-  // "seconds per iteration" scale; only relative throughputs matter
-  // for configuration choice.
-  ModelProfile derive_profile() const;
   SchedulerCoreOptions core_options() const;
   // Largest sub-configuration of `advice` that `alive` agents can run
   // (shrink dp first, then pp); kIdleConfig when even 1x1 won't fit.

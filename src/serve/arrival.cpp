@@ -8,6 +8,8 @@ namespace parcae::serve {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
+// Long-run fraction of burst intervals.
+constexpr double kStationaryBurst = kPEnterBurst / (kPEnterBurst + kPExitBurst);
 
 // SplitMix64 finalizer: decorrelates (seed, interval) into a fresh
 // stream key, same construction the preemption sampler uses for
@@ -38,10 +40,6 @@ ArrivalGenerator::ArrivalGenerator(ArrivalOptions options)
   if (options_.interval_s <= 0.0) options_.interval_s = 60.0;
   if (options_.base_rps < 0.0) options_.base_rps = 0.0;
   if (options_.burst_multiplier < 1.0) options_.burst_multiplier = 1.0;
-  options_.p_enter_burst = std::clamp(options_.p_enter_burst, 0.0, 1.0);
-  options_.p_exit_burst = std::clamp(options_.p_exit_burst, 0.0, 1.0);
-  const double denom = options_.p_enter_burst + options_.p_exit_burst;
-  stationary_burst_ = denom > 0.0 ? options_.p_enter_burst / denom : 0.0;
 }
 
 void ArrivalGenerator::prepare(int intervals) {
@@ -53,7 +51,7 @@ void ArrivalGenerator::prepare(int intervals) {
   fresh.reserve(static_cast<std::size_t>(intervals));
   std::uint8_t state = 0;
   for (int i = 0; i < intervals; ++i) {
-    const double p = state ? options_.p_exit_burst : options_.p_enter_burst;
+    const double p = state ? kPExitBurst : kPEnterBurst;
     if (chain.uniform() < p) state ^= 1;
     fresh.push_back(state);
   }
@@ -80,7 +78,7 @@ double ArrivalGenerator::expected_rps(int interval) const {
   }
   double rate = options_.base_rps * envelope(interval);
   if (options_.kind == ArrivalKind::kMmpp) {
-    rate *= 1.0 + stationary_burst_ * (options_.burst_multiplier - 1.0);
+    rate *= 1.0 + kStationaryBurst * (options_.burst_multiplier - 1.0);
   }
   return rate;
 }

@@ -40,17 +40,19 @@ enum class ArrivalKind { kPoisson, kMmpp, kReplay };
 
 const char* arrival_kind_name(ArrivalKind kind);
 
+// Per-interval transition probabilities of the MMPP's 2-state burst
+// chain.
+inline constexpr double kPEnterBurst = 0.08;
+inline constexpr double kPExitBurst = 0.35;
+
 struct ArrivalOptions {
   ArrivalKind kind = ArrivalKind::kPoisson;
   double interval_s = 60.0;
   std::uint64_t seed = 2024;
   // Base arrival rate (requests per second) before modulation.
   double base_rps = 40.0;
-  // MMPP burst state: rate multiplier while bursting, and the
-  // per-interval transition probabilities of the 2-state chain.
+  // MMPP burst state: rate multiplier while bursting.
   double burst_multiplier = 3.0;
-  double p_enter_burst = 0.08;
-  double p_exit_burst = 0.35;
   // Diurnal envelope: rate *= max(0, 1 + amplitude * sin(2*pi * (t -
   // phase) / period)). amplitude = 0 disables it.
   double diurnal_amplitude = 0.0;
@@ -92,6 +94,12 @@ class ArrivalGenerator {
   const ArrivalOptions& options() const { return options_; }
   int prepared_intervals() const { return static_cast<int>(burst_.size()); }
 
+  // Mixing rate of the MMPP chain: the expected deviation from the
+  // stationary burst mean shrinks by this factor per interval.
+  static constexpr double burst_decay() {
+    return 1.0 - kPEnterBurst - kPExitBurst;
+  }
+
   // Sum of count(i) for i in [0, n) — total offered load.
   std::uint64_t total_requests(int intervals) const;
 
@@ -101,7 +109,6 @@ class ArrivalGenerator {
   ArrivalOptions options_;
   // MMPP chain: burst_[i] = 1 when interval i is in the burst state.
   std::vector<std::uint8_t> burst_;
-  double stationary_burst_ = 0.0;  // long-run fraction of burst intervals
 };
 
 }  // namespace parcae::serve

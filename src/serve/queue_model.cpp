@@ -4,16 +4,29 @@
 #include <cmath>
 
 namespace parcae::serve {
+namespace {
+
+// Fixed per-batch overhead (tokenization, scheduling, kernel
+// launches), seconds.
+constexpr double kBatchOverheadS = 0.010;
+// Decode steps per request relative to one forward pass (generative
+// models run the decoder repeatedly; 1.0 = single-shot inference).
+constexpr double kGenerationFactor = 1.0;
+// Coefficient of variation of the service process in the P-K wait
+// term (cv = 1 recovers M/M/1-like waits).
+constexpr double kServiceCv = 1.0;
+// Utilization above this is treated as saturated: the queue sits at
+// its cap and excess arrivals drop.
+constexpr double kRhoMax = 0.98;
+
+}  // namespace
 
 ReplicaQueueModel::ReplicaQueueModel(const ThroughputModel* throughput,
                                      ServingModelOptions options)
     : throughput_(throughput), options_(options) {
   if (options_.max_batch < 1) options_.max_batch = 1;
   if (options_.slo_ms < 0.0) options_.slo_ms = 0.0;
-  if (options_.batch_overhead_s < 0.0) options_.batch_overhead_s = 0.0;
-  if (options_.generation_factor <= 0.0) options_.generation_factor = 1.0;
   if (options_.admission_queue_cap < 1) options_.admission_queue_cap = 1;
-  options_.rho_max = std::clamp(options_.rho_max, 0.5, 0.999);
 }
 
 bool ReplicaQueueModel::serving_feasible(ParallelConfig config) const {
@@ -31,19 +44,18 @@ ServeBatchTime ReplicaQueueModel::batch_time(int pipeline_depth,
   // bytes both scale linearly), so interpolate between batch 1 and
   // max_batch instead of forcing an integer batch on the estimator.
   const ServeBatchTime one =
-      throughput_->serve_batch_time(pipeline_depth, 1,
-                                    options_.generation_factor);
+      throughput_->serve_batch_time(pipeline_depth, 1, kGenerationFactor);
   ServeBatchTime out = one;
   if (options_.max_batch > 1) {
     const ServeBatchTime full = throughput_->serve_batch_time(
-        pipeline_depth, options_.max_batch, options_.generation_factor);
+        pipeline_depth, options_.max_batch, kGenerationFactor);
     const double f = std::clamp(
         (batch - 1.0) / (options_.max_batch - 1.0), 0.0, 1.0);
     out.occupancy_s = one.occupancy_s + f * (full.occupancy_s - one.occupancy_s);
     out.latency_s = one.latency_s + f * (full.latency_s - one.latency_s);
   }
-  out.occupancy_s += options_.batch_overhead_s;
-  out.latency_s += options_.batch_overhead_s;
+  out.occupancy_s += kBatchOverheadS;
+  out.latency_s += kBatchOverheadS;
   return out;
 }
 
@@ -75,8 +87,8 @@ ServingEstimate ReplicaQueueModel::estimate(ParallelConfig config,
   const double s_tp = bt.occupancy_s / est.batch_estimate;
   est.utilization = lambda_r * s_tp;
 
-  const double cv2 = options_.service_cv * options_.service_cv;
-  if (est.utilization >= options_.rho_max) {
+  const double cv2 = kServiceCv * kServiceCv;
+  if (est.utilization >= kRhoMax) {
     // Saturated: the bounded queue pins the wait at cap * service time
     // and everything beyond capacity drops at admission.
     est.utilization = std::min(est.utilization, 1.5);
@@ -122,7 +134,7 @@ double ReplicaQueueModel::drain_cost_s(ParallelConfig config,
   const double s_tp = est.batch_estimate > 0.0
                           ? est.exec_latency_s / est.batch_estimate
                           : 0.0;
-  return std::min(options_.drain_cap_s, est.exec_latency_s + lq * s_tp);
+  return std::min(kDrainCapS, est.exec_latency_s + lq * s_tp);
 }
 
 std::vector<ParallelConfig> ReplicaQueueModel::enumerate_serving_configs(

@@ -29,24 +29,13 @@ struct ServingModelOptions {
   double slo_ms = 4000.0;
   // Continuous-batching window per replica.
   int max_batch = 8;
-  // Fixed per-batch overhead (tokenization, scheduling, kernel
-  // launches), seconds.
-  double batch_overhead_s = 0.010;
-  // Decode steps per request relative to one forward pass (generative
-  // models run the decoder repeatedly; 1.0 = single-shot inference).
-  double generation_factor = 1.0;
-  // Squared-coefficient-of-variation knob of the service process for
-  // the P-K wait term (cv = 1 recovers M/M/1-like waits).
-  double service_cv = 1.0;
   // Bounded admission queue, in requests per replica; arrivals beyond
   // it are dropped (and never count toward goodput).
   int admission_queue_cap = 64;
-  // Utilization above this is treated as saturated: the queue sits at
-  // its cap and excess arrivals drop.
-  double rho_max = 0.98;
-  // Cap on the in-flight drain charge at reconfiguration, seconds.
-  double drain_cap_s = 30.0;
 };
+
+// Cap on the in-flight drain charge at reconfiguration, seconds.
+inline constexpr double kDrainCapS = 30.0;
 
 // Closed-form steady-state estimate for one {D, P} at an offered rate.
 struct ServingEstimate {

@@ -32,7 +32,6 @@ const char* serving_mode_name(ServingMode mode) {
 }
 
 GoodputObjective::GoodputObjective(const ModelProfile& model,
-                                   ThroughputModelOptions throughput,
                                    ServingModelOptions serving,
                                    const ArrivalGenerator* arrivals,
                                    int max_instances)
@@ -42,7 +41,7 @@ GoodputObjective::GoodputObjective(const ModelProfile& model,
                            .rng_salt = 0x5e57eull,
                            .max_pipelines = std::max(1, max_instances),
                            .cap_width = true}),
-      throughput_(model, std::move(throughput)),
+      throughput_(model),
       queue_(&throughput_, serving),
       arrivals_(arrivals) {}
 
@@ -59,15 +58,12 @@ std::vector<double> GoodputObjective::forecast_load(int interval,
   out.reserve(static_cast<std::size_t>(horizon));
   double deviation = 0.0;
   double decay = 0.0;
-  if (arrivals_ != nullptr) {
-    const ArrivalOptions& a = arrivals_->options();
-    if (a.kind == ArrivalKind::kMmpp &&
-        arrivals_->prepared_intervals() > interval) {
-      const double expected = arrivals_->expected_rps(interval);
-      if (expected > 0.0)
-        deviation = arrivals_->realized_rps(interval) / expected - 1.0;
-      decay = std::clamp(1.0 - a.p_enter_burst - a.p_exit_burst, 0.0, 1.0);
-    }
+  if (arrivals_ != nullptr && arrivals_->options().kind == ArrivalKind::kMmpp &&
+      arrivals_->prepared_intervals() > interval) {
+    const double expected = arrivals_->expected_rps(interval);
+    if (expected > 0.0)
+      deviation = arrivals_->realized_rps(interval) / expected - 1.0;
+    decay = ArrivalGenerator::burst_decay();
   }
   for (int h = 1; h <= horizon; ++h) {
     deviation *= decay;
@@ -84,7 +80,7 @@ ServingScheduler::ServingScheduler(ModelProfile model,
                                    const ArrivalGenerator* arrivals,
                                    const SpotTrace* oracle)
     : options_(std::move(options)),
-      objective_(model, options_.throughput, options_.serving, arrivals,
+      objective_(model, options_.serving, arrivals,
                  options_.max_instances),
       core_(std::move(model), core_options(options_, objective_, arrivals),
             options_.mode == ServingMode::kOracle ? oracle : nullptr,

@@ -58,8 +58,7 @@ class GoodputObjective : public SchedulingObjective {
  public:
   // `arrivals` supplies the measured and forecast request rate (null:
   // no load) and must outlive the objective.
-  GoodputObjective(const ModelProfile& model, ThroughputModelOptions throughput,
-                   ServingModelOptions serving,
+  GoodputObjective(const ModelProfile& model, ServingModelOptions serving,
                    const ArrivalGenerator* arrivals, int max_instances);
 
   std::vector<ParallelConfig> candidates(int n) const override {

@@ -9,6 +9,7 @@
 #include "common/fault.h"
 #include "core/slo.h"
 #include "obs/timeseries.h"
+#include "runtime/pricing.h"
 
 namespace parcae::serve {
 namespace {
@@ -262,7 +263,7 @@ ServingSimResult simulate_serving(ServingScheduler& scheduler,
 
     result.spot_cost_usd += config.valid()
                                 ? config.instances() * T *
-                                      options.pricing.spot_gpu_usd_per_second()
+                                      Pricing{}.spot_gpu_usd_per_second()
                                 : 0.0;
 
     if (options.timeseries != nullptr) {

@@ -33,7 +33,6 @@
 
 #include "obs/metrics.h"
 #include "parallel/parallel_config.h"
-#include "runtime/pricing.h"
 #include "serve/arrival.h"
 #include "serve/serving_scheduler.h"
 #include "trace/spot_trace.h"
@@ -87,7 +86,6 @@ struct ServingSimResult {
 
 struct ServingSimOptions {
   double interval_s = 60.0;
-  Pricing pricing;
   bool record_timeline = true;
   // Observability sinks, all non-owning and optional — wired exactly
   // like SimulationOptions (cluster_sim.h): the SLO engine is pointed

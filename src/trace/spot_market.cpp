@@ -4,13 +4,22 @@
 #include <cmath>
 
 namespace parcae {
+namespace {
+
+constexpr double kReversion = 0.08;   // OU pull toward the mean per interval
+constexpr double kVolatility = 0.05;  // price noise per interval ($/h)
+// Fraction of instances reclaimed per interval per 10% of price excess
+// over the bid.
+constexpr double kReclaimAggressiveness = 0.5;
+
+}  // namespace
 
 SpotMarketResult simulate_spot_market(const SpotMarketOptions& options,
                                       Rng& rng) {
   const auto intervals =
       static_cast<int>(options.duration_s / options.interval_s + 0.5);
   SpotMarketResult result;
-  double price = options.mean_price;
+  double price = kSpotMarketMeanPrice;
   int held = 0;
   std::vector<int> series;
   series.reserve(static_cast<std::size_t>(intervals));
@@ -20,9 +29,9 @@ SpotMarketResult simulate_spot_market(const SpotMarketOptions& options,
   for (int i = 0; i < intervals; ++i) {
     // Ornstein-Uhlenbeck price step (floored at a small positive
     // price; spot prices never go to zero).
-    price += options.reversion * (options.mean_price - price) +
-             options.volatility * rng.normal();
-    price = std::max(0.1 * options.mean_price, price);
+    price += kReversion * (kSpotMarketMeanPrice - price) +
+             kVolatility * rng.normal();
+    price = std::max(0.1 * kSpotMarketMeanPrice, price);
     result.price_per_interval.push_back(price);
 
     if (price > options.bid && held > 0) {
@@ -30,7 +39,7 @@ SpotMarketResult simulate_spot_market(const SpotMarketOptions& options,
       // taken back.
       const double excess = (price - options.bid) / options.bid;
       const double fraction =
-          std::min(1.0, options.reclaim_aggressiveness * excess / 0.1);
+          std::min(1.0, kReclaimAggressiveness * excess / 0.1);
       int reclaim = static_cast<int>(std::ceil(fraction * held));
       reclaim = std::clamp(reclaim, 1, held);
       held -= reclaim;

@@ -17,17 +17,14 @@
 
 namespace parcae {
 
+// Long-run spot price the market reverts to ($/h).
+inline constexpr double kSpotMarketMeanPrice = 0.92;
+
 struct SpotMarketOptions {
   int capacity = 32;           // instances we keep requesting
   double duration_s = 3600.0;
   double interval_s = 60.0;
-  double mean_price = 0.92;    // $/h long-run spot price
-  double reversion = 0.08;     // OU pull toward the mean per interval
-  double volatility = 0.05;    // price noise per interval ($/h)
   double bid = 1.10;           // our maximum price
-  // Fraction of instances reclaimed per interval per 10% of price
-  // excess over the bid.
-  double reclaim_aggressiveness = 0.5;
   // Expected instances granted per interval while price <= bid.
   double grant_rate = 3.0;
 };

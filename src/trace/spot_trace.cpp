@@ -290,6 +290,9 @@ SpotTrace full_day_trace(std::uint64_t seed) {
                    t.events());
 }
 
+// Instances one synthetic preemption event takes, at most.
+constexpr int kMaxPreemptionEventSize = 2;
+
 SpotTrace synthesize_trace(const SyntheticTraceOptions& options, Rng& rng) {
   const auto intervals =
       static_cast<int>(options.duration_s / options.interval_s + 0.5);
@@ -335,10 +338,10 @@ SpotTrace synthesize_trace(const SyntheticTraceOptions& options, Rng& rng) {
       while (next_preempt < preempt_at.size() &&
              preempt_at[next_preempt] == i) {
         const int k = static_cast<int>(
-            rng.uniform_int(1, std::max(1, options.max_event_size)));
+            rng.uniform_int(1, kMaxPreemptionEventSize));
         const int actual = std::min(k, n - 1);  // never drop to zero
         n -= actual;
-        if (options.rebalance_with_allocations && actual > 0) {
+        if (actual > 0) {
           const int delay = static_cast<int>(rng.uniform_int(1, 3));
           const std::size_t at = static_cast<std::size_t>(i + delay);
           if (at < pending_alloc.size()) pending_alloc[at] += actual;
@@ -353,24 +356,28 @@ SpotTrace synthesize_trace(const SyntheticTraceOptions& options, Rng& rng) {
       options.capacity, options.interval_s);
 }
 
-SpotTrace synthesize_drift_trace(const DriftTraceOptions& options) {
-  const auto intervals =
-      static_cast<int>(options.duration_s / options.interval_s + 0.5);
+SpotTrace synthesize_drift_trace() {
+  constexpr int kCapacity = 32;
+  constexpr double kDurationS = 12 * 3600.0;
+  constexpr double kIntervalS = 60.0;
+  constexpr double kBaseAvailability = 22.0;
+  constexpr double kAmplitude = 8.0;       // swing of the slow capacity wave
+  constexpr double kPeriodS = 300 * 60.0;  // one drain+refill cycle
+  constexpr double kSmoothing = 0.25;  // lag of actual level behind the wave
+  const auto intervals = static_cast<int>(kDurationS / kIntervalS + 0.5);
   std::vector<int> series;
   series.reserve(static_cast<std::size_t>(intervals));
-  double level = options.base_availability;
+  double level = kBaseAvailability;
   for (int t = 0; t < intervals; ++t) {
     const double phase =
-        2.0 * M_PI * (static_cast<double>(t) * options.interval_s) /
-        options.period_s;
-    const double target =
-        options.base_availability + options.amplitude * std::sin(phase);
-    level += options.smoothing * (target - level);
-    series.push_back(std::clamp(
-        static_cast<int>(std::floor(level + 0.5)), 0, options.capacity));
+        2.0 * M_PI * (static_cast<double>(t) * kIntervalS) / kPeriodS;
+    const double target = kBaseAvailability + kAmplitude * std::sin(phase);
+    level += kSmoothing * (target - level);
+    series.push_back(std::clamp(static_cast<int>(std::floor(level + 0.5)), 0,
+                                kCapacity));
   }
-  return SpotTrace::from_minute_series("drift", series, options.capacity,
-                                       options.interval_s);
+  return SpotTrace::from_minute_series("drift", series, kCapacity,
+                                       kIntervalS);
 }
 
 SpotTrace derive_multi_gpu_trace(const SpotTrace& single,

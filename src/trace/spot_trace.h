@@ -148,30 +148,20 @@ struct SyntheticTraceOptions {
   double duration_s = 3600.0;
   double interval_s = 60.0;
   double target_availability = 30.0;  // mean #instances to hover around
-  int preemption_events = 3;          // events (each 1..max_event_size)
-  int max_event_size = 2;             // instances per event
-  bool rebalance_with_allocations = true;  // keep mean near the target
+  int preemption_events = 3;          // events of 1-2 instances each
 };
 
 // Generates the Figure-14 style traces: scale preemption intensity
-// while holding average availability roughly constant.
+// while holding average availability roughly constant (every
+// preemption is compensated by an allocation 1-3 intervals later).
 SpotTrace synthesize_trace(const SyntheticTraceOptions& options, Rng& rng);
 
-struct DriftTraceOptions {
-  int capacity = 32;
-  double duration_s = 12 * 3600.0;
-  double interval_s = 60.0;
-  double base_availability = 22.0;
-  double amplitude = 8.0;      // swing of the slow capacity wave
-  double period_s = 300 * 60.0;  // one drain+refill cycle
-  double smoothing = 0.25;     // lag of actual level behind the wave
-};
-
-// A slowly draining/refilling availability wave — the gradual capacity
-// trends visible in the paper's collected trace (Figure 8), on which
-// trend-following predictors such as ARIMA have an edge over
-// last-value carry (Figure 5a).
-SpotTrace synthesize_drift_trace(const DriftTraceOptions& options);
+// A slowly draining/refilling availability wave over 12 hours on a
+// 32-instance pool — the gradual capacity trends visible in the
+// paper's collected trace (Figure 8), on which trend-following
+// predictors such as ARIMA have an edge over last-value carry
+// (Figure 5a).
+SpotTrace synthesize_drift_trace();
 
 // Derives a k-GPU-instance trace from a single-GPU trace following
 // §10.2: every k preemption events collapse into one multi-GPU

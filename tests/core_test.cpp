@@ -17,8 +17,7 @@ namespace parcae {
 namespace {
 
 ThroughputModel gpt2_model() {
-  return ThroughputModel(gpt2_profile(),
-                         {NetworkModel{}, MemorySpec::parcae(), 0.5, 0.0, 1});
+  return ThroughputModel(gpt2_profile());
 }
 
 // The §7 DP over the training objective; `objective` must outlive it.

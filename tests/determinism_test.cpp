@@ -197,7 +197,7 @@ TEST(Determinism, PrunedScanTiesMatchNaiveReferenceDp) {
 
 TEST(Determinism, GoodputOptimizeMatchesNaiveReferenceDp) {
   const ModelProfile model = model_by_name("GPT-2");
-  const serve::GoodputObjective objective(model, {}, {}, nullptr, 32);
+  const serve::GoodputObjective objective(model, {}, nullptr, 32);
   const ParallelConfig live = objective.best_config(16, 40.0);
   ASSERT_GT(objective.switch_cost(live, 40.0), 0.0);  // drain is charged
   const std::vector<int> flat(8, 16);

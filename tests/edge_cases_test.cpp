@@ -73,11 +73,15 @@ TEST(EdgeCases, VarunaStartingFromZeroInstances) {
 }
 
 TEST(EdgeCases, BambooWithInfeasibleCustomDepthNeverRuns) {
-  BambooOptions options;
-  options.fixed_depth = 1;  // GPT-2 redundancy never fits one GPU
-  BambooPolicy policy(gpt2_profile(), options);
+  // Outside Table 5 Bamboo falls back to depth 8, which cannot hold
+  // GPT-3's doubled model states.
+  ModelProfile custom = gpt3_profile();
+  custom.name = "GPT-3-custom";
+  BambooPolicy policy(custom);
+  ASSERT_EQ(policy.depth(), 8);
   const SimulationResult r = simulate(policy, flat_trace(32, 600.0), {});
   EXPECT_DOUBLE_EQ(r.committed_samples, 0.0);
+  EXPECT_FALSE(r.timeline.back().config.valid());
 }
 
 TEST(EdgeCases, CostPerUnitIsInfiniteWithoutProgress) {

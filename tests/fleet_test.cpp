@@ -17,7 +17,6 @@
 #include "obs/metrics.h"
 #include "parallel/throughput_model.h"
 #include "runtime/cluster_sim.h"
-#include "runtime/kv_store.h"
 #include "runtime/parcae_policy.h"
 #include "trace/spot_trace.h"
 #include "trace/trace_io.h"
@@ -209,31 +208,6 @@ TEST(FleetArbiter, GrantsNeverExceedThePool) {
     }
     EXPECT_LE(total, pool);
   }
-}
-
-TEST(FleetArbiter, ElectionGuardsTheSeat) {
-  KvStore kv;
-  std::vector<ArbiterJobSpec> jobs(1);
-  jobs[0].job_id = 0;
-  jobs[0].weight = 1.0;
-  jobs[0].values = table({0.0, 0.5, 1.0});
-  FleetArbiterOptions options;
-  options.capacity = 2;
-  options.kv = &kv;
-  options.election_ttl_s = 120.0;
-  FleetArbiter arbiter(jobs, options);
-  EXPECT_FALSE(arbiter.holds_leadership());  // no campaign yet
-  arbiter.rebalance(0, 2);
-  EXPECT_TRUE(arbiter.holds_leadership());
-  const auto seat = kv.get("fleet/arbiter");
-  ASSERT_TRUE(seat.has_value());
-  // Rebalances renew the lease, so the seat outlives many TTL windows.
-  for (int i = 1; i < 5; ++i) {
-    kv.advance_clock(100.0);
-    arbiter.rebalance(i, 2);
-  }
-  EXPECT_TRUE(arbiter.holds_leadership());
-  EXPECT_EQ(kv.leases_expired(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,55 +15,40 @@ TEST(LinkModel, AlphaBetaComposition) {
 }
 
 TEST(NetworkModel, P2pUsesCorrectLink) {
-  NetworkModel net;
-  const double inter = net.p2p_time(kGB, /*same_node=*/false);
-  const double intra = net.p2p_time(kGB, /*same_node=*/true);
-  EXPECT_GT(inter, intra);  // NVLink is much faster
-  EXPECT_GT(inter, 0.5);    // ~1 GB over 1.25 GB/s
+  const double inter = NetworkModel::p2p_time(kGB);
+  EXPECT_DOUBLE_EQ(inter, kInterNodeLink.time(kGB));
+  EXPECT_GT(inter, 0.5);  // ~1 GB over 1.25 GB/s
   EXPECT_LT(inter, 2.0);
 }
 
 TEST(NetworkModel, RingAllreduceMatchesFormula) {
-  NetworkModel net;
   const int w = 8;
   const double bytes = 4 * kGB;
-  const double expect =
-      2.0 * (w - 1) * net.inter_node.time(bytes / w);
-  EXPECT_DOUBLE_EQ(net.ring_allreduce_time(bytes, w), expect);
+  const double expect = 2.0 * (w - 1) * kInterNodeLink.time(bytes / w);
+  EXPECT_DOUBLE_EQ(NetworkModel::ring_allreduce_time(bytes, w), expect);
 }
 
 TEST(NetworkModel, CollectivesDegenerateAtWorldOne) {
-  NetworkModel net;
-  EXPECT_DOUBLE_EQ(net.ring_allreduce_time(kGB, 1), 0.0);
-  EXPECT_DOUBLE_EQ(net.broadcast_time(kGB, 1), 0.0);
-  EXPECT_DOUBLE_EQ(net.allgather_time(kGB, 1), 0.0);
-  EXPECT_DOUBLE_EQ(net.all_to_all_time(kGB, 1), 0.0);
-  EXPECT_DOUBLE_EQ(net.scatter_time(kGB, 1), 0.0);
+  EXPECT_DOUBLE_EQ(NetworkModel::ring_allreduce_time(kGB, 1), 0.0);
+  EXPECT_DOUBLE_EQ(NetworkModel::all_to_all_time(kGB, 1), 0.0);
 }
 
 TEST(NetworkModel, ZeroBytesIsFree) {
-  NetworkModel net;
-  EXPECT_DOUBLE_EQ(net.ring_allreduce_time(0.0, 8), 0.0);
-  EXPECT_DOUBLE_EQ(net.broadcast_time(0.0, 8), 0.0);
-}
-
-TEST(NetworkModel, BroadcastLogarithmicHops) {
-  NetworkModel net;
-  const double one_hop = net.inter_node.time(kGB);
-  EXPECT_DOUBLE_EQ(net.broadcast_time(kGB, 2), one_hop);
-  EXPECT_DOUBLE_EQ(net.broadcast_time(kGB, 4), 2 * one_hop);
-  EXPECT_DOUBLE_EQ(net.broadcast_time(kGB, 5), 3 * one_hop);
-  EXPECT_DOUBLE_EQ(net.broadcast_time(kGB, 8), 3 * one_hop);
+  EXPECT_DOUBLE_EQ(NetworkModel::ring_allreduce_time(0.0, 8), 0.0);
+  EXPECT_DOUBLE_EQ(NetworkModel::all_to_all_time(0.0, 8), 0.0);
 }
 
 TEST(NetworkModel, AllreduceBandwidthTermSaturates) {
   // The bandwidth-optimal ring moves 2(w-1)/w * bytes regardless of w;
-  // for large w the time approaches 2 * bytes * beta.
-  NetworkModel net;
-  net.inter_node.alpha_s = 0.0;
-  const double t8 = net.ring_allreduce_time(kGB, 8);
-  const double t64 = net.ring_allreduce_time(kGB, 64);
-  const double limit = 2.0 * kGB * net.inter_node.beta_s_per_byte;
+  // for large w the bandwidth term approaches 2 * bytes * beta. Each of
+  // the 2(w-1) hops also pays the link latency, which is subtracted.
+  const auto bandwidth_term = [](int w) {
+    return NetworkModel::ring_allreduce_time(kGB, w) -
+           2.0 * (w - 1) * kInterNodeLink.alpha_s;
+  };
+  const double t8 = bandwidth_term(8);
+  const double t64 = bandwidth_term(64);
+  const double limit = 2.0 * kGB * kInterNodeLink.beta_s_per_byte;
   EXPECT_LT(t8, limit);
   EXPECT_LT(t64, limit);
   EXPECT_GT(t64, t8);  // closer to the asymptote
@@ -76,11 +61,10 @@ INSTANTIATE_TEST_SUITE_P(Worlds, AllreduceMonotonicityTest,
                          ::testing::Values(2, 3, 4, 8, 16, 32));
 
 TEST_P(AllreduceMonotonicityTest, MoreBytesTakeLonger) {
-  NetworkModel net;
   const int w = GetParam();
   double prev = 0.0;
   for (double bytes = kGB / 16; bytes <= 4 * kGB; bytes *= 2) {
-    const double t = net.ring_allreduce_time(bytes, w);
+    const double t = NetworkModel::ring_allreduce_time(bytes, w);
     EXPECT_GT(t, prev);
     prev = t;
   }
@@ -93,9 +77,8 @@ TEST(NetworkModel, ContentionFactor) {
 }
 
 TEST(NetworkModel, AllToAllScalesWithPerRankBytes) {
-  NetworkModel net;
-  const double t1 = net.all_to_all_time(kGB, 8);
-  const double t2 = net.all_to_all_time(2 * kGB, 8);
+  const double t1 = NetworkModel::all_to_all_time(kGB, 8);
+  const double t2 = NetworkModel::all_to_all_time(2 * kGB, 8);
   EXPECT_GT(t2, 1.9 * t1);
   EXPECT_LT(t2, 2.1 * t1);
 }

@@ -104,7 +104,6 @@ TEST(PipelineSchedule, AnalyticIterationTimeTracksSimulatedSchedule) {
   // the event-level schedule for the paper's models/configs.
   const ModelProfile model = gpt2_profile();
   const ThroughputModel tm(model, {});
-  const NetworkModel net;
   for (const ParallelConfig c :
        {ParallelConfig{2, 8}, ParallelConfig{4, 6}, ParallelConfig{2, 13}}) {
     const double m = std::ceil(static_cast<double>(model.mini_batch) /
@@ -119,7 +118,8 @@ TEST(PipelineSchedule, AnalyticIterationTimeTracksSimulatedSchedule) {
     params.fwd_time_s = t_total * 0.25;
     params.bwd_time_s = t_total * 0.75;
     params.p2p_time_s =
-        net.p2p_time(model.boundary_activation_bytes * model.micro_batch);
+        NetworkModel::p2p_time(model.boundary_activation_bytes *
+                               model.micro_batch);
     const double simulated = simulate_1f1b(params).makespan_s;
     // Analytic pipeline part (without the all-reduce term).
     const double analytic =

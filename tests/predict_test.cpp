@@ -316,7 +316,7 @@ TEST_P(PredictorEvalTest, ErrorsAreSmallOnRealScaleTraces) {
 TEST(PredictorEval, ArimaBeatsNaiveOnDriftingAvailability) {
   // The regime that motivates ARIMA (Figure 5a): gradual capacity
   // drains and refills that last-value carry cannot extrapolate.
-  const auto series = synthesize_drift_trace({}).availability_series_d();
+  const auto series = synthesize_drift_trace().availability_series_d();
   auto arima = make_parcae_predictor(32.0);
   const double arima_err =
       evaluate_predictor(*arima, series, 12, 12).normalized_l1;
@@ -361,7 +361,7 @@ TEST(AdaptivePredictor, NeverMuchWorseThanBestMemberOnRealTraces) {
   // The point of backtest selection: near-best accuracy per regime.
   for (const SpotTrace* trace :
        {new SpotTrace(canonical_segment(TraceSegment::kHighAvailDense)),
-        new SpotTrace(synthesize_drift_trace({}))}) {
+        new SpotTrace(synthesize_drift_trace())}) {
     const auto series = trace->availability_series_d();
     auto adaptive = AdaptivePredictor::standard_pool(32.0);
     const double adaptive_err =

@@ -191,7 +191,7 @@ TEST(ArrivalTest, DiurnalEnvelopeShapesTheRate) {
 TEST(ArrivalTest, MmppStationaryMeanInExpectedRps) {
   const ArrivalOptions a = mmpp_options(9);
   ArrivalGenerator gen(a);
-  const double pi_burst = a.p_enter_burst / (a.p_enter_burst + a.p_exit_burst);
+  const double pi_burst = kPEnterBurst / (kPEnterBurst + kPExitBurst);
   EXPECT_NEAR(gen.expected_rps(0),
               a.base_rps * (1.0 + pi_burst * (a.burst_multiplier - 1.0)),
               1e-9);
@@ -289,7 +289,7 @@ TEST(QueueModelTest, DrainCostBoundedAndMonotoneInLoad) {
   const double heavy = qm.drain_cost_s(c, 1000.0);
   EXPECT_GT(light, 0.0);
   EXPECT_GE(heavy, light);
-  EXPECT_LE(heavy, so.drain_cap_s);
+  EXPECT_LE(heavy, kDrainCapS);
   // Drain is a serving-only term that flows through the shared
   // migration cost total.
   MigrationCostTerms terms;
@@ -313,7 +313,7 @@ IntervalDpOptions goodput_dp_options(int mc_trials) {
 
 TEST(GoodputDpTest, IncrementalMatchesFullAcrossChurn) {
   const ModelProfile model = model_by_name("GPT-2");
-  const GoodputObjective objective(model, {}, {}, nullptr, 32);
+  const GoodputObjective objective(model, {}, nullptr, 32);
 
   // Every step solves on a warm engine and on its cold twin, which
   // must agree bit for bit.
@@ -349,7 +349,7 @@ TEST(GoodputDpTest, IncrementalMatchesFullAcrossChurn) {
 
 TEST(GoodputDpTest, ChargesDrainOnConfigChangeOnly) {
   const ModelProfile model = model_by_name("GPT-2");
-  const GoodputObjective objective(model, {}, {}, nullptr, 32);
+  const GoodputObjective objective(model, {}, nullptr, 32);
   IntervalDp dp(&objective, CostEstimator(model), goodput_dp_options(32));
 
   const ParallelConfig c{4, 1};

@@ -23,7 +23,7 @@ TEST(SpotMarket, PricesStayPositiveAndMeanRevert) {
     EXPECT_GT(p, 0.0);
     sum += p;
   }
-  EXPECT_NEAR(sum / 360.0, options.mean_price, options.mean_price * 0.25);
+  EXPECT_NEAR(sum / 360.0, kSpotMarketMeanPrice, kSpotMarketMeanPrice * 0.25);
 }
 
 TEST(SpotMarket, HigherBidMeansFewerPreemptions) {
